@@ -8,12 +8,14 @@ directed pairwise weights to learn tree-structured graphical models.
 from .baselines import (
     BatchSpec,
     Critic,
+    baseline_edge_weights,
     cpc_estimate,
+    fit_and_estimate,
     fit_critic,
     gaussian_oracle_critic,
     nwj_estimate,
 )
-from .data import Dataset, read_dataset_csv, write_dataset_csv
+from .data import Dataset, read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
 from .errors import (
     DataError,
     InfiniteLogDensityError,
@@ -50,6 +52,7 @@ from .structure import (
     brute_force_arborescence,
     edge_weights,
     max_arborescence,
+    pairwise_weights,
     tree_weight_gap_bound,
     wrong_edges_ratio,
 )
@@ -84,12 +87,14 @@ __all__ = [
     "SimulationConfig",
     "UsableInfoError",
     "VariableSpec",
+    "baseline_edge_weights",
     "brute_force_arborescence",
     "cpc_estimate",
     "edge_weights",
     "empirical_conditional_entropy",
     "empirical_entropy",
     "empirical_information",
+    "fit_and_estimate",
     "fit_conditional",
     "fit_critic",
     "fit_marginal",
@@ -102,10 +107,13 @@ __all__ = [
     "log_density",
     "max_arborescence",
     "nwj_estimate",
+    "pairwise_weights",
+    "read_csv_rows",
     "read_dataset_csv",
     "simulate",
     "tree_weight_gap_bound",
     "wrong_edges_ratio",
     "write_dataset_csv",
+    "write_rows_csv",
     "__version__",
 ]

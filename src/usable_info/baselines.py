@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FitWarning
+from .structure import EdgeWeightMatrix, pairwise_weights
 
 __all__ = [
     "Critic",
@@ -35,12 +36,17 @@ __all__ = [
     "cpc_estimate",
     "nwj_estimate",
     "fit_critic",
+    "fit_and_estimate",
+    "baseline_edge_weights",
     "gaussian_oracle_critic",
 ]
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_CAP = 50.0
+# Critic-fit iterations per ordered pair in baseline_edge_weights: fewer
+# than BatchSpec's default, since an m-node tree fits m(m-1) critics.
+EDGE_WEIGHT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -305,3 +311,52 @@ def _nwj_value_grad(critic, theta, jx, jy, px, py, cap):
     value = float(j_scores.mean() - math.exp(-1.0) * exp_p.mean())
     grad = j_feats.mean(axis=0) - math.exp(-1.0) * (exp_p[:, None] * p_feats).mean(axis=0)
     return value, grad
+
+
+# --------------------------------------------------------------------- #
+# Fitted estimates and tree edge weights
+# --------------------------------------------------------------------- #
+
+
+def fit_and_estimate(objective: str, fit_xs, fit_ys, eval_xs, eval_ys,
+                     spec: BatchSpec, perm=None) -> float:
+    """Fit a bilinear critic on the fit pairs, then estimate on the eval pairs.
+
+    ``"cpc"`` averages :func:`cpc_estimate` over consecutive full batches
+    of ``spec.batch_size`` eval pairs, so it never exceeds the log batch
+    size.  ``"nwj"`` takes product pairs ``(eval_xs, eval_ys[perm])``;
+    ``perm`` defaults to a permutation drawn from ``spec.seed``.
+    """
+    critic = fit_critic("bilinear", objective, fit_xs, fit_ys, spec=spec)
+    eval_xs = _as_matrix(eval_xs, critic.x_dim)
+    eval_ys = _as_matrix(eval_ys, critic.y_dim)
+    n = eval_xs.shape[0]
+    if eval_ys.shape[0] != n:
+        raise ValueError("eval xs and ys have different lengths")
+    if objective == "cpc":
+        size = spec.batch_size
+        if n < size:
+            raise ValueError("not enough eval samples for one batch")
+        return float(np.mean([
+            cpc_estimate(critic, eval_xs[k:k + size], eval_ys[k:k + size])
+            for k in range(0, n - size + 1, size)
+        ]))
+    if perm is None:
+        perm = np.random.default_rng(spec.seed).permutation(n)
+    return nwj_estimate(critic, eval_xs, eval_ys, eval_xs, eval_ys[perm])
+
+
+def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix:
+    """CPC or NWJ estimate for every ordered variable pair.
+
+    Pair ``(i, j)`` fits and evaluates on all its samples with
+    :func:`fit_and_estimate`, seeded from ``(seed, i, j)`` so that each
+    weight is reproducible on its own.
+    """
+    def weight(i, j):
+        pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
+        spec = BatchSpec(iterations=EDGE_WEIGHT_ITERATIONS, seed=pair_seed)
+        xs, ys = variables[i], variables[j]
+        return fit_and_estimate(method, xs, ys, xs, ys, spec)
+
+    return pairwise_weights(variables, weight)

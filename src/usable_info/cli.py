@@ -29,16 +29,19 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
-from .baselines import BatchSpec, Critic, cpc_estimate, fit_critic, gaussian_oracle_critic, nwj_estimate
-from .data import Dataset, read_dataset_csv, write_dataset_csv
+from .baselines import (BatchSpec, baseline_edge_weights, fit_and_estimate,
+                        gaussian_oracle_critic, nwj_estimate)
+from .data import Dataset, read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
 from .errors import DataError, NumericalError
 from .estimation import PacConfig, empirical_information
 from .families import FamilyConfig, FitMode, FitWarning, VariableSpec
@@ -101,37 +104,33 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _setting(args, cfg: dict, name: str, default=None):
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
+def _settings(args, cfg: dict, convert: dict) -> dict:
+    """Settings in ``convert`` set by a flag or else by the config file.
+
+    Each value passes through ``convert[name]``; unset ones are left out,
+    so the library's own defaults apply.
+    """
+    out = {}
+    for name, conv in convert.items():
+        value = getattr(args, name, None)
+        if value is None:
+            value = cfg.get(name)
+        if value is not None:
+            out[name] = conv(value)
+    return out
 
 
-def _resolve_seed(args, cfg: dict) -> int:
-    seed = _setting(args, cfg, "seed")
-    if seed is None:
-        env = os.environ.get("USABLE_INFO_SEED")
-        if env is not None:
-            seed = env
-    if seed is None:
-        raise ValueError(
-            "seed required: pass --seed, put \"seed\" in the config file, "
-            "or set USABLE_INFO_SEED"
-        )
-    return int(seed)
+def _required(settings: dict, name: str):
+    value = settings.get(name)
+    if not value:
+        raise ValueError(f"missing required setting: {name.replace('_', '-')}")
+    return value
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
-
-
-def _str_list(text: str) -> list[str]:
-    return [tok.strip() for tok in str(text).split(",") if tok.strip()]
+def _list_of(convert):
+    """Converter for a comma-separated setting; blank items are skipped."""
+    return lambda text: [convert(tok.strip()) for tok in str(text).split(",")
+                         if tok.strip()]
 
 
 def _emit_json(path, command: str, config: dict, seed, t0: float, results: dict):
@@ -139,7 +138,7 @@ def _emit_json(path, command: str, config: dict, seed, t0: float, results: dict)
         "command": command,
         "config": config,
         "seed": seed,
-        "duration_s": time.time() - t0,
+        "duration_s": time.perf_counter() - t0,
         "version": __version__,
         "results": results,
     }
@@ -151,36 +150,41 @@ def _emit_json(path, command: str, config: dict, seed, t0: float, results: dict)
             fh.write(text + "\n")
 
 
-def _write_rows_csv(path, config: dict, header: list[str], rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+def _parse_parents(v):
+    if isinstance(v, str):
+        v = json.loads(v)
+    return {int(c): int(p) for c, p in v.items()}
 
 
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+_SIMULATION_SETTINGS = {
+    "scenario": str, "n": int, "seed": int, "m": int, "d": int, "rho": float,
+    "var_y": float, "parents": _parse_parents, "noise_var": float,
+    "exponential_mean_mode": bool,
+}
+_FAMILY_SETTINGS = {"order": int, "clip_b": float, "norm_radius": float}
+_FIT_SETTINGS = {"max_iters": int, "step_size": float, "tolerance": float}
 
 
-def _family_from_settings(kind: str, order, clip_b, norm_radius,
-                          max_iters, step_size, tolerance) -> FamilyConfig:
-    fit = None
-    if max_iters is not None or step_size is not None or tolerance is not None:
-        fit = FitMode.gradient(
-            max_iters=int(max_iters) if max_iters is not None else 5000,
-            step_size=float(step_size) if step_size is not None else None,
-            tolerance=float(tolerance) if tolerance is not None else 1e-8,
-        )
-    return FamilyConfig(
-        kind=kind,
-        order=int(order) if order is not None else None,
-        fit=fit,
-        clip_b=float(clip_b) if clip_b is not None else None,
-        norm_radius=float(norm_radius) if norm_radius is not None else None,
-    )
+def _simulation_config(args, cfg: dict) -> SimulationConfig:
+    settings = _settings(args, cfg, _SIMULATION_SETTINGS)
+    if "seed" not in settings:
+        env = os.environ.get("USABLE_INFO_SEED")
+        if env is None:
+            raise ValueError(
+                "seed required: pass --seed, put \"seed\" in the config file, "
+                "or set USABLE_INFO_SEED"
+            )
+        settings["seed"] = int(env)
+    _required(settings, "scenario")
+    _required(settings, "n")
+    return SimulationConfig(**settings)
+
+
+def _family_config(args, cfg: dict) -> FamilyConfig:
+    kind = _required(_settings(args, cfg, {"family": str}), "family")
+    fit = _settings(args, cfg, _FIT_SETTINGS)
+    return FamilyConfig(kind=kind, fit=FitMode.gradient(**fit) if fit else None,
+                        **_settings(args, cfg, _FAMILY_SETTINGS))
 
 
 def _parse_family_token(token: str):
@@ -188,8 +192,7 @@ def _parse_family_token(token: str):
     if token in ("cpc", "nwj"):
         return ("baseline", token)
     kind, _, order = token.partition(":")
-    return ("family", _family_from_settings(
-        kind, order or None, None, None, None, None, None))
+    return ("family", FamilyConfig(kind, order=int(order) if order else None))
 
 
 # --------------------------------------------------------------------- #
@@ -198,48 +201,15 @@ def _parse_family_token(token: str):
 
 
 def _cmd_simulate(args) -> int:
-    t0 = time.time()
-    cfg = _load_config(args.config)
-    seed = _resolve_seed(args, cfg)
-    sim = SimulationConfig(
-        scenario=_setting(args, cfg, "scenario") or _missing("scenario"),
-        n=int(_setting(args, cfg, "n") or _missing("n")),
-        seed=seed,
-        m=_maybe_int(_setting(args, cfg, "m")),
-        d=int(_setting(args, cfg, "d", 10)),
-        rho=_maybe_float(_setting(args, cfg, "rho")),
-        var_y=float(_setting(args, cfg, "var_y", 1.0)),
-        parents=_parse_parents(_setting(args, cfg, "parents")),
-        noise_var=float(_setting(args, cfg, "noise_var", 1.0)),
-        exponential_mean_mode=bool(_setting(args, cfg, "exponential_mean_mode", False)),
-    )
+    t0 = time.perf_counter()
+    sim = _simulation_config(args, _load_config(args.config))
     dataset, truth = simulate(sim)
     effective = _sim_config_dict(sim)
     write_dataset_csv(dataset, args.out, config=effective)
     if args.truth_out:
-        _emit_json(args.truth_out, "simulate", effective, seed, t0,
+        _emit_json(args.truth_out, "simulate", effective, sim.seed, t0,
                    {"truth": truth.tree.to_dict(), "scenario": sim.scenario})
     return EXIT_OK
-
-
-def _missing(name: str):
-    raise ValueError(f"missing required setting: {name}")
-
-
-def _maybe_int(v):
-    return None if v is None else int(v)
-
-
-def _maybe_float(v):
-    return None if v is None else float(v)
-
-
-def _parse_parents(v):
-    if v is None:
-        return None
-    if isinstance(v, str):
-        v = json.loads(v)
-    return {int(c): int(p) for c, p in v.items()}
 
 
 def _sim_config_dict(sim: SimulationConfig) -> dict:
@@ -271,8 +241,6 @@ def _select_columns(dataset: Dataset, tokens: list[str], role: str):
     A token is either ``var<i>`` (the whole variable) or ``var<i>_<k>``
     (one real coordinate).  A categorical variable must be selected alone.
     """
-    import re
-
     pieces = []
     categorical = None
     for token in tokens:
@@ -309,43 +277,37 @@ def _select_columns(dataset: Dataset, tokens: list[str], role: str):
 
 
 def _cmd_estimate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _load_config(args.config)
-    data_path = _setting(args, cfg, "data") or _missing("data")
+    settings = _settings(args, cfg, {
+        "data": str, "x_cols": _list_of(str), "y_cols": _list_of(str), "clamp": bool,
+        "pac": bool, "delta": float, "pac_b": float, "rademacher": float,
+        "kx": float, "ky": float,
+    })
+    data_path = _required(settings, "data")
     dataset = read_dataset_csv(data_path)
-    x_tokens = _str_list(_setting(args, cfg, "x_cols") or _missing("x-cols"))
-    y_tokens = _str_list(_setting(args, cfg, "y_cols") or _missing("y-cols"))
+    x_tokens = _required(settings, "x_cols")
+    y_tokens = _required(settings, "y_cols")
     xs, x_spec = _select_columns(dataset, x_tokens, "x-cols")
     ys, y_spec = _select_columns(dataset, y_tokens, "y-cols")
-
-    kind = _setting(args, cfg, "family") or _missing("family")
-    family = _family_from_settings(
-        kind, _setting(args, cfg, "order"), _setting(args, cfg, "clip_b"),
-        _setting(args, cfg, "norm_radius"), _setting(args, cfg, "max_iters"),
-        _setting(args, cfg, "step_size"), _setting(args, cfg, "tolerance"),
-    )
-    from dataclasses import replace
-    family = replace(family, x_spec=x_spec, y_spec=y_spec)
+    family = replace(_family_config(args, cfg), x_spec=x_spec, y_spec=y_spec)
+    clamp = settings.get("clamp", False)
 
     pac = None
-    if args.pac or cfg.get("pac"):
+    if settings.get("pac"):
         pac = PacConfig(
-            delta=float(_setting(args, cfg, "delta") or _missing("delta")),
-            b=float(_setting(args, cfg, "pac_b") or _missing("pac-b")),
-            rademacher_bound=_maybe_float(_setting(args, cfg, "rademacher")),
-            k_x=_maybe_float(_setting(args, cfg, "kx")),
-            k_y=_maybe_float(_setting(args, cfg, "ky")),
+            delta=_required(settings, "delta"),
+            b=_required(settings, "pac_b"),
+            rademacher_bound=settings.get("rademacher"),
+            k_x=settings.get("kx"),
+            k_y=settings.get("ky"),
         )
-    estimate = empirical_information(family, xs, ys, pac=pac,
-                                     clamp=bool(_setting(args, cfg, "clamp", False)))
+    estimate = empirical_information(family, xs, ys, pac=pac, clamp=clamp)
     effective = {
-        "data": str(data_path), "x_cols": x_tokens, "y_cols": y_tokens,
-        "family": kind, "order": family.order, "clip_b": family.clip_b,
-        "norm_radius": family.norm_radius, "clamp": bool(_setting(args, cfg, "clamp", False)),
-        "pac": None if pac is None else {
-            "delta": pac.delta, "b": pac.b, "rademacher_bound": pac.rademacher_bound,
-            "k_x": pac.k_x, "k_y": pac.k_y,
-        },
+        "data": data_path, "x_cols": x_tokens, "y_cols": y_tokens,
+        "family": family.kind, "order": family.order, "clip_b": family.clip_b,
+        "norm_radius": family.norm_radius, "clamp": clamp,
+        "pac": None if pac is None else asdict(pac),
     }
     _emit_json(args.out, "estimate", effective, None, t0, estimate.to_dict())
     return EXIT_OK
@@ -357,26 +319,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     cfg = _load_config(args.config)
     truth = None
     seed = None
     if args.sim_config:
-        sim_cfg = _load_config(args.sim_config)
-        sim_args = argparse.Namespace(seed=args.seed)
-        seed = _resolve_seed(sim_args, sim_cfg)
-        sim = SimulationConfig(
-            scenario=sim_cfg.get("scenario") or _missing("scenario"),
-            n=int(sim_cfg.get("n") or _missing("n")),
-            seed=seed,
-            m=_maybe_int(sim_cfg.get("m")),
-            d=int(sim_cfg.get("d", 10)),
-            rho=_maybe_float(sim_cfg.get("rho")),
-            var_y=float(sim_cfg.get("var_y", 1.0)),
-            parents=_parse_parents(sim_cfg.get("parents")),
-            noise_var=float(sim_cfg.get("noise_var", 1.0)),
-            exponential_mean_mode=bool(sim_cfg.get("exponential_mean_mode", False)),
-        )
+        sim = _simulation_config(args, _load_config(args.sim_config))
+        seed = sim.seed
         dataset, ground = simulate(sim)
         truth = ground.tree
         source = {"sim_config": _sim_config_dict(sim)}
@@ -393,12 +342,7 @@ def _cmd_tree(args) -> int:
         node = node.get("truth", node)
         truth = Arborescence.from_dict(node)
 
-    kind = _setting(args, cfg, "family") or _missing("family")
-    family = _family_from_settings(
-        kind, _setting(args, cfg, "order"), _setting(args, cfg, "clip_b"),
-        _setting(args, cfg, "norm_radius"), _setting(args, cfg, "max_iters"),
-        _setting(args, cfg, "step_size"), _setting(args, cfg, "tolerance"),
-    )
+    family = _family_config(args, cfg)
     weights = edge_weights(dataset.variables, family)
     tree = max_arborescence(weights)
     results = {"tree": tree.to_dict()}
@@ -406,7 +350,7 @@ def _cmd_tree(args) -> int:
         mode = "directed" if args.directed else "undirected"
         results["wrong_edges_ratio"] = wrong_edges_ratio(tree, truth, mode=mode)
         results["ratio_mode"] = mode
-    effective = {**source, "family": kind, "order": family.order,
+    effective = {**source, "family": family.kind, "order": family.order,
                  "clip_b": family.clip_b, "norm_radius": family.norm_radius}
     _emit_json(args.out, "tree", effective, seed, t0, results)
     return EXIT_OK
@@ -422,70 +366,39 @@ def _sweep_task(task: tuple) -> tuple:
     sim = SimulationConfig(scenario=scenario, n=n, seed=seed, m=m, d=d)
     dataset, truth = simulate(sim)
     role, payload = _parse_family_token(family_token)
-    if role == "family":
-        weights = edge_weights(dataset.variables, payload)
-    else:
-        weights = _baseline_edge_weights(dataset.variables, payload, seed)
+    # A FitWarning raised in a pool worker never reaches main's recorder,
+    # so every cell turns its own into an error that names the cell.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        try:
+            if role == "family":
+                weights = edge_weights(dataset.variables, payload)
+            else:
+                weights = baseline_edge_weights(dataset.variables, payload, seed)
+        except FitWarning as exc:
+            raise NumericalError(f"sweep cell scenario={scenario} family={family_token} "
+                                 f"n={n} seed={seed}: {exc}") from None
     tree = max_arborescence(weights)
     ratio = wrong_edges_ratio(tree, truth.tree, mode="undirected")
     return (scenario, family_token, n, seed, ratio, tree.total_weight)
 
 
-def _baseline_edge_weights(variables, method: str, seed: int,
-                           batch_size: int = 8, iterations: int = 200,
-                           step_size: float = 0.05):
-    from .structure import EdgeWeightMatrix
-
-    m = len(variables)
-    w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
-            xs, ys = variables[i], variables[j]
-            spec = BatchSpec(batch_size=batch_size, iterations=iterations,
-                             step_size=step_size, seed=pair_seed)
-            critic = fit_critic("bilinear", method, xs, ys, spec=spec)
-            if method == "cpc":
-                w[i, j] = _mean_batch_cpc(critic, xs, ys, batch_size)
-            else:
-                rng = np.random.default_rng(pair_seed)
-                perm = rng.permutation(ys.shape[0])
-                w[i, j] = nwj_estimate(critic, xs, ys, xs, ys[perm])
-    return EdgeWeightMatrix(w)
-
-
-def _mean_batch_cpc(critic: Critic, xs, ys, batch_size: int) -> float:
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    if ys.ndim == 1:
-        ys = ys.reshape(-1, 1)
-    n_batches = xs.shape[0] // batch_size
-    if n_batches == 0:
-        raise ValueError("not enough samples for one batch")
-    vals = [
-        cpc_estimate(critic, xs[k * batch_size:(k + 1) * batch_size],
-                     ys[k * batch_size:(k + 1) * batch_size])
-        for k in range(n_batches)
-    ]
-    return float(np.mean(vals))
-
-
-DEFAULT_SWEEP_SIZES = "10,30,100,300,1000,5000"
+DEFAULT_SWEEP_SIZES = [10, 30, 100, 300, 1000, 5000]
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    scenario = _setting(args, cfg, "scenario") or _missing("scenario")
-    sizes = _int_list(_setting(args, cfg, "sizes", DEFAULT_SWEEP_SIZES))
-    seeds = _int_list(_setting(args, cfg, "seeds") or _missing("seeds"))
-    families = _str_list(_setting(args, cfg, "families") or _missing("families"))
-    m = _maybe_int(_setting(args, cfg, "m"))
-    d = int(_setting(args, cfg, "d", 10))
-    jobs = int(_setting(args, cfg, "jobs", 1))
+    settings = _settings(args, cfg, {
+        "scenario": str, "sizes": _list_of(int), "seeds": _list_of(int),
+        "families": _list_of(str), "m": int, "d": int, "jobs": int,
+    })
+    scenario = _required(settings, "scenario")
+    sizes = settings.get("sizes", DEFAULT_SWEEP_SIZES)
+    seeds = _required(settings, "seeds")
+    families = _required(settings, "families")
+    m = settings.get("m")
+    d = settings.get("d", SimulationConfig.d)
+    jobs = settings.get("jobs", 1)
     for token in families:
         _parse_family_token(token)  # validate early
 
@@ -499,10 +412,10 @@ def _cmd_sweep(args) -> int:
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     effective = {"scenario": scenario, "sizes": sizes, "seeds": seeds,
                  "families": families, "m": m, "d": d}
-    _write_rows_csv(args.out, effective,
-                    ["scenario", "family", "n", "seed", "wrong_edges_ratio",
-                     "total_weight"],
-                    rows)
+    write_rows_csv(args.out, effective,
+                   ["scenario", "family", "n", "seed", "wrong_edges_ratio",
+                    "total_weight"],
+                   rows)
     return EXIT_OK
 
 
@@ -513,12 +426,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_baselines(args) -> int:
     cfg = _load_config(args.config)
-    rhos = _float_list(_setting(args, cfg, "rhos") or _missing("rhos"))
-    seeds = _int_list(_setting(args, cfg, "seeds") or _missing("seeds"))
-    n = int(_setting(args, cfg, "n", 2048))
-    batch_size = int(_setting(args, cfg, "batch_size", 8))
-    iterations = int(_setting(args, cfg, "iterations", 300))
-    step_size = float(_setting(args, cfg, "step_size", 0.05))
+    settings = _settings(args, cfg, {
+        "rhos": _list_of(float), "seeds": _list_of(int), "n": int})
+    rhos = _required(settings, "rhos")
+    seeds = _required(settings, "seeds")
+    n = settings.get("n", 2048)
+    spec = BatchSpec(**_settings(args, cfg, {
+        "batch_size": int, "iterations": int, "step_size": float}))
 
     rows = []
     for rho in rhos:
@@ -528,28 +442,24 @@ def _cmd_baselines(args) -> int:
             x = rng.standard_normal(n)
             y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
             half = n // 2
-            spec = BatchSpec(batch_size=batch_size, iterations=iterations,
-                             step_size=step_size, seed=seed)
-            cpc_critic = fit_critic("bilinear", "cpc", x[:half], y[:half], spec=spec)
-            cpc_val = _mean_batch_cpc(cpc_critic, x[half:], y[half:], batch_size)
-            nwj_critic = fit_critic("bilinear", "nwj", x[:half], y[:half], spec=spec)
             perm = rng.permutation(n - half)
-            nwj_val = nwj_estimate(nwj_critic, x[half:], y[half:],
-                                   x[half:], y[half:][perm])
-            oracle = gaussian_oracle_critic(rho)
-            oracle_val = nwj_estimate(oracle, x[half:], y[half:],
+            pairs = (x[:half], y[:half], x[half:], y[half:])
+            seeded = replace(spec, seed=seed)
+            cpc_val = fit_and_estimate("cpc", *pairs, seeded)
+            nwj_val = fit_and_estimate("nwj", *pairs, seeded, perm=perm)
+            oracle_val = nwj_estimate(gaussian_oracle_critic(rho), x[half:], y[half:],
                                       x[half:], y[half:][perm])
-            rows.append((rho, seed, n, batch_size, "cpc", cpc_val, true_info))
-            rows.append((rho, seed, n, batch_size, "nwj", nwj_val, true_info))
-            rows.append((rho, seed, n, batch_size, "nwj_oracle", oracle_val,
-                         true_info))
+            for estimator, value in (("cpc", cpc_val), ("nwj", nwj_val),
+                                     ("nwj_oracle", oracle_val)):
+                rows.append((rho, seed, n, spec.batch_size, estimator, value,
+                             true_info))
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
-    effective = {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": batch_size,
-                 "iterations": iterations, "step_size": step_size}
-    _write_rows_csv(args.out, effective,
-                    ["rho", "seed", "n", "batch_size", "estimator", "value",
-                     "true_information"],
-                    rows)
+    effective = {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": spec.batch_size,
+                 "iterations": spec.iterations, "step_size": spec.step_size}
+    write_rows_csv(args.out, effective,
+                   ["rho", "seed", "n", "batch_size", "estimator", "value",
+                    "true_information"],
+                   rows)
     return EXIT_OK
 
 
@@ -559,42 +469,35 @@ def _cmd_baselines(args) -> int:
 
 
 def _read_pair_csv(path, value_column: str) -> dict[tuple[int, int], float]:
-    import csv as _csv
-
-    out = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = None
-        header = None
-        for line_no, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            cells = next(_csv.reader([line]))
-            if header is None:
-                header = [c.strip() for c in cells]
-                for col in ("i", "j", value_column):
-                    if col not in header:
-                        raise DataError(f"{path}:{line_no}: missing column "
-                                        f"{col!r}")
-                reader = {name: pos for pos, name in enumerate(header)}
-                continue
-            try:
-                i = int(cells[reader["i"]])
-                j = int(cells[reader["j"]])
-                val = float(cells[reader[value_column]])
-            except (ValueError, IndexError) as exc:
-                raise DataError(f"{path}:{line_no}: {exc}") from None
-            if i == j:
-                raise DataError(f"{path}:{line_no}: self-pair ({i},{j})")
-            if (i, j) in out:
-                raise DataError(f"{path}:{line_no}: duplicate pair ({i},{j})")
-            out[(i, j)] = val
-    if not out:
+    rows = read_csv_rows(path)
+    if len(rows) < 2:
         raise DataError(f"{path}: no pair rows")
+    (line_no, header), rows = rows[0], rows[1:]
+    header = [c.strip() for c in header]
+    for col in ("i", "j", value_column):
+        if col not in header:
+            raise DataError(f"{path}:{line_no}: missing column {col!r}")
+    pos = {name: k for k, name in enumerate(header)}
+    out = {}
+    for line_no, cells in rows:
+        try:
+            i = int(cells[pos["i"]])
+            j = int(cells[pos["j"]])
+            val = float(cells[pos[value_column]])
+        except (ValueError, IndexError) as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+        if i == j:
+            raise DataError(f"{path}:{line_no}: self-pair ({i},{j})")
+        if (i, j) in out:
+            raise DataError(f"{path}:{line_no}: duplicate pair ({i},{j})")
+        out[(i, j)] = val
     return out
 
 
 def ranked_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """ROC AUC from the rank statistic, ties averaged."""
+    # Imported here: scipy.stats takes about five times as long to import
+    # as the whole CLI, and only this command needs it.
     from scipy.stats import rankdata
 
     labels = np.asarray(labels)
@@ -608,7 +511,7 @@ def ranked_auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _cmd_auc(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     scores = _read_pair_csv(args.scores, "score")
     truth = _read_pair_csv(args.truth, "edge")
     nodes = {i for i, _ in truth} | {j for _, j in truth}

@@ -13,6 +13,7 @@ with 17 significant digits so float64 round-trips exactly.  Files are
 UTF-8 with LF line endings and ``.`` as the decimal separator.  Lines
 starting with ``#`` are comments; tools in this package emit a leading
 ``# config: <json>`` comment so every file records how it was produced.
+Result tables (``usable-info sweep``, ``baselines``) share these rules.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from .errors import DataError
 from .families import VariableSpec
 
-__all__ = ["Dataset", "write_dataset_csv", "read_dataset_csv"]
+__all__ = ["Dataset", "write_dataset_csv", "read_dataset_csv", "write_rows_csv",
+           "read_csv_rows"]
 
 _COLUMN_RE = re.compile(r"^var(\d+)_(\d+)(?::cat(\d+))?$")
 
@@ -77,11 +79,38 @@ def _header(specs: list[VariableSpec]) -> list[str]:
     return cols
 
 
+def _write_config(fh, config: dict) -> None:
+    fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+
+
+def write_rows_csv(path, config: dict, header: list[str], rows) -> None:
+    """Write a result table: config comment, header, rows (floats at .17g)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write_config(fh, config)
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The ``(line number, cells)`` of each non-comment, non-blank row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return [(line_no, next(csv.reader([line])))
+                for line_no, line in enumerate(fh, start=1)
+                if line.strip() and not line.startswith("#")]
+
+
 def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> None:
     """Write a dataset in the package CSV format (see module docstring)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if config is not None:
-            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+            _write_config(fh, config)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_header(dataset.specs))
         n = dataset.n_samples
@@ -97,21 +126,10 @@ def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> Non
 
 def read_dataset_csv(path) -> Dataset:
     """Parse a dataset CSV; raises :class:`DataError` with line numbers."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = None
-        header_line = 0
-        rows = []
-        for line_no, line in enumerate(fh, start=1):
-            if line.startswith("#") or not line.strip():
-                continue
-            cells = next(csv.reader([line]))
-            if header is None:
-                header = cells
-                header_line = line_no
-            else:
-                rows.append((line_no, cells))
-    if header is None:
+    rows = read_csv_rows(path)
+    if not rows:
         raise DataError(f"{path}: no header row found")
+    (header_line, header), rows = rows[0], rows[1:]
 
     columns = []
     for pos, name in enumerate(header):

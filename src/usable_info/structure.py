@@ -33,6 +33,7 @@ __all__ = [
     "EdgeWeightMatrix",
     "Arborescence",
     "edge_weights",
+    "pairwise_weights",
     "max_arborescence",
     "brute_force_arborescence",
     "wrong_edges_ratio",
@@ -136,6 +137,25 @@ def _as_matrix(weights) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
+def pairwise_weights(variables, weight) -> EdgeWeightMatrix:
+    """Matrix of ``weight(i, j)`` over every ordered pair ``i != j``.
+
+    Needs two or more aligned ``variables``; pairs run in row-major order.
+    """
+    m = len(variables)
+    if m < 2:
+        raise ValueError("need at least 2 variables")
+    lengths = {np.atleast_1d(np.asarray(v)).shape[0] for v in variables}
+    if len(lengths) != 1:
+        raise ValueError("variables must have aligned samples")
+    w = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                w[i, j] = weight(i, j)
+    return EdgeWeightMatrix(w)
+
+
 def edge_weights(variables, family) -> EdgeWeightMatrix:
     """Estimate the information weight of every ordered variable pair.
 
@@ -145,26 +165,18 @@ def edge_weights(variables, family) -> EdgeWeightMatrix:
     evaluated in a fixed order with no shared state, so the result is
     deterministic given the data and configs.
     """
-    m = len(variables)
-    if m < 2:
-        raise ValueError("need at least 2 variables")
-    lengths = {np.atleast_1d(np.asarray(v)).shape[0] for v in variables}
-    if len(lengths) != 1:
-        raise ValueError("variables must have aligned samples")
     family_for = family if callable(family) else (lambda i, j: family)
-    w = np.zeros((m, m))
     marginal_cache: dict = {}
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            config = family_for(i, j)
-            key = (j, config)
-            if key not in marginal_cache:
-                marginal_cache[key] = empirical_entropy(config, variables[j])
-            h_cond = empirical_conditional_entropy(config, variables[i], variables[j])
-            w[i, j] = marginal_cache[key] - h_cond
-    return EdgeWeightMatrix(w)
+
+    def weight(i, j):
+        config = family_for(i, j)
+        key = (j, config)
+        if key not in marginal_cache:
+            marginal_cache[key] = empirical_entropy(config, variables[j])
+        h_cond = empirical_conditional_entropy(config, variables[i], variables[j])
+        return marginal_cache[key] - h_cond
+
+    return pairwise_weights(variables, weight)
 
 
 # --------------------------------------------------------------------- #

@@ -6,7 +6,9 @@ import pytest
 from usable_info.baselines import (
     BatchSpec,
     Critic,
+    baseline_edge_weights,
     cpc_estimate,
+    fit_and_estimate,
     fit_critic,
     gaussian_oracle_critic,
     nwj_estimate,
@@ -241,3 +243,52 @@ def test_batch_spec_validation():
         BatchSpec(batch_size=1)
     with pytest.raises(ValueError):
         BatchSpec(iterations=0)
+
+
+# ------------------------------------------------------------------ #
+# Fitted estimates and tree edge weights
+# ------------------------------------------------------------------ #
+
+
+def _reference_pair_weight(method, variables, seed, i, j):
+    """One edge weight the long way: per-pair seed, fit, then estimate."""
+    pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
+    spec = BatchSpec(batch_size=8, iterations=200, step_size=0.05, seed=pair_seed)
+    xs, ys = variables[i], variables[j]
+    critic = fit_critic("bilinear", method, xs, ys, spec=spec)
+    if method == "cpc":
+        return float(np.mean([cpc_estimate(critic, xs[k * 8:(k + 1) * 8],
+                                           ys[k * 8:(k + 1) * 8])
+                              for k in range(xs.shape[0] // 8)]))
+    perm = np.random.default_rng(pair_seed).permutation(ys.shape[0])
+    return nwj_estimate(critic, xs, ys, xs, ys[perm])
+
+
+@pytest.mark.parametrize("method", ["cpc", "nwj"])
+def test_baseline_edge_weights_match_per_pair_reference(method):
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(37, 2))  # 37 samples: CPC drops a partial batch
+    variables = [x, x[:, :1] + 0.5 * rng.normal(size=(37, 1)), rng.normal(size=(37, 1))]
+    got = baseline_edge_weights(variables, method, seed=3).w
+    for i in range(3):
+        for j in range(3):
+            want = 0.0 if i == j else _reference_pair_weight(method, variables, 3, i, j)
+            assert got[i, j] == want
+
+
+def test_baseline_edge_weights_need_aligned_variables():
+    with pytest.raises(ValueError, match="aligned"):
+        baseline_edge_weights([np.zeros((16, 1)), np.zeros((17, 1))], "cpc", 0)
+    with pytest.raises(ValueError, match="at least 2"):
+        baseline_edge_weights([np.zeros((16, 1))], "nwj", 0)
+
+
+def test_fit_and_estimate_validates_eval_pairs():
+    x, y = _pair(0.5, 64, 0)
+    spec = BatchSpec(iterations=5)
+    with pytest.raises(ValueError, match="different lengths"):
+        fit_and_estimate("cpc", x, y, x, y[:-1], spec)
+    with pytest.raises(ValueError, match="one batch"):
+        fit_and_estimate("cpc", x, y, x[:7], y[:7], spec)
+    with pytest.raises(ValueError, match="objective"):
+        fit_and_estimate("mine", x, y, x, y, spec)

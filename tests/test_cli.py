@@ -1,14 +1,22 @@
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import usable_info
+from usable_info import cli
 from usable_info.cli import main, ranked_auc
 from usable_info.data import Dataset, read_dataset_csv, write_dataset_csv
 from usable_info.errors import DataError
 from usable_info.estimation import linear_pac_half_width
-from usable_info.families import VariableSpec
+from usable_info.families import FitWarning, VariableSpec
 
 
 # ------------------------------------------------------------------ #
@@ -244,6 +252,27 @@ def test_tree_with_external_truth_file(tmp_path):
     assert results["wrong_edges_ratio"] == 0.0
 
 
+def test_tree_sim_config_matches_simulate_then_tree_data(tmp_path):
+    cfg = tmp_path / "custom.json"
+    cfg.write_text(json.dumps({"scenario": "custom_tree",
+                               "parents": {"1": 0, "2": 0, "3": 1, "4": 1},
+                               "noise_var": 0.5, "d": 2, "n": 300, "seed": 4}))
+    direct = tmp_path / "direct.json"
+    assert main(["tree", "--sim-config", str(cfg), "--family", "linear_gaussian",
+                 "--out", str(direct)]) == 0
+    data = tmp_path / "d.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(data)]) == 0
+    via_csv = tmp_path / "via_csv.json"
+    assert main(["tree", "--data", str(data), "--family", "linear_gaussian",
+                 "--out", str(via_csv)]) == 0
+    direct_record = json.loads(direct.read_text())
+    assert direct_record["results"]["tree"] == json.loads(via_csv.read_text())["results"]["tree"]
+    sim = direct_record["config"]["sim_config"]
+    assert (sim["parents"], sim["noise_var"], sim["d"]) == (
+        {"1": 0, "2": 0, "3": 1, "4": 1}, 0.5, 2)
+    assert direct_record["seed"] == 4
+
+
 def test_tree_requires_a_source(tmp_path):
     rc = main(["tree", "--family", "linear_gaussian",
                "--out", str(tmp_path / "t.json")])
@@ -279,6 +308,28 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_text() == parallel.read_text()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched module only when forked")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_fit_warning_exits_4_for_any_job_count(tmp_path, monkeypatch, capsys, jobs):
+    real_edge_weights = cli.edge_weights
+
+    def warning_edge_weights(variables, family):
+        warnings.warn("fit did not converge", FitWarning)
+        return real_edge_weights(variables, family)
+
+    monkeypatch.setattr(cli, "edge_weights", warning_edge_weights)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scenario", "sim1", "--sizes", "30", "--seeds", "0,1",
+               "--families", "linear_gaussian", "--m", "3", "--d", "2",
+               "--jobs", jobs, "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "scenario=sim1 family=linear_gaussian n=30 seed=0" in err
+    assert "fit did not converge" in err
+    assert not out.exists()
 
 
 def test_sweep_ratio_trend_is_nonincreasing_for_linear_family(tmp_path):
@@ -424,3 +475,17 @@ def test_unknown_command_exits_2(capsys):
 
 def test_no_command_prints_help(capsys):
     assert main([]) == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # ranked_auc imports scipy.stats itself; at the top of the module it
+    # would multiply the start-up time of every command.
+    src = str(Path(usable_info.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, usable_info.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
