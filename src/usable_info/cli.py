@@ -362,14 +362,19 @@ def _cmd_tree(args) -> int:
 
 
 def _sweep_task(task: tuple) -> tuple:
+    """One sweep cell: its result row and the other warnings it raised.
+
+    Warnings raised in a pool worker never reach main's recorder, so every
+    cell records its own.  A ``FitWarning`` becomes an error that names the
+    cell; the rest go back to the caller to be re-emitted.
+    """
     scenario, family_token, n, seed, m, d = task
-    sim = SimulationConfig(scenario=scenario, n=n, seed=seed, m=m, d=d)
-    dataset, truth = simulate(sim)
-    role, payload = _parse_family_token(family_token)
-    # A FitWarning raised in a pool worker never reaches main's recorder,
-    # so every cell turns its own into an error that names the cell.
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         warnings.simplefilter("error", FitWarning)
+        sim = SimulationConfig(scenario=scenario, n=n, seed=seed, m=m, d=d)
+        dataset, truth = simulate(sim)
+        role, payload = _parse_family_token(family_token)
         try:
             if role == "family":
                 weights = edge_weights(dataset.variables, payload)
@@ -378,9 +383,10 @@ def _sweep_task(task: tuple) -> tuple:
         except FitWarning as exc:
             raise NumericalError(f"sweep cell scenario={scenario} family={family_token} "
                                  f"n={n} seed={seed}: {exc}") from None
-    tree = max_arborescence(weights)
-    ratio = wrong_edges_ratio(tree, truth.tree, mode="undirected")
-    return (scenario, family_token, n, seed, ratio, tree.total_weight)
+        tree = max_arborescence(weights)
+        ratio = wrong_edges_ratio(tree, truth.tree, mode="undirected")
+    row = (scenario, family_token, n, seed, ratio, tree.total_weight)
+    return row, [w.message for w in caught]
 
 
 DEFAULT_SWEEP_SIZES = [10, 30, 100, 300, 1000, 5000]
@@ -406,9 +412,14 @@ def _cmd_sweep(args) -> int:
              for fam in families for n in sizes for seed in seeds]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_task, tasks))
+            cells = list(pool.map(_sweep_task, tasks))
     else:
-        rows = [_sweep_task(t) for t in tasks]
+        cells = [_sweep_task(t) for t in tasks]
+    rows = []
+    for row, cell_warnings in cells:
+        rows.append(row)
+        for message in cell_warnings:
+            warnings.warn(message)
     rows.sort(key=lambda r: (r[0], r[1], r[2], r[3]))
     effective = {"scenario": scenario, "sizes": sizes, "seeds": seeds,
                  "families": families, "m": m, "d": d}

@@ -4,8 +4,9 @@ Workflow: estimate an information weight for every ordered variable pair,
 then find the spanning arborescence (rooted directed tree, edges pointing
 away from the root) whose parent->child edges have maximum total weight.
 Because the weights are asymmetric the optimisation runs over directed
-trees; Chu-Liu/Edmonds solves it exactly for each candidate root and the
-best root wins.
+trees.  One Chu-Liu/Edmonds run solves it exactly for every root at once:
+a virtual root points at each node, and exact lexicographic edge keys
+make the tree it finds hang from a single virtual edge.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
 the correctness oracle for the fast path.  Weights may be negative (e.g.
@@ -187,22 +188,30 @@ def edge_weights(variables, family) -> EdgeWeightMatrix:
 def max_arborescence(weights) -> Arborescence:
     """Spanning arborescence maximising the summed parent->child weights.
 
-    Runs Chu-Liu/Edmonds once per candidate root and keeps the best total;
-    exact ties fall to the lexicographically smallest (root, parent
-    vector).
+    One Chu-Liu/Edmonds run on the m nodes plus a virtual root ``m`` that
+    has an edge to every node.  Edge keys are exact tuples that add
+    componentwise and compare lexicographically: ``m -> v`` is
+    ``(-1, 0.0, -v B^m)`` and ``u -> v`` is ``(0, w[u, v], -u B^(m-1-v))``
+    with ``B = m + 1``.  A tree hanging from one virtual edge sums to
+    ``(-1, total, -(root B^m + sum_v parent_v B^(m-1-v)))``, so the maximum
+    has one virtual edge, the most weight, then the smallest (root, parent
+    vector), as in :func:`brute_force_arborescence`.  Distinct trees have
+    distinct keys, so the optimum is unique.
     """
     w = _as_matrix(weights)
     m = w.shape[0]
-    best = None
-    for root in range(m):
-        parent = _edmonds_fixed_root(w, root)
-        total = _total(w, parent)
-        vector = tuple(parent[i] if i != root else -1 for i in range(m))
-        key = (-total, root, vector)
-        if best is None or key < best[0]:
-            best = (key, root, parent, total)
-    _, root, parent, total = best
-    return Arborescence(root=root, parent=parent, total_weight=total)
+    base = m + 1
+    edges = {}
+    for v in range(m):
+        rank = base ** (m - 1 - v)
+        edges[(m, v)] = ((-1, 0.0, -v * base ** m), (m, v))
+        for u in range(m):
+            if u != v:
+                edges[(u, v)] = ((0, float(w[u, v]), -u * rank), (u, v))
+    chosen = _edmonds(edges, root=m, next_id=m + 1)
+    (root,) = [c for p, c in chosen if p == m]
+    parent = {c: p for p, c in chosen if p != m}
+    return Arborescence(root=root, parent=parent, total_weight=_total(w, parent))
 
 
 def _total(w: np.ndarray, parent: dict[int, int]) -> float:
@@ -210,33 +219,17 @@ def _total(w: np.ndarray, parent: dict[int, int]) -> float:
     return float(sum(w[parent[c], c] for c in sorted(parent)))
 
 
-def _edmonds_fixed_root(w: np.ndarray, root: int) -> dict[int, int]:
-    """Chu-Liu/Edmonds for a fixed root on a dense weight matrix.
+def _edmonds(edges, root, next_id):
+    """Chu-Liu/Edmonds over ``{(tail, head): (key, original edge)}``.
 
-    Each edge carries its original (tail, head) identity through cycle
-    contractions so the final arborescence is read off directly.
+    Keys of edges into one head never tie, so every choice is unique.  Each
+    edge carries its original (tail, head) through cycle contractions, and
+    the chosen original edges are returned.
     """
-    m = w.shape[0]
-    edges = {}
-    for u in range(m):
-        for v in range(m):
-            if u != v and v != root:
-                edges[(u, v)] = (float(w[u, v]), (u, v))
-    chosen = _edmonds_recurse(edges, set(range(m)), root, next_id=m)
-    return {c: p for (p, c) in chosen}
-
-
-def _edmonds_recurse(edges, nodes, root, next_id):
-    # Best incoming edge per node; ties go to the smaller tail, then the
-    # smaller original edge, keeping the whole run deterministic.
-    best = {}
-    for (u, v), (wt, orig) in edges.items():
-        cur = best.get(v)
-        if cur is None or wt > cur[0] or (wt == cur[0] and (u, orig) < (cur[1], cur[2])):
-            best[v] = (wt, u, orig)
-    for v in nodes:
-        if v != root and v not in best:
-            raise ValueError("graph has a node with no incoming edge")
+    best = {}  # head -> (key, tail, original edge) of its best incoming edge
+    for (u, v), (key, orig) in edges.items():
+        if v not in best or key > best[v][0]:
+            best[v] = (key, u, orig)
 
     cycle = _find_cycle({v: b[1] for v, b in best.items()}, root)
     if cycle is None:
@@ -246,32 +239,23 @@ def _edmonds_recurse(edges, nodes, root, next_id):
     c = next_id
     contracted = {}
     entering_head = {}  # original edge -> in-cycle head it pointed at
-    for (u, v), (wt, orig) in edges.items():
+    for (u, v), (key, orig) in edges.items():
         uu = c if u in cycle_set else u
         vv = c if v in cycle_set else v
         if uu == vv:
             continue
         if vv == c:
-            cand = (wt - best[v][0], orig)
-        else:
-            cand = (wt, orig)
+            key = tuple(a - b for a, b in zip(key, best[v][0]))
+            entering_head[orig] = v
         cur = contracted.get((uu, vv))
-        if cur is None or cand[0] > cur[0] or (cand[0] == cur[0] and cand[1] < cur[1]):
-            contracted[(uu, vv)] = cand
-            if vv == c:
-                entering_head[orig] = v
-    new_nodes = (nodes - cycle_set) | {c}
-    sub = _edmonds_recurse(contracted, new_nodes, root, next_id + 1)
+        if cur is None or key > cur[0]:
+            contracted[(uu, vv)] = (key, orig)
+    sub = _edmonds(contracted, root, next_id + 1)
 
-    into_cycle = [orig for orig in sub if orig in entering_head]
     # Exactly one chosen edge enters the contracted node.
-    (entry,) = into_cycle
+    (entry,) = [orig for orig in sub if orig in entering_head]
     broken_head = entering_head[entry]
-    result = set(sub)
-    for v in cycle:
-        if v != broken_head:
-            result.add(best[v][2])
-    return result
+    return sub | {best[v][2] for v in cycle if v != broken_head}
 
 
 def _find_cycle(parent_of: dict[int, int], root: int):

@@ -332,6 +332,28 @@ def test_sweep_fit_warning_exits_4_for_any_job_count(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers see the patched module only when forked")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_other_warnings_reach_stderr_for_any_job_count(tmp_path, monkeypatch, capsys,
+                                                              jobs):
+    real_edge_weights = cli.edge_weights
+
+    def warning_edge_weights(variables, family):
+        warnings.warn("injected runtime warning", RuntimeWarning)
+        return real_edge_weights(variables, family)
+
+    monkeypatch.setattr(cli, "edge_weights", warning_edge_weights)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scenario", "sim1", "--sizes", "30", "--seeds", "0,1",
+               "--families", "linear_gaussian", "--m", "3", "--d", "2",
+               "--jobs", jobs, "--out", str(out)])
+    assert rc == 0
+    # One warning per cell, printed once each whatever the job count.
+    assert capsys.readouterr().err.count("warning: injected runtime warning") == 2
+    assert out.exists()
+
+
 def test_sweep_ratio_trend_is_nonincreasing_for_linear_family(tmp_path):
     out = tmp_path / "trend.csv"
     rc = main(["sweep", "--scenario", "sim1", "--sizes", "10,30,100,300,1000",

@@ -102,6 +102,33 @@ def test_brute_force_all_equal_weights():
         assert arb.parent == {i: 0 for i in range(1, m)}
         fast = max_arborescence(w)
         assert fast.total_weight == pytest.approx((m - 1) * c)
+        assert fast.root == 0
+        assert fast.parent == {i: 0 for i in range(1, m)}
+
+
+@pytest.mark.parametrize("m,count", [(2, 115), (3, 115), (4, 115), (5, 115), (6, 40)])
+def test_tie_break_matches_brute_force_on_integer_ties(m, count):
+    # Weights in {0, 1, 2} make many optimal trees tie; the fast solver must
+    # pick the same lexicographically smallest (root, parent vector).
+    rng = np.random.default_rng(300 + m)
+    for _ in range(count):
+        w = rng.integers(0, 3, size=(m, m)).astype(float)
+        fast = max_arborescence(w)
+        slow = brute_force_arborescence(w)
+        assert fast.root == slow.root
+        assert fast.parent_vector() == slow.parent_vector()
+        assert fast.total_weight == slow.total_weight
+
+
+@pytest.mark.parametrize("m", [20, 60, 100])
+def test_total_matches_networkx_above_brute_force_cap(m):
+    nx = pytest.importorskip("networkx")
+    w = np.random.default_rng(400 + m).uniform(-1.0, 2.0, size=(m, m))
+    np.fill_diagonal(w, 0.0)
+    graph = nx.from_numpy_array(w, create_using=nx.DiGraph)
+    reference = nx.maximum_spanning_arborescence(graph, attr="weight")
+    expected = math.fsum(w[u, v] for u, v in reference.edges())
+    assert max_arborescence(w).total_weight == pytest.approx(expected, rel=1e-9)
 
 
 def test_brute_force_node_cap():
