@@ -62,6 +62,7 @@ from .synth import (
     gaussian_pair_information,
     simulate,
 )
+from .timing import stage_timer
 
 __version__ = "0.1.0"
 
@@ -111,6 +112,7 @@ __all__ = [
     "read_csv_rows",
     "read_dataset_csv",
     "simulate",
+    "stage_timer",
     "tree_weight_gap_bound",
     "wrong_edges_ratio",
     "write_dataset_csv",

@@ -47,6 +47,7 @@ from .estimation import PacConfig, empirical_information
 from .families import FamilyConfig, FitMode, FitWarning, VariableSpec
 from .structure import Arborescence, edge_weights, max_arborescence, wrong_edges_ratio
 from .synth import SimulationConfig, simulate
+from .timing import stage_timer
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -323,14 +324,17 @@ def _cmd_tree(args) -> int:
     cfg = _load_config(args.config)
     truth = None
     seed = None
+    timings = {}
     if args.sim_config:
         sim = _simulation_config(args, _load_config(args.sim_config))
         seed = sim.seed
-        dataset, ground = simulate(sim)
+        with stage_timer(timings, "simulate_s"):
+            dataset, ground = simulate(sim)
         truth = ground.tree
         source = {"sim_config": _sim_config_dict(sim)}
     elif args.data:
-        dataset = read_dataset_csv(args.data)
+        with stage_timer(timings, "read_s"):
+            dataset = read_dataset_csv(args.data)
         source = {"data": str(args.data)}
     else:
         raise ValueError("tree needs --data or --sim-config")
@@ -343,9 +347,11 @@ def _cmd_tree(args) -> int:
         truth = Arborescence.from_dict(node)
 
     family = _family_config(args, cfg)
-    weights = edge_weights(dataset.variables, family)
-    tree = max_arborescence(weights)
-    results = {"tree": tree.to_dict()}
+    with stage_timer(timings, "edge_weights_s"):
+        weights = edge_weights(dataset.variables, family)
+    with stage_timer(timings, "arborescence_s"):
+        tree = max_arborescence(weights)
+    results = {"tree": tree.to_dict(), "timings": timings}
     if truth is not None:
         mode = "directed" if args.directed else "undirected"
         results["wrong_edges_ratio"] = wrong_edges_ratio(tree, truth, mode=mode)

@@ -98,38 +98,50 @@ def _cell(value) -> str:
     return str(value)
 
 
-def read_csv_rows(path) -> list[tuple[int, list[str]]]:
-    """The ``(line number, cells)`` of each non-comment, non-blank row."""
+def _content_lines(path) -> list[tuple[int, str]]:
+    """The ``(line number, text)`` of each non-comment, non-blank line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [(line_no, next(csv.reader([line])))
-                for line_no, line in enumerate(fh, start=1)
+        return [(line_no, line) for line_no, line in enumerate(fh, start=1)
                 if line.strip() and not line.startswith("#")]
 
 
+def read_csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The ``(line number, cells)`` of each non-comment, non-blank row."""
+    return [(line_no, next(csv.reader([line])))
+            for line_no, line in _content_lines(path)]
+
+
+# Rows formatted per write call; bounds the formatted text held at once.
+_WRITE_CHUNK_ROWS = 1024
+
+
 def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> None:
-    """Write a dataset in the package CSV format (see module docstring)."""
+    """Write a dataset in the package CSV format (see module docstring).
+
+    Categorical symbols are stacked as floats: ``%.17g`` of ``3.0`` is ``3``.
+    """
+    table = np.column_stack([np.asarray(v, dtype=float) for v in dataset.variables])
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if config is not None:
             _write_config(fh, config)
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_header(dataset.specs))
-        n = dataset.n_samples
-        for row_idx in range(n):
-            row = []
-            for arr, spec in zip(dataset.variables, dataset.specs):
-                if spec.kind == "real":
-                    row.extend(format(v, ".17g") for v in arr[row_idx])
-                else:
-                    row.append(str(int(arr[row_idx])))
-            writer.writerow(row)
+        fh.write(",".join(_header(dataset.specs)) + "\n")
+        for start in range(0, table.shape[0], _WRITE_CHUNK_ROWS):
+            chunk = table[start:start + _WRITE_CHUNK_ROWS]
+            fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
 def read_dataset_csv(path) -> Dataset:
-    """Parse a dataset CSV; raises :class:`DataError` with line numbers."""
-    rows = read_csv_rows(path)
-    if not rows:
+    """Parse a dataset CSV; raises :class:`DataError` with line numbers.
+
+    The data rows go through one ``np.loadtxt`` pass; when it declines, the
+    row-by-row parser reads them and names the offending line.
+    """
+    lines = _content_lines(path)
+    if not lines:
         raise DataError(f"{path}: no header row found")
-    (header_line, header), rows = rows[0], rows[1:]
+    (header_line, header_text), rows = lines[0], lines[1:]
+    header = next(csv.reader([header_text]))
 
     columns = []
     for pos, name in enumerate(header):
@@ -169,17 +181,9 @@ def read_dataset_csv(path) -> Dataset:
 
     if not rows:
         raise DataError(f"{path}: no data rows")
-    n_cols = len(header)
-    parsed = []
-    for line_no, cells in rows:
-        if len(cells) != n_cols:
-            raise DataError(f"{path}:{line_no}: expected {n_cols} cells, "
-                            f"got {len(cells)}")
-        try:
-            parsed.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise DataError(f"{path}:{line_no}: {exc}") from None
-    table = np.asarray(parsed, dtype=float)
+    table = _fast_table(rows, len(header))
+    if table is None:
+        table = _parse_rows(path, rows, len(header))
 
     variables = []
     specs = []
@@ -202,3 +206,35 @@ def read_dataset_csv(path) -> Dataset:
             variables.append(block)
         specs.append(spec)
     return Dataset(variables=variables, specs=specs)
+
+
+def _fast_table(rows, n_cols: int) -> np.ndarray | None:
+    """The data rows parsed in one ``np.loadtxt`` pass, or None.
+
+    None when a row holds a quote or a mid-line ``#`` (which the csv module
+    and loadtxt read differently), when loadtxt rejects a row, or when the
+    table is not ``n_cols`` wide; :func:`_parse_rows` then names the line.
+    """
+    lines = [line for _, line in rows]
+    if any('"' in line or "#" in line for line in lines):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return table if table.shape == (len(lines), n_cols) else None
+
+
+def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
+    """Row-by-row parser: the csv module and ``float`` on each cell."""
+    table = np.empty((len(rows), n_cols))
+    for r, (line_no, line) in enumerate(rows):
+        cells = next(csv.reader([line]))
+        if len(cells) != n_cols:
+            raise DataError(f"{path}:{line_no}: expected {n_cols} cells, "
+                            f"got {len(cells)}")
+        try:
+            table[r] = [float(c) for c in cells]
+        except ValueError as exc:
+            raise DataError(f"{path}:{line_no}: {exc}") from None
+    return table

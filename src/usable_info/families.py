@@ -41,6 +41,8 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .errors import NumericalError
+
 __all__ = [
     "VariableSpec",
     "FitMode",
@@ -615,6 +617,9 @@ def _fit_linear_conditional(config: FamilyConfig, xs, ys) -> LinearGaussianMap:
     if config.kind == "polynomial_gaussian":
         exponents = _poly_exponents(x.shape[1], config.order)
     feats = _expand(x, exponents)
+    if not np.all(np.isfinite(feats)):
+        # LAPACK's least-squares SVD can spin forever on an infinite design.
+        raise NumericalError("xs features overflow float64 (polynomial expansion)")
     design = np.hstack([feats, np.ones((feats.shape[0], 1))])
     # lstsq returns the minimum-norm solution on rank-deficient designs.
     coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -753,6 +758,10 @@ def geometric_median(points, tol: float = 1e-9, max_iters: int = 10_000) -> np.n
     coincides with a data point; stops when the iterate moves less than
     ``tol``.
     """
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     pts = _real_matrix(points, "points")
     if pts.shape[0] == 1:
         return pts[0].copy()

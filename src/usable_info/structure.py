@@ -8,9 +8,18 @@ trees.  One Chu-Liu/Edmonds run solves it exactly for every root at once:
 a virtual root points at each node, and exact lexicographic edge keys
 make the tree it finds hang from a single virtual edge.
 
+Edge weights take one of two paths.  A single ``linear_gaussian`` or
+``polynomial_gaussian`` config with no ``clip_b`` and no ``norm_radius``
+uses the closed form ``w[i, j] = ||P_i Yc_j||_F^2 / n``: ``P_i`` projects
+onto the span of source i's centred features and ``Yc_j`` is the centred
+target, so one thin SVD per source scores every target.  Every other
+config (a callable per-pair choice, a clip bound or a norm radius, and the
+categorical, laplace and gaussian_mean kinds) fits each ordered pair on
+its own; that per-pair path is also the closed form's test oracle.
+
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
-the correctness oracle for the fast path.  Weights may be negative (e.g.
-holdout estimates); nothing here assumes otherwise.
+the correctness oracle for the fast arborescence.  Weights may be negative
+(e.g. holdout estimates); nothing here assumes otherwise.
 
 Tie-breaking is deterministic everywhere: among equal-weight optima the
 smallest ``(root, parent vector)`` wins lexicographically, so rerunning on
@@ -29,6 +38,7 @@ from itertools import product
 import numpy as np
 
 from .estimation import empirical_conditional_entropy, empirical_entropy
+from .families import FamilyConfig, _expand, _poly_exponents, _real_matrix
 
 __all__ = [
     "EdgeWeightMatrix",
@@ -42,6 +52,7 @@ __all__ = [
 ]
 
 _BRUTE_FORCE_MAX_NODES = 8
+_CLOSED_FORM_KINDS = ("linear_gaussian", "polynomial_gaussian")
 
 
 @dataclass(frozen=True)
@@ -138,17 +149,23 @@ def _as_matrix(weights) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def pairwise_weights(variables, weight) -> EdgeWeightMatrix:
-    """Matrix of ``weight(i, j)`` over every ordered pair ``i != j``.
-
-    Needs two or more aligned ``variables``; pairs run in row-major order.
-    """
+def _check_aligned(variables) -> int:
+    """The variable count, after the checks every edge-weight path shares."""
     m = len(variables)
     if m < 2:
         raise ValueError("need at least 2 variables")
     lengths = {np.atleast_1d(np.asarray(v)).shape[0] for v in variables}
     if len(lengths) != 1:
         raise ValueError("variables must have aligned samples")
+    return m
+
+
+def pairwise_weights(variables, weight) -> EdgeWeightMatrix:
+    """Matrix of ``weight(i, j)`` over every ordered pair ``i != j``.
+
+    Needs two or more aligned ``variables``; pairs run in row-major order.
+    """
+    m = _check_aligned(variables)
     w = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
@@ -162,10 +179,17 @@ def edge_weights(variables, family) -> EdgeWeightMatrix:
 
     ``variables`` holds one aligned sample array per variable; ``family``
     is either a single :class:`FamilyConfig` or a callable ``(i, j) ->
-    FamilyConfig`` choosing the family per directed pair.  Pairs are
-    evaluated in a fixed order with no shared state, so the result is
-    deterministic given the data and configs.
+    FamilyConfig`` choosing the family per directed pair.  A single
+    linear or polynomial config with no clip bound and no norm radius
+    takes the closed form (see the module docstring); the rest fit pair
+    by pair.  Either way the result is deterministic given the data and
+    configs.
     """
+    if (isinstance(family, FamilyConfig) and family.kind in _CLOSED_FORM_KINDS
+            and family.norm_radius is None and family.clip_b is None):
+        weights = _projection_weights(variables, family)
+        if weights is not None:
+            return weights
     family_for = family if callable(family) else (lambda i, j: family)
     marginal_cache: dict = {}
 
@@ -178,6 +202,45 @@ def edge_weights(variables, family) -> EdgeWeightMatrix:
         return marginal_cache[key] - h_cond
 
     return pairwise_weights(variables, weight)
+
+
+def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | None:
+    """Least-squares information weights from one thin SVD per source.
+
+    With the covariance fixed at I/2 the pair information is
+    ``(TSS - RSS) / n = ||U_i^T Yc_j||_F^2 / n``, where ``U_i`` spans source
+    i's centred features (singular values above ``s_max max(n, p) eps``,
+    the ``lstsq`` rank rule) and ``Yc_j`` is the centred target.  Returns
+    None when a variable fails the per-pair input checks or a weight is
+    not finite, so that the per-pair path raises its own error.
+    """
+    m = _check_aligned(variables)
+    try:
+        targets = [_real_matrix(v, "ys", config.y_spec) for v in variables]
+        sources = [_real_matrix(v, "xs", config.x_spec) for v in variables]
+    except ValueError:
+        return None
+    n = targets[0].shape[0]
+    starts = np.cumsum([0] + [t.shape[1] for t in targets[:-1]])
+    w = np.zeros((m, m))
+    # Overflow here ends in the per-pair path, which warns on its own.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred = np.hstack(targets)
+        centred -= centred.mean(axis=0)
+        for i, x in enumerate(sources):
+            exponents = (None if config.kind == "linear_gaussian"
+                         else _poly_exponents(x.shape[1], config.order))
+            feats = _expand(x, exponents)
+            feats = feats - feats.mean(axis=0)
+            if not np.all(np.isfinite(feats)):
+                return None
+            u, s, _ = np.linalg.svd(feats, full_matrices=False)
+            basis = u[:, s > s[0] * max(feats.shape) * np.finfo(float).eps]
+            explained = np.sum((basis.T @ centred) ** 2, axis=0)
+            w[i] = np.add.reduceat(explained, starts) / n
+    if not np.all(np.isfinite(w)):
+        return None
+    return EdgeWeightMatrix(w)
 
 
 # --------------------------------------------------------------------- #

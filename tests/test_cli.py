@@ -223,6 +223,8 @@ def test_tree_two_variables_single_edge(tmp_path):
     tree = results["tree"]
     assert sorted(p for p in tree["parents"] if p is not None) == [tree["root"]]
     assert "wrong_edges_ratio" not in results  # no truth given
+    assert sorted(results["timings"]) == ["arborescence_s", "edge_weights_s", "read_s"]
+    assert all(v >= 0.0 for v in results["timings"].values())
 
 
 def test_tree_from_sim_config_scores_against_generative_truth(tmp_path):
@@ -236,6 +238,9 @@ def test_tree_from_sim_config_scores_against_generative_truth(tmp_path):
     results = json.loads(out.read_text())["results"]
     assert results["wrong_edges_ratio"] == 0.0
     assert results["ratio_mode"] == "undirected"
+    assert sorted(results["timings"]) == ["arborescence_s", "edge_weights_s",
+                                          "simulate_s"]
+    assert all(v >= 0.0 for v in results["timings"].values())
 
 
 def test_tree_with_external_truth_file(tmp_path):

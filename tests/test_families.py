@@ -414,3 +414,11 @@ def test_constrained_fit_defaults_to_gradient_mode():
     with pytest.raises(ValueError, match="gradient"):
         fit_conditional(FamilyConfig("linear_gaussian", norm_radius=1.0,
                                      fit=FitMode()), xs, ys)
+
+
+@pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": -3}, {"tol": 0.0},
+                                    {"tol": -1e-9}])
+def test_geometric_median_rejects_bad_iteration_settings(kwargs):
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValueError):
+        geometric_median(pts, **kwargs)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from usable_info.families import FamilyConfig
+from usable_info import structure
+from usable_info.families import FamilyConfig, FitMode, FitWarning, VariableSpec
 from usable_info.structure import (
     Arborescence,
     EdgeWeightMatrix,
@@ -220,6 +221,122 @@ def test_edge_weights_alignment_checked():
         edge_weights([np.zeros(5), np.zeros(6)], FamilyConfig("linear_gaussian"))
     with pytest.raises(ValueError):
         edge_weights([np.zeros(5)], FamilyConfig("linear_gaussian"))
+
+
+# The closed-form path (one SVD per source) against the per-pair lstsq fits.
+# A callable family always takes the per-pair path, so it is the oracle.
+CLOSED_FORM_ATOL = 1e-10
+
+
+def _per_pair(variables, config):
+    return edge_weights(variables, lambda i, j: config)
+
+
+def _correlated(rng, dims, n):
+    latent = rng.normal(size=(n, 3))
+    return [latent @ rng.normal(size=(3, d)) + rng.normal(size=(n, d)) for d in dims]
+
+
+def _assert_matches_per_pair(variables, config, same_tree=True):
+    fast = edge_weights(variables, config)
+    slow = _per_pair(variables, config)
+    np.testing.assert_allclose(fast.w, slow.w, rtol=0, atol=CLOSED_FORM_ATOL)
+    if same_tree:
+        a, b = max_arborescence(fast), max_arborescence(slow)
+        assert (a.root, a.parent) == (b.root, b.parent)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("d", range(1, 5))
+def test_closed_form_matches_per_pair_on_random_data(m, d):
+    rng = np.random.default_rng(10 * m + d)
+    _assert_matches_per_pair(_correlated(rng, [d] * m, 200),
+                             FamilyConfig("linear_gaussian"))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_closed_form_matches_per_pair_polynomial(order):
+    rng = np.random.default_rng(order)
+    variables = _correlated(rng, [1, 2, 2, 3], 300)
+    _assert_matches_per_pair(variables, FamilyConfig("polynomial_gaussian", order=order))
+
+
+def test_closed_form_matches_per_pair_mixed_dims():
+    rng = np.random.default_rng(11)
+    variables = _correlated(rng, [1, 4, 2, 7, 3], 250)
+    variables[0] = variables[0][:, 0]  # a flat vector is one real column
+    _assert_matches_per_pair(variables, FamilyConfig("linear_gaussian"))
+
+
+def test_closed_form_matches_per_pair_on_degenerate_data():
+    rng = np.random.default_rng(12)
+    a, b, c = _correlated(rng, [2, 3, 2], 60)
+    constant = np.full((60, 2), 3.7)
+    duplicated = np.hstack([a, a[:, :1]])
+    for variables in ([constant, a, b], [duplicated, b, c], [a, a, b]):
+        for config in (FamilyConfig("linear_gaussian"),
+                       FamilyConfig("polynomial_gaussian", order=2)):
+            # Exact ties (a constant source scores 0 everywhere) may break
+            # either way on last-digit differences, so only weights compare.
+            _assert_matches_per_pair(variables, config, same_tree=False)
+    wide = _correlated(rng, [8, 9, 6], 5)  # d > n: every fit is exact
+    _assert_matches_per_pair(wide, FamilyConfig("linear_gaussian"), same_tree=False)
+    tss = np.sum((wide[1] - wide[1].mean(axis=0)) ** 2) / 5
+    assert edge_weights(wide, FamilyConfig("linear_gaussian")).w[0, 1] == pytest.approx(tss)
+
+
+def _count_conditional_fits(monkeypatch):
+    calls = []
+    real = structure.empirical_conditional_entropy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(structure, "empirical_conditional_entropy", counted)
+    return calls
+
+
+@pytest.mark.filterwarnings("ignore", category=FitWarning)
+def test_only_plain_linear_and_polynomial_configs_skip_the_pair_loop(monkeypatch):
+    rng = np.random.default_rng(13)
+    real = _correlated(rng, [2, 1, 2], 80)
+    symbols = [rng.integers(0, 3, 80) for _ in range(3)]
+    cases = [
+        (real, FamilyConfig("linear_gaussian"), 0),
+        (real, FamilyConfig("polynomial_gaussian", order=2), 0),
+        (real, FamilyConfig("linear_gaussian", clip_b=50.0), 6),
+        (real, FamilyConfig("linear_gaussian", norm_radius=1.0,
+                            fit=FitMode.gradient(max_iters=50)), 6),
+        (real, lambda i, j: FamilyConfig("linear_gaussian"), 6),
+        (symbols, FamilyConfig("tabular"), 6),
+        (real, FamilyConfig("gaussian_mean"), 6),
+    ]
+    for variables, family, expected in cases:
+        calls = _count_conditional_fits(monkeypatch)
+        edge_weights(variables, family)
+        assert len(calls) == expected, family
+
+
+@pytest.mark.parametrize("config,bad,message", [
+    (FamilyConfig("linear_gaussian"), np.array([[np.nan], [1.0], [2.0]]), "non-finite"),
+    (FamilyConfig("linear_gaussian", x_spec=VariableSpec.real(1),
+                  y_spec=VariableSpec.real(1)), np.zeros((3, 2)), "dimension"),
+    (FamilyConfig("linear_gaussian"), np.array([[1e308], [-1e308], [1e308]]),
+     "zero density"),
+    # Cubing 1e200 overflows; least squares on it used to hang in LAPACK.
+    (FamilyConfig("polynomial_gaussian", order=3), np.array([[1e200], [1.0], [2.0]]),
+     "overflow|zero density"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_closed_form_failures_raise_the_per_pair_error(config, bad, message):
+    good = np.array([[0.5], [1.0], [4.0]])
+    for variables in ([good, bad], [bad, good]):
+        with pytest.raises(Exception, match=message) as slow:
+            _per_pair(variables, config)
+        with pytest.raises(type(slow.value)) as fast:
+            edge_weights(variables, config)
+        assert str(fast.value) == str(slow.value)
 
 
 # ------------------------------------------------------------------ #
