@@ -52,7 +52,6 @@ from .structure import (
     brute_force_arborescence,
     edge_weights,
     max_arborescence,
-    pairwise_weights,
     tree_weight_gap_bound,
     wrong_edges_ratio,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "log_density",
     "max_arborescence",
     "nwj_estimate",
-    "pairwise_weights",
     "read_csv_rows",
     "read_dataset_csv",
     "simulate",

@@ -16,6 +16,12 @@ pair.
 CPC exponentiates critic scores internally (the contrastive ratio needs a
 positive function); NWJ uses raw scores but caps them before
 exponentiation to avoid overflow.
+
+Every fit runs through one gradient ascent over a stack of same-shape
+problems: a lone :func:`fit_critic` is a stack of one, and
+:func:`baseline_edge_weights` stacks every ordered pair of the same
+dimensions.  Each problem keeps its own random stream and sees exactly the
+floating-point operations of a lone fit, so stacking changes no bit.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import FitWarning
-from .structure import EdgeWeightMatrix, pairwise_weights
+from .structure import EdgeWeightMatrix, _check_aligned
 
 __all__ = [
     "Critic",
@@ -47,6 +53,9 @@ DEFAULT_SCORE_CAP = 50.0
 # Critic-fit iterations per ordered pair in baseline_edge_weights: fewer
 # than BatchSpec's default, since an m-node tree fits m(m-1) critics.
 EDGE_WEIGHT_ITERATIONS = 200
+# baseline_edge_weights fits its pairs in chunks, so that one stacked
+# (pairs, rows, features) block holds at most this many floats.
+_STACK_FLOATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -63,8 +72,13 @@ class BatchSpec:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.iterations < 1 or self.step_size <= 0:
-            raise ValueError("iterations and step_size must be positive")
+        if self.iterations < 1 or not (math.isfinite(self.step_size)
+                                       and self.step_size > 0):
+            raise ValueError("iterations and step_size must be positive and finite")
+        for name in ("n_joint", "n_product"):
+            size = getattr(self, name)
+            if size is not None and size < 1:
+                raise ValueError(f"{name} must be None or >= 1")
 
 
 class Critic:
@@ -106,9 +120,7 @@ class Critic:
             out = np.asarray(self._score_fn(xs, ys), dtype=float).reshape(-1)
         else:
             out = self.features(xs, ys) @ self.theta
-        if not np.all(np.isfinite(out)):
-            raise ValueError("critic produced non-finite scores")
-        return out
+        return _finite(out)
 
     def score_matrix(self, xs, ys) -> np.ndarray:
         """All-pairs scores; entry (i, j) scores (x_i, y_j)."""
@@ -137,16 +149,38 @@ def _feature_count(kind: str, x_dim: int, y_dim: int) -> int:
 
 
 def _features(kind: str, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    n = xs.shape[0]
-    ones = np.ones((n, 1))
+    """Feature rows of aligned (x, y) rows: (..., n, n_features).
+
+    Leading axes of ``xs`` and ``ys`` stack independent problems.
+    """
+    ones = np.ones(xs.shape[:-1] + (1,))
     if kind == "bilinear":
-        outer = (xs[:, :, None] * ys[:, None, :]).reshape(n, -1)
-        return np.hstack([outer, xs, ys, ones])
-    z = np.hstack([xs, ys])
-    d = z.shape[1]
-    iu = np.triu_indices(d)
-    quad = (z[:, :, None] * z[:, None, :])[:, iu[0], iu[1]]
-    return np.hstack([z, quad, ones])
+        outer = (xs[..., :, None] * ys[..., None, :]).reshape(xs.shape[:-1] + (-1,))
+        return np.concatenate([outer, xs, ys, ones], axis=-1)
+    z = np.concatenate([xs, ys], axis=-1)
+    iu = np.triu_indices(z.shape[-1])
+    quad = (z[..., :, None] * z[..., None, :])[..., iu[0], iu[1]]
+    return np.concatenate([z, quad, ones], axis=-1)
+
+
+def _grid_features(kind: str, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """Features of every (x_i, y_j) of stacked batches (P, b, d): (P, b*b, q).
+
+    Row ``i*b + j`` pairs ``x_i`` with ``y_j``.
+    """
+    b = bx.shape[1]
+    return _features(kind, np.repeat(bx, b, axis=1), np.tile(by, (1, b, 1)))
+
+
+def _matvec(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Scores ``feats[p] @ theta[p]`` for every stacked problem p: (P, n)."""
+    return (feats @ theta[..., None])[..., 0]
+
+
+def _finite(scores: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("critic produced non-finite scores")
+    return scores
 
 
 # --------------------------------------------------------------------- #
@@ -168,10 +202,7 @@ def cpc_estimate(critic: Critic, xs, ys, cap: float = DEFAULT_SCORE_CAP) -> floa
     n = scores.shape[0]
     if n < 2 or scores.shape[1] != n:
         raise ValueError("need a batch of N >= 2 aligned pairs")
-    scores = _capped(scores, cap)
-    row_max = scores.max(axis=1, keepdims=True)
-    log_mean = row_max[:, 0] + np.log(np.exp(scores - row_max).mean(axis=1))
-    return float(np.mean(np.diag(scores) - log_mean))
+    return float(_contrastive(_capped(scores[None], cap))[0][0])
 
 
 def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys,
@@ -182,17 +213,32 @@ def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys,
     Scores are capped at ``+-cap`` before exponentiation; hitting the cap
     is logged because it biases the estimate.
     """
-    joint = _capped(critic.score(joint_xs, joint_ys), cap)
-    prod = _capped(critic.score(product_xs, product_ys), cap)
-    return float(joint.mean() - math.exp(-1.0) * np.exp(prod).mean())
+    joint = _capped(critic.score(joint_xs, joint_ys)[None], cap)
+    prod = _capped(critic.score(product_xs, product_ys)[None], cap)
+    return float(_nwj_value(joint, np.exp(prod))[0])
+
+
+def _contrastive(scores: np.ndarray):
+    """CPC values of capped (P, b, b) score matrices, and exp(scores - row max)."""
+    row_max = scores.max(axis=2, keepdims=True)
+    exp = np.exp(scores - row_max)
+    log_mean = row_max[..., 0] + np.log(exp.mean(axis=2))
+    diag = np.diagonal(scores, axis1=1, axis2=2)
+    return (diag - log_mean).mean(axis=1), exp
+
+
+def _nwj_value(joint: np.ndarray, exp_prod: np.ndarray) -> np.ndarray:
+    """NWJ values from capped joint scores and exp'd product scores, each (P, n)."""
+    return joint.mean(axis=1) - math.exp(-1.0) * exp_prod.mean(axis=1)
 
 
 def _capped(scores: np.ndarray, cap: float) -> np.ndarray:
+    """Scores clipped to ``+-cap``; one log record per stacked problem that hit it."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    clipped = np.count_nonzero(np.abs(scores) > cap)
-    if clipped:
-        logger.info("capped %d critic scores at +-%g", clipped, cap)
+    clipped = np.count_nonzero(np.abs(scores) > cap, axis=tuple(range(1, scores.ndim)))
+    for count in clipped[clipped > 0]:
+        logger.info("capped %d critic scores at +-%g", count, cap)
     return np.clip(scores, -cap, cap)
 
 
@@ -232,46 +278,22 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None,
     fit settings and the final objective value land in the critic's
     metadata.
     """
-    if objective not in ("cpc", "nwj"):
-        raise ValueError(f"unknown objective {objective!r}")
+    _check_objective(objective)
     if kind == "fixed":
         raise ValueError("fixed critics cannot be fitted")
+    if kind not in ("bilinear", "quadratic"):
+        raise ValueError(f"unknown critic kind {kind!r}")
     spec = spec or BatchSpec()
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim == 1:
-        xs = xs.reshape(-1, 1)
-    if ys.ndim == 1:
-        ys = ys.reshape(-1, 1)
-    n = xs.shape[0]
-    if ys.shape[0] != n:
+    xs = _as_columns(xs)
+    ys = _as_columns(ys)
+    if ys.shape[0] != xs.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    if n < spec.batch_size:
-        raise ValueError("not enough samples for one batch")
-
-    critic = Critic(kind, xs.shape[1], ys.shape[1])
-    rng = np.random.default_rng(spec.seed)
-    theta = critic.theta.copy()
-    value = math.nan
-    grad_norm = math.inf
-    for _ in range(spec.iterations):
-        if objective == "cpc":
-            idx = rng.choice(n, size=spec.batch_size, replace=False)
-            value, grad = _cpc_value_grad(critic, theta, xs[idx], ys[idx], cap)
-        else:
-            n_joint = spec.n_joint or min(n, 256)
-            n_prod = spec.n_product or min(n, 256)
-            j_idx = rng.choice(n, size=n_joint, replace=n_joint > n)
-            px = rng.choice(n, size=n_prod, replace=True)
-            py = rng.choice(n, size=n_prod, replace=True)
-            value, grad = _nwj_value_grad(critic, theta, xs[j_idx], ys[j_idx],
-                                          xs[px], ys[py], cap)
-        theta = theta + spec.step_size * grad
-        grad_norm = float(np.linalg.norm(grad))
-    fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta, metadata={
+    theta, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed],
+                                 spec, cap)
+    fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta[0], metadata={
         "objective": objective,
-        "final_value": value,
-        "final_grad_norm": grad_norm,
+        "final_value": float(value[0]),
+        "final_grad_norm": float(np.linalg.norm(grad[0])),
         "iterations": spec.iterations,
         "step_size": spec.step_size,
         "batch_size": spec.batch_size,
@@ -283,33 +305,79 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None,
     return fitted
 
 
-def _cpc_value_grad(critic, theta, bx, by, cap):
-    n = bx.shape[0]
-    xx = np.repeat(bx, n, axis=0)
-    yy = np.tile(by, (n, 1))
-    feats = critic.features(xx, yy)  # (n*n, q), row i*n+j is (x_i, y_j)
-    scores = (feats @ theta).reshape(n, n)
-    scores = np.clip(scores, -cap, cap)
-    row_max = scores.max(axis=1, keepdims=True)
-    exp = np.exp(scores - row_max)
-    softmax = exp / exp.sum(axis=1, keepdims=True)
-    log_mean = row_max[:, 0] + np.log(exp.mean(axis=1))
-    value = float(np.mean(np.diag(scores) - log_mean))
-    feats = feats.reshape(n, n, -1)
-    diag = feats[np.arange(n), np.arange(n)]
-    weighted = np.einsum("ij,ijq->iq", softmax, feats)
-    grad = (diag - weighted).mean(axis=0)
-    return value, grad
+def _check_objective(objective: str) -> None:
+    if objective not in ("cpc", "nwj"):
+        raise ValueError(f"unknown objective {objective!r}")
 
 
-def _nwj_value_grad(critic, theta, jx, jy, px, py, cap):
-    j_feats = critic.features(jx, jy)
-    p_feats = critic.features(px, py)
-    j_scores = np.clip(j_feats @ theta, -cap, cap)
-    p_scores = np.clip(p_feats @ theta, -cap, cap)
-    exp_p = np.exp(p_scores)
-    value = float(j_scores.mean() - math.exp(-1.0) * exp_p.mean())
-    grad = j_feats.mean(axis=0) - math.exp(-1.0) * (exp_p[:, None] * p_feats).mean(axis=0)
+def _as_columns(a) -> np.ndarray:
+    arr = np.asarray(a, dtype=float)
+    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
+
+
+def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec, cap):
+    """Gradient ascent on a stack of P same-shape critic problems.
+
+    Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
+    and draws its batches from its own ``default_rng(seeds[p])``, in the
+    order a lone fit draws them.  Returns theta (P, q) and the last step's
+    objective values (P,) and gradients (P, q).
+    """
+    n_problems, n = xs.shape[:2]
+    if n < spec.batch_size:
+        raise ValueError("not enough samples for one batch")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # Draws index each problem's own rows of the flattened (P*n, d) stacks.
+    offsets = np.arange(n_problems)[:, None] * n
+    flat_xs = xs.reshape(-1, xs.shape[2])
+    flat_ys = ys.reshape(-1, ys.shape[2])
+    theta = np.zeros((n_problems, _feature_count(kind, xs.shape[2], ys.shape[2])))
+    if objective == "cpc":
+        draws = np.empty((n_problems, spec.batch_size), dtype=np.int64)
+    else:
+        n_joint = spec.n_joint or min(n, 256)
+        n_prod = spec.n_product or min(n, 256)
+        joint_feats = _features(kind, flat_xs, flat_ys)
+        draws = np.empty((n_problems, n_joint + 2 * n_prod), dtype=np.int64)
+    for _ in range(spec.iterations):
+        if objective == "cpc":
+            for p, rng in enumerate(rngs):
+                draws[p] = rng.choice(n, size=spec.batch_size, replace=False)
+            flat = draws + offsets
+            value, grad = _cpc_value_grad(kind, theta, np.take(flat_xs, flat, axis=0),
+                                          np.take(flat_ys, flat, axis=0), cap)
+        else:
+            for p, rng in enumerate(rngs):
+                draws[p, :n_joint] = rng.choice(n, size=n_joint, replace=n_joint > n)
+                # One call draws both product index sets, x's then y's.
+                draws[p, n_joint:] = rng.integers(0, n, 2 * n_prod)
+            joint, px, py = np.split(draws + offsets, [n_joint, n_joint + n_prod], axis=1)
+            p_feats = _features(kind, np.take(flat_xs, px, axis=0),
+                                np.take(flat_ys, py, axis=0))
+            value, grad = _nwj_value_grad(theta, np.take(joint_feats, joint, axis=0),
+                                          p_feats, cap)
+        theta = theta + spec.step_size * grad
+    return theta, value, grad
+
+
+def _cpc_value_grad(kind, theta, bx, by, cap):
+    n_problems, b = bx.shape[:2]
+    feats = _grid_features(kind, bx, by)
+    scores = np.clip(_matvec(feats, theta).reshape(n_problems, b, b), -cap, cap)
+    value, exp = _contrastive(scores)
+    softmax = exp / exp.sum(axis=2, keepdims=True)
+    feats = feats.reshape(n_problems, b, b, -1)
+    diag = feats[:, np.arange(b), np.arange(b)]
+    weighted = np.einsum("pij,pijq->piq", softmax, feats)
+    return value, (diag - weighted).mean(axis=1)
+
+
+def _nwj_value_grad(theta, j_feats, p_feats, cap):
+    j_scores = np.clip(_matvec(j_feats, theta), -cap, cap)
+    exp_p = np.exp(np.clip(_matvec(p_feats, theta), -cap, cap))
+    value = _nwj_value(j_scores, exp_p)
+    grad = (j_feats.mean(axis=1)
+            - math.exp(-1.0) * (exp_p[..., None] * p_feats).mean(axis=1))
     return value, grad
 
 
@@ -333,30 +401,77 @@ def fit_and_estimate(objective: str, fit_xs, fit_ys, eval_xs, eval_ys,
     n = eval_xs.shape[0]
     if eval_ys.shape[0] != n:
         raise ValueError("eval xs and ys have different lengths")
-    if objective == "cpc":
-        size = spec.batch_size
-        if n < size:
-            raise ValueError("not enough eval samples for one batch")
-        return float(np.mean([
-            cpc_estimate(critic, eval_xs[k:k + size], eval_ys[k:k + size])
-            for k in range(0, n - size + 1, size)
-        ]))
-    if perm is None:
+    if objective == "cpc" and n < spec.batch_size:
+        raise ValueError("not enough eval samples for one batch")
+    if objective == "nwj" and perm is None:
         perm = np.random.default_rng(spec.seed).permutation(n)
-    return nwj_estimate(critic, eval_xs, eval_ys, eval_xs, eval_ys[perm])
+    perms = None if perm is None else np.asarray(perm)[None]
+    return float(_estimates(objective, critic.theta[None], eval_xs[None], eval_ys[None],
+                            perms, spec.batch_size)[0])
+
+
+def _estimates(objective, theta, xs, ys, perms, batch_size: int) -> np.ndarray:
+    """What :func:`fit_and_estimate` returns, for each stacked bilinear critic.
+
+    ``theta`` is (P, q); problem p evaluates on ``xs[p]``, ``ys[p]`` and,
+    for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
+    """
+    cap = DEFAULT_SCORE_CAP
+    if objective == "cpc":
+        n_problems, n = xs.shape[:2]
+        b = batch_size
+        values = np.empty((n_problems, n // b))
+        for t, k in enumerate(range(0, n - b + 1, b)):
+            feats = _grid_features("bilinear", xs[:, k:k + b], ys[:, k:k + b])
+            scores = _finite(_matvec(feats, theta)).reshape(n_problems, b, b)
+            values[:, t] = _contrastive(_capped(scores, cap))[0]
+        return values.mean(axis=1)
+    joint = _capped(_finite(_matvec(_features("bilinear", xs, ys), theta)), cap)
+    rows = np.arange(xs.shape[0])[:, None]
+    prod_feats = _features("bilinear", xs, ys[rows, perms])
+    prod = _capped(_finite(_matvec(prod_feats, theta)), cap)
+    return _nwj_value(joint, np.exp(prod))
 
 
 def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix:
     """CPC or NWJ estimate for every ordered variable pair.
 
-    Pair ``(i, j)`` fits and evaluates on all its samples with
-    :func:`fit_and_estimate`, seeded from ``(seed, i, j)`` so that each
-    weight is reproducible on its own.
+    Pair ``(i, j)`` fits and evaluates on all its samples as
+    :func:`fit_and_estimate` does, seeded from ``(seed, i, j)`` so that each
+    weight is reproducible on its own.  Pairs of the same dimensions share
+    one stacked ascent; a fit that diverges warns once, naming its pairs.
     """
-    def weight(i, j):
-        pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
-        spec = BatchSpec(iterations=EDGE_WEIGHT_ITERATIONS, seed=pair_seed)
-        xs, ys = variables[i], variables[j]
-        return fit_and_estimate(method, xs, ys, xs, ys, spec)
+    m = _check_aligned(variables)
+    _check_objective(method)
+    variables = [_as_columns(v) for v in variables]
+    n = variables[0].shape[0]
+    spec = BatchSpec(iterations=EDGE_WEIGHT_ITERATIONS)
+    seeds = {(i, j): int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
+             for i in range(m) for j in range(m) if i != j}
+    groups: dict = {}
+    for i, j in seeds:
+        groups.setdefault((variables[i].shape[1], variables[j].shape[1]), []).append((i, j))
+    chunks = []
+    for (dx, dy), pairs in groups.items():
+        rows = max(n, spec.batch_size ** 2) * _feature_count("bilinear", dx, dy)
+        size = max(1, _STACK_FLOATS // rows)
+        chunks += [pairs[k:k + size] for k in range(0, len(pairs), size)]
 
-    return pairwise_weights(variables, weight)
+    def stack(pairs):
+        return (np.stack([variables[i] for i, _ in pairs]),
+                np.stack([variables[j] for _, j in pairs]))
+
+    thetas = [_ascend("bilinear", method, *stack(pairs), [seeds[p] for p in pairs],
+                      spec, DEFAULT_SCORE_CAP)[0] for pairs in chunks]
+    diverged = sorted(pair for pairs, theta in zip(chunks, thetas)
+                      for pair, row in zip(pairs, theta) if not np.all(np.isfinite(row)))
+    if diverged:
+        warnings.warn(f"{method} critic fit diverged to non-finite parameters for pairs "
+                      + ", ".join(map(str, diverged)), FitWarning)
+    w = np.zeros((m, m))
+    for pairs, theta in zip(chunks, thetas):
+        perms = None if method == "cpc" else np.stack(
+            [np.random.default_rng(seeds[p]).permutation(n) for p in pairs])
+        w[tuple(zip(*pairs))] = _estimates(method, theta, *stack(pairs), perms,
+                                           spec.batch_size)
+    return EdgeWeightMatrix(w)

@@ -286,7 +286,9 @@ def _cmd_estimate(args) -> int:
         "kx": float, "ky": float,
     })
     data_path = _required(settings, "data")
-    dataset = read_dataset_csv(data_path)
+    timings = {}
+    with stage_timer(timings, "read_s"):
+        dataset = read_dataset_csv(data_path)
     x_tokens = _required(settings, "x_cols")
     y_tokens = _required(settings, "y_cols")
     xs, x_spec = _select_columns(dataset, x_tokens, "x-cols")
@@ -303,14 +305,16 @@ def _cmd_estimate(args) -> int:
             k_x=settings.get("kx"),
             k_y=settings.get("ky"),
         )
-    estimate = empirical_information(family, xs, ys, pac=pac, clamp=clamp)
+    with stage_timer(timings, "fit_s"):
+        estimate = empirical_information(family, xs, ys, pac=pac, clamp=clamp)
     effective = {
         "data": data_path, "x_cols": x_tokens, "y_cols": y_tokens,
         "family": family.kind, "order": family.order, "clip_b": family.clip_b,
         "norm_radius": family.norm_radius, "clamp": clamp,
         "pac": None if pac is None else asdict(pac),
     }
-    _emit_json(args.out, "estimate", effective, None, t0, estimate.to_dict())
+    _emit_json(args.out, "estimate", effective, None, t0,
+               {**estimate.to_dict(), "timings": timings})
     return EXIT_OK
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "EdgeWeightMatrix",
     "Arborescence",
     "edge_weights",
-    "pairwise_weights",
     "max_arborescence",
     "brute_force_arborescence",
     "wrong_edges_ratio",
@@ -160,20 +159,6 @@ def _check_aligned(variables) -> int:
     return m
 
 
-def pairwise_weights(variables, weight) -> EdgeWeightMatrix:
-    """Matrix of ``weight(i, j)`` over every ordered pair ``i != j``.
-
-    Needs two or more aligned ``variables``; pairs run in row-major order.
-    """
-    m = _check_aligned(variables)
-    w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                w[i, j] = weight(i, j)
-    return EdgeWeightMatrix(w)
-
-
 def edge_weights(variables, family) -> EdgeWeightMatrix:
     """Estimate the information weight of every ordered variable pair.
 
@@ -190,18 +175,21 @@ def edge_weights(variables, family) -> EdgeWeightMatrix:
         weights = _projection_weights(variables, family)
         if weights is not None:
             return weights
+    m = _check_aligned(variables)
     family_for = family if callable(family) else (lambda i, j: family)
     marginal_cache: dict = {}
-
-    def weight(i, j):
-        config = family_for(i, j)
-        key = (j, config)
-        if key not in marginal_cache:
-            marginal_cache[key] = empirical_entropy(config, variables[j])
-        h_cond = empirical_conditional_entropy(config, variables[i], variables[j])
-        return marginal_cache[key] - h_cond
-
-    return pairwise_weights(variables, weight)
+    w = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            config = family_for(i, j)
+            key = (j, config)
+            if key not in marginal_cache:
+                marginal_cache[key] = empirical_entropy(config, variables[j])
+            h_cond = empirical_conditional_entropy(config, variables[i], variables[j])
+            w[i, j] = marginal_cache[key] - h_cond
+    return EdgeWeightMatrix(w)
 
 
 def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | None:

@@ -1,8 +1,11 @@
+import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from usable_info import baselines
 from usable_info.baselines import (
     BatchSpec,
     Critic,
@@ -13,6 +16,8 @@ from usable_info.baselines import (
     gaussian_oracle_critic,
     nwj_estimate,
 )
+from usable_info.families import FitWarning
+from usable_info.synth import SimulationConfig, simulate
 
 
 def _pair(rho, n, seed):
@@ -245,23 +250,168 @@ def test_batch_spec_validation():
         BatchSpec(iterations=0)
 
 
+@pytest.mark.parametrize("settings", [
+    {"n_joint": 0}, {"n_product": 0}, {"n_product": -3},
+    {"step_size": math.nan}, {"step_size": math.inf}, {"step_size": -math.inf},
+    {"step_size": 0.0},
+])
+def test_batch_spec_rejects_bad_sizes_and_steps(settings):
+    with pytest.raises(ValueError):
+        BatchSpec(**settings)
+
+
 # ------------------------------------------------------------------ #
 # Fitted estimates and tree edge weights
 # ------------------------------------------------------------------ #
+
+
+# The per-pair fit and estimates as they ran before fits were stacked, kept
+# as the oracle: the stacked ascent must reproduce them bit for bit.
+_baselines_log = logging.getLogger("usable_info.baselines")
+
+
+def _reference_features(kind, xs, ys):
+    n = xs.shape[0]
+    ones = np.ones((n, 1))
+    if kind == "bilinear":
+        outer = (xs[:, :, None] * ys[:, None, :]).reshape(n, -1)
+        return np.hstack([outer, xs, ys, ones])
+    z = np.hstack([xs, ys])
+    d = z.shape[1]
+    iu = np.triu_indices(d)
+    quad = (z[:, :, None] * z[:, None, :])[:, iu[0], iu[1]]
+    return np.hstack([z, quad, ones])
+
+
+def _reference_fit_critic(kind, objective, xs, ys, spec, cap=50.0):
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.ndim == 1:
+        xs = xs.reshape(-1, 1)
+    if ys.ndim == 1:
+        ys = ys.reshape(-1, 1)
+    n = xs.shape[0]
+    rng = np.random.default_rng(spec.seed)
+    theta = Critic(kind, xs.shape[1], ys.shape[1]).theta.copy()
+    value = math.nan
+    grad_norm = math.inf
+    for _ in range(spec.iterations):
+        if objective == "cpc":
+            idx = rng.choice(n, size=spec.batch_size, replace=False)
+            value, grad = _reference_cpc_value_grad(kind, theta, xs[idx], ys[idx], cap)
+        else:
+            n_joint = spec.n_joint or min(n, 256)
+            n_prod = spec.n_product or min(n, 256)
+            j_idx = rng.choice(n, size=n_joint, replace=n_joint > n)
+            px = rng.choice(n, size=n_prod, replace=True)
+            py = rng.choice(n, size=n_prod, replace=True)
+            value, grad = _reference_nwj_value_grad(kind, theta, xs[j_idx], ys[j_idx],
+                                                    xs[px], ys[py], cap)
+        theta = theta + spec.step_size * grad
+        grad_norm = float(np.linalg.norm(grad))
+    return Critic(kind, xs.shape[1], ys.shape[1], theta=theta, metadata={
+        "objective": objective,
+        "final_value": value,
+        "final_grad_norm": grad_norm,
+        "iterations": spec.iterations,
+        "step_size": spec.step_size,
+        "batch_size": spec.batch_size,
+        "seed": spec.seed,
+        "score_cap": cap,
+    })
+
+
+def _reference_cpc_value_grad(kind, theta, bx, by, cap):
+    n = bx.shape[0]
+    xx = np.repeat(bx, n, axis=0)
+    yy = np.tile(by, (n, 1))
+    feats = _reference_features(kind, xx, yy)  # (n*n, q), row i*n+j is (x_i, y_j)
+    scores = (feats @ theta).reshape(n, n)
+    scores = np.clip(scores, -cap, cap)
+    row_max = scores.max(axis=1, keepdims=True)
+    exp = np.exp(scores - row_max)
+    softmax = exp / exp.sum(axis=1, keepdims=True)
+    log_mean = row_max[:, 0] + np.log(exp.mean(axis=1))
+    value = float(np.mean(np.diag(scores) - log_mean))
+    feats = feats.reshape(n, n, -1)
+    diag = feats[np.arange(n), np.arange(n)]
+    weighted = np.einsum("ij,ijq->iq", softmax, feats)
+    grad = (diag - weighted).mean(axis=0)
+    return value, grad
+
+
+def _reference_nwj_value_grad(kind, theta, jx, jy, px, py, cap):
+    j_feats = _reference_features(kind, jx, jy)
+    p_feats = _reference_features(kind, px, py)
+    j_scores = np.clip(j_feats @ theta, -cap, cap)
+    p_scores = np.clip(p_feats @ theta, -cap, cap)
+    exp_p = np.exp(p_scores)
+    value = float(j_scores.mean() - math.exp(-1.0) * exp_p.mean())
+    grad = j_feats.mean(axis=0) - math.exp(-1.0) * (exp_p[:, None] * p_feats).mean(axis=0)
+    return value, grad
+
+
+def _reference_scores(critic, xs, ys):
+    out = _reference_features(critic.kind, xs, ys) @ critic.theta
+    if not np.all(np.isfinite(out)):
+        raise ValueError("critic produced non-finite scores")
+    return out
+
+
+def _reference_capped(scores, cap=50.0):
+    clipped = np.count_nonzero(np.abs(scores) > cap)
+    if clipped:
+        _baselines_log.info("capped %d critic scores at +-%g", clipped, cap)
+    return np.clip(scores, -cap, cap)
+
+
+def _reference_cpc_estimate(critic, xs, ys):
+    n = xs.shape[0]
+    scores = _reference_scores(critic, np.repeat(xs, n, axis=0),
+                               np.tile(ys, (n, 1))).reshape(n, n)
+    scores = _reference_capped(scores)
+    row_max = scores.max(axis=1, keepdims=True)
+    log_mean = row_max[:, 0] + np.log(np.exp(scores - row_max).mean(axis=1))
+    return float(np.mean(np.diag(scores) - log_mean))
+
+
+def _reference_nwj_estimate(critic, joint_xs, joint_ys, product_xs, product_ys):
+    joint = _reference_capped(_reference_scores(critic, joint_xs, joint_ys))
+    prod = _reference_capped(_reference_scores(critic, product_xs, product_ys))
+    return float(joint.mean() - math.exp(-1.0) * np.exp(prod).mean())
+
+
+def _reference_estimate(method, critic, xs, ys, perm, batch_size=8):
+    if method == "cpc":
+        return float(np.mean([
+            _reference_cpc_estimate(critic, xs[k:k + batch_size], ys[k:k + batch_size])
+            for k in range(0, xs.shape[0] - batch_size + 1, batch_size)]))
+    return _reference_nwj_estimate(critic, xs, ys, xs, ys[perm])
 
 
 def _reference_pair_weight(method, variables, seed, i, j):
     """One edge weight the long way: per-pair seed, fit, then estimate."""
     pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
     spec = BatchSpec(batch_size=8, iterations=200, step_size=0.05, seed=pair_seed)
-    xs, ys = variables[i], variables[j]
-    critic = fit_critic("bilinear", method, xs, ys, spec=spec)
-    if method == "cpc":
-        return float(np.mean([cpc_estimate(critic, xs[k * 8:(k + 1) * 8],
-                                           ys[k * 8:(k + 1) * 8])
-                              for k in range(xs.shape[0] // 8)]))
+    xs, ys = np.asarray(variables[i], float), np.asarray(variables[j], float)
+    if xs.ndim == 1:
+        xs = xs.reshape(-1, 1)
+    if ys.ndim == 1:
+        ys = ys.reshape(-1, 1)
+    critic = _reference_fit_critic("bilinear", method, xs, ys, spec)
     perm = np.random.default_rng(pair_seed).permutation(ys.shape[0])
-    return nwj_estimate(critic, xs, ys, xs, ys[perm])
+    return _reference_estimate(method, critic, xs, ys, perm)
+
+
+def _reference_weights(method, variables, seed):
+    m = len(variables)
+    return np.array([[0.0 if i == j else _reference_pair_weight(method, variables, seed, i, j)
+                      for j in range(m)] for i in range(m)])
+
+
+def _capped_records(caplog):
+    return sum(1 for r in caplog.records
+               if r.name == "usable_info.baselines" and r.getMessage().startswith("capped"))
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
@@ -292,3 +442,98 @@ def test_fit_and_estimate_validates_eval_pairs():
         fit_and_estimate("cpc", x, y, x[:7], y[:7], spec)
     with pytest.raises(ValueError, match="objective"):
         fit_and_estimate("mine", x, y, x, y, spec)
+
+
+@pytest.mark.parametrize("n", [8, 37, 300])
+@pytest.mark.parametrize("sizes", [(None, None), (5, 7), (400, 3)])
+@pytest.mark.parametrize("objective", ["cpc", "nwj"])
+@pytest.mark.parametrize("kind", ["bilinear", "quadratic"])
+def test_fit_critic_matches_reference_bitwise(kind, objective, sizes, n):
+    # n = 8 is exactly one CPC batch, 37 leaves a partial one and 300 is
+    # above the default NWJ batch of 256; n_joint = 400 draws with replacement.
+    rng = np.random.default_rng(n)
+    x = 3.0 * rng.normal(size=(n, 2))
+    y = x[:, :1] + rng.normal(size=(n, 1))
+    spec = BatchSpec(iterations=40, n_joint=sizes[0], n_product=sizes[1], seed=n + 1)
+    got = fit_critic(kind, objective, x, y, spec=spec)
+    want = _reference_fit_critic(kind, objective, x, y, spec)
+    assert got.theta.tobytes() == want.theta.tobytes()
+    assert got.metadata == want.metadata
+
+
+@pytest.mark.parametrize("perm", [None, "given"])
+@pytest.mark.parametrize("objective", ["cpc", "nwj"])
+def test_fit_and_estimate_matches_reference_bitwise(objective, perm, caplog):
+    x, y = _pair(0.99, 600, 11)
+    x = 4.0 * x  # large scores, so that some hit the cap
+    spec = BatchSpec(iterations=60, step_size=0.2, seed=5)
+    order = np.random.default_rng(3).permutation(300) if perm else None
+    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
+        got = fit_and_estimate(objective, x[:300], y[:300], x[300:], y[300:], spec, perm=order)
+        fast_records = _capped_records(caplog)
+        caplog.clear()
+        critic = _reference_fit_critic("bilinear", objective, x[:300], y[:300], spec)
+        if order is None:
+            order = np.random.default_rng(spec.seed).permutation(300)
+        want = _reference_estimate(objective, critic, x[300:], y[300:], order)
+        assert fast_records == _capped_records(caplog)
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [8, 300])
+@pytest.mark.parametrize("method", ["cpc", "nwj"])
+def test_baseline_edge_weights_match_reference_with_mixed_dims(method, n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, 2))
+    variables = [x, x[:, :1] + 0.5 * rng.normal(size=(n, 1)), rng.normal(size=n)]
+    got = baseline_edge_weights(variables, method, seed=4).w
+    assert got.tobytes() == _reference_weights(method, variables, 4).tobytes()
+
+
+@pytest.mark.parametrize("method", ["cpc", "nwj"])
+def test_baseline_edge_weights_match_reference_on_sim2(method, caplog):
+    # var0 reaches |x| ~ 10, so NWJ scores pin at the cap and its fits on
+    # var0's pairs do not converge; the weights must still match bitwise.
+    dataset, _ = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300, seed=1))
+    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
+        got = baseline_edge_weights(dataset.variables, method, seed=1).w
+        fast_records = _capped_records(caplog)
+        caplog.clear()
+        want = _reference_weights(method, dataset.variables, 1)
+        assert fast_records == _capped_records(caplog)
+    assert got.tobytes() == want.tobytes()
+    if method == "nwj":
+        assert fast_records > 0
+
+
+@pytest.mark.parametrize("method", ["cpc", "nwj"])
+def test_diverged_fits_name_their_pairs(method):
+    rng = np.random.default_rng(0)
+    variables = [1e200 * rng.normal(size=(40, 1)), rng.normal(size=(40, 1)),
+                 rng.normal(size=(40, 1))]
+    message = (f"{method} critic fit diverged to non-finite parameters for pairs "
+               "(0, 1), (0, 2), (1, 0), (2, 0)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", FitWarning)
+        with pytest.raises(FitWarning) as raised:
+            baseline_edge_weights(variables, method, seed=0)
+    assert str(raised.value) == message
+    # Left as a warning, it comes once, before the non-finite scores error.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite scores"):
+            baseline_edge_weights(variables, method, seed=0)
+    fit_warnings = [w for w in caught if issubclass(w.category, FitWarning)]
+    assert [str(w.message) for w in fit_warnings] == [message]
+
+
+@pytest.mark.parametrize("method", ["cpc", "nwj"])
+def test_baseline_edge_weights_do_not_depend_on_stack_chunks(method, monkeypatch):
+    # Large inputs fit their pairs in several stacked chunks; a tiny float
+    # budget forces one pair per chunk here.
+    rng = np.random.default_rng(9)
+    variables = [rng.normal(size=(40, 2)), rng.normal(size=(40, 1)), rng.normal(size=(40, 2))]
+    whole = baseline_edge_weights(variables, method, seed=2).w
+    monkeypatch.setattr(baselines, "_STACK_FLOATS", 1)
+    assert baseline_edge_weights(variables, method, seed=2).w.tobytes() == whole.tobytes()

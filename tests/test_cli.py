@@ -160,6 +160,17 @@ def test_estimate_pac_flags_emit_half_width(correlated_csv, tmp_path):
     assert pac["bound_kind"] == "closed_form_linear"
 
 
+def test_estimate_records_stage_timings(correlated_csv, tmp_path):
+    path, _ = correlated_csv
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--data", str(path), "--x-cols", "var0",
+                 "--y-cols", "var1", "--family", "linear_gaussian",
+                 "--out", str(out)]) == 0
+    timings = json.loads(out.read_text())["results"]["timings"]
+    assert set(timings) == {"read_s", "fit_s"}
+    assert all(value >= 0.0 for value in timings.values())
+
+
 def test_estimate_tabular_on_categorical_columns(tmp_path):
     rng = np.random.default_rng(6)
     x = rng.integers(0, 2, 400)
@@ -357,6 +368,33 @@ def test_sweep_other_warnings_reach_stderr_for_any_job_count(tmp_path, monkeypat
     # One warning per cell, printed once each whatever the job count.
     assert capsys.readouterr().err.count("warning: injected runtime warning") == 2
     assert out.exists()
+
+
+@pytest.mark.parametrize("jobs", [
+    "1",
+    pytest.param("2", marks=pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the patched module only when forked")),
+])
+def test_sweep_diverged_critic_fit_exits_4_naming_cell_and_pairs(tmp_path, monkeypatch,
+                                                                 capsys, jobs):
+    real_simulate = cli.simulate
+
+    def overflowing_simulate(config):
+        dataset, truth = real_simulate(config)
+        variables = [1e200 * dataset.variables[0]] + dataset.variables[1:]
+        return Dataset(variables=variables, specs=dataset.specs), truth
+
+    monkeypatch.setattr(cli, "simulate", overflowing_simulate)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sweep", "--scenario", "sim1", "--sizes", "30", "--seeds", "0",
+               "--families", "nwj", "--m", "3", "--d", "1", "--jobs", jobs,
+               "--out", str(out)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert ("numerical failure: sweep cell scenario=sim1 family=nwj n=30 seed=0: "
+            "nwj critic fit diverged to non-finite parameters for pairs (0, 1)") in err
+    assert not out.exists()
 
 
 def test_sweep_ratio_trend_is_nonincreasing_for_linear_family(tmp_path):
