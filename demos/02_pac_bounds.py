@@ -37,7 +37,7 @@ rho = 0.8
 true_info = gaussian_pair_information(rho, 1.0)
 delta = 0.1
 family = FamilyConfig("linear_gaussian", norm_radius=1.0, clip_b=50.0,
-                      fit=FitMode.gradient(max_iters=4000, tolerance=1e-8))
+                      fit=FitMode(max_iters=4000, tolerance=1e-8))
 pac = PacConfig(delta=delta, b=50.0, k_x=1.0, k_y=1.0)
 
 trials = 200

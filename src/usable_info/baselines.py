@@ -14,8 +14,9 @@ NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` for a correlated Gaussian
 pair.
 
 CPC exponentiates critic scores internally (the contrastive ratio needs a
-positive function); NWJ uses raw scores but caps them before
-exponentiation to avoid overflow.
+positive function); both estimators cap scores at ``+-DEFAULT_SCORE_CAP``
+before exponentiation to avoid overflow.  An NWJ fit step draws
+``min(n, 256)`` joint pairs and as many product pairs.
 
 Every fit runs through one gradient ascent over a stack of same-shape
 problems: a lone :func:`fit_critic` is a stack of one, and
@@ -63,8 +64,6 @@ class BatchSpec:
     """Optimizer and batching settings for critic fitting."""
 
     batch_size: int = 8
-    n_joint: int | None = None
-    n_product: int | None = None
     iterations: int = 300
     step_size: float = 0.05
     seed: int = 0
@@ -75,10 +74,6 @@ class BatchSpec:
         if self.iterations < 1 or not (math.isfinite(self.step_size)
                                        and self.step_size > 0):
             raise ValueError("iterations and step_size must be positive and finite")
-        for name in ("n_joint", "n_product"):
-            size = getattr(self, name)
-            if size is not None and size < 1:
-                raise ValueError(f"{name} must be None or >= 1")
 
 
 class Critic:
@@ -188,11 +183,11 @@ def _finite(scores: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
-def cpc_estimate(critic: Critic, xs, ys, cap: float = DEFAULT_SCORE_CAP) -> float:
+def cpc_estimate(critic: Critic, xs, ys) -> float:
     """Contrastive estimate on one batch of N aligned pairs.
 
-    Scores are exponentiated (after capping at ``+-cap``) so the
-    contrastive ratio is positive; computed in log space as
+    Scores are exponentiated (after capping at ``+-DEFAULT_SCORE_CAP``)
+    so the contrastive ratio is positive; computed in log space as
 
         mean_i [ s(x_i, y_i) - logmeanexp_j s(x_i, y_j) ]
 
@@ -202,19 +197,18 @@ def cpc_estimate(critic: Critic, xs, ys, cap: float = DEFAULT_SCORE_CAP) -> floa
     n = scores.shape[0]
     if n < 2 or scores.shape[1] != n:
         raise ValueError("need a batch of N >= 2 aligned pairs")
-    return float(_contrastive(_capped(scores[None], cap))[0][0])
+    return float(_contrastive(_capped(scores[None]))[0][0])
 
 
-def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys,
-                 cap: float = DEFAULT_SCORE_CAP) -> float:
+def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys) -> float:
     """NWJ estimate: mean score on joint pairs minus e^-1 mean exp-score
     on product-of-marginals pairs.
 
-    Scores are capped at ``+-cap`` before exponentiation; hitting the cap
-    is logged because it biases the estimate.
+    Scores are capped at ``+-DEFAULT_SCORE_CAP`` before exponentiation;
+    hitting the cap is logged because it biases the estimate.
     """
-    joint = _capped(critic.score(joint_xs, joint_ys)[None], cap)
-    prod = _capped(critic.score(product_xs, product_ys)[None], cap)
+    joint = _capped(critic.score(joint_xs, joint_ys)[None])
+    prod = _capped(critic.score(product_xs, product_ys)[None])
     return float(_nwj_value(joint, np.exp(prod))[0])
 
 
@@ -232,10 +226,9 @@ def _nwj_value(joint: np.ndarray, exp_prod: np.ndarray) -> np.ndarray:
     return joint.mean(axis=1) - math.exp(-1.0) * exp_prod.mean(axis=1)
 
 
-def _capped(scores: np.ndarray, cap: float) -> np.ndarray:
-    """Scores clipped to ``+-cap``; one log record per stacked problem that hit it."""
-    if cap <= 0:
-        raise ValueError("cap must be positive")
+def _capped(scores: np.ndarray) -> np.ndarray:
+    """Scores clipped to the cap; one log record per stacked problem that hit it."""
+    cap = DEFAULT_SCORE_CAP
     clipped = np.count_nonzero(np.abs(scores) > cap, axis=tuple(range(1, scores.ndim)))
     for count in clipped[clipped > 0]:
         logger.info("capped %d critic scores at +-%g", count, cap)
@@ -268,15 +261,14 @@ def gaussian_oracle_critic(rho: float) -> Critic:
 # --------------------------------------------------------------------- #
 
 
-def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None,
-               cap: float = DEFAULT_SCORE_CAP) -> Critic:
+def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None) -> Critic:
     """Gradient-ascent critic fit on aligned (x, y) samples.
 
     ``objective`` is ``"cpc"`` (contrastive batches of ``spec.batch_size``)
-    or ``"nwj"`` (joint batches plus product batches built by pairing
-    independently drawn x and y rows).  Deterministic given ``spec.seed``;
-    fit settings and the final objective value land in the critic's
-    metadata.
+    or ``"nwj"`` (``min(n, 256)`` joint pairs plus as many product pairs
+    built by pairing independently drawn x and y rows).  Deterministic
+    given ``spec.seed``; fit settings and the final objective value land
+    in the critic's metadata.
     """
     _check_objective(objective)
     if kind == "fixed":
@@ -288,8 +280,7 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None,
     ys = _as_columns(ys)
     if ys.shape[0] != xs.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    theta, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed],
-                                 spec, cap)
+    theta, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed], spec)
     fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta[0], metadata={
         "objective": objective,
         "final_value": float(value[0]),
@@ -298,7 +289,7 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None,
         "step_size": spec.step_size,
         "batch_size": spec.batch_size,
         "seed": spec.seed,
-        "score_cap": cap,
+        "score_cap": DEFAULT_SCORE_CAP,
     })
     if not np.all(np.isfinite(theta)):
         warnings.warn("critic fit diverged to non-finite parameters", FitWarning)
@@ -315,7 +306,7 @@ def _as_columns(a) -> np.ndarray:
     return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
-def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec, cap):
+def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     """Gradient ascent on a stack of P same-shape critic problems.
 
     Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
@@ -335,34 +326,34 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec, cap):
     if objective == "cpc":
         draws = np.empty((n_problems, spec.batch_size), dtype=np.int64)
     else:
-        n_joint = spec.n_joint or min(n, 256)
-        n_prod = spec.n_product or min(n, 256)
+        n_draw = min(n, 256)  # joint pairs, and product pairs, per step
         joint_feats = _features(kind, flat_xs, flat_ys)
-        draws = np.empty((n_problems, n_joint + 2 * n_prod), dtype=np.int64)
+        draws = np.empty((n_problems, 3 * n_draw), dtype=np.int64)
     for _ in range(spec.iterations):
         if objective == "cpc":
             for p, rng in enumerate(rngs):
                 draws[p] = rng.choice(n, size=spec.batch_size, replace=False)
             flat = draws + offsets
             value, grad = _cpc_value_grad(kind, theta, np.take(flat_xs, flat, axis=0),
-                                          np.take(flat_ys, flat, axis=0), cap)
+                                          np.take(flat_ys, flat, axis=0))
         else:
             for p, rng in enumerate(rngs):
-                draws[p, :n_joint] = rng.choice(n, size=n_joint, replace=n_joint > n)
+                draws[p, :n_draw] = rng.choice(n, size=n_draw, replace=False)
                 # One call draws both product index sets, x's then y's.
-                draws[p, n_joint:] = rng.integers(0, n, 2 * n_prod)
-            joint, px, py = np.split(draws + offsets, [n_joint, n_joint + n_prod], axis=1)
+                draws[p, n_draw:] = rng.integers(0, n, 2 * n_draw)
+            joint, px, py = np.split(draws + offsets, 3, axis=1)
             p_feats = _features(kind, np.take(flat_xs, px, axis=0),
                                 np.take(flat_ys, py, axis=0))
             value, grad = _nwj_value_grad(theta, np.take(joint_feats, joint, axis=0),
-                                          p_feats, cap)
+                                          p_feats)
         theta = theta + spec.step_size * grad
     return theta, value, grad
 
 
-def _cpc_value_grad(kind, theta, bx, by, cap):
+def _cpc_value_grad(kind, theta, bx, by):
     n_problems, b = bx.shape[:2]
     feats = _grid_features(kind, bx, by)
+    cap = DEFAULT_SCORE_CAP
     scores = np.clip(_matvec(feats, theta).reshape(n_problems, b, b), -cap, cap)
     value, exp = _contrastive(scores)
     softmax = exp / exp.sum(axis=2, keepdims=True)
@@ -372,7 +363,8 @@ def _cpc_value_grad(kind, theta, bx, by, cap):
     return value, (diag - weighted).mean(axis=1)
 
 
-def _nwj_value_grad(theta, j_feats, p_feats, cap):
+def _nwj_value_grad(theta, j_feats, p_feats):
+    cap = DEFAULT_SCORE_CAP
     j_scores = np.clip(_matvec(j_feats, theta), -cap, cap)
     exp_p = np.exp(np.clip(_matvec(p_feats, theta), -cap, cap))
     value = _nwj_value(j_scores, exp_p)
@@ -416,7 +408,6 @@ def _estimates(objective, theta, xs, ys, perms, batch_size: int) -> np.ndarray:
     ``theta`` is (P, q); problem p evaluates on ``xs[p]``, ``ys[p]`` and,
     for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
     """
-    cap = DEFAULT_SCORE_CAP
     if objective == "cpc":
         n_problems, n = xs.shape[:2]
         b = batch_size
@@ -424,12 +415,12 @@ def _estimates(objective, theta, xs, ys, perms, batch_size: int) -> np.ndarray:
         for t, k in enumerate(range(0, n - b + 1, b)):
             feats = _grid_features("bilinear", xs[:, k:k + b], ys[:, k:k + b])
             scores = _finite(_matvec(feats, theta)).reshape(n_problems, b, b)
-            values[:, t] = _contrastive(_capped(scores, cap))[0]
+            values[:, t] = _contrastive(_capped(scores))[0]
         return values.mean(axis=1)
-    joint = _capped(_finite(_matvec(_features("bilinear", xs, ys), theta)), cap)
+    joint = _capped(_finite(_matvec(_features("bilinear", xs, ys), theta)))
     rows = np.arange(xs.shape[0])[:, None]
     prod_feats = _features("bilinear", xs, ys[rows, perms])
-    prod = _capped(_finite(_matvec(prod_feats, theta)), cap)
+    prod = _capped(_finite(_matvec(prod_feats, theta)))
     return _nwj_value(joint, np.exp(prod))
 
 
@@ -462,7 +453,7 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
                 np.stack([variables[j] for _, j in pairs]))
 
     thetas = [_ascend("bilinear", method, *stack(pairs), [seeds[p] for p in pairs],
-                      spec, DEFAULT_SCORE_CAP)[0] for pairs in chunks]
+                      spec)[0] for pairs in chunks]
     diverged = sorted(pair for pairs, theta in zip(chunks, thetas)
                       for pair, row in zip(pairs, theta) if not np.all(np.isfinite(row)))
     if diverged:

@@ -34,6 +34,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -184,8 +185,19 @@ def _simulation_config(args, cfg: dict) -> SimulationConfig:
 def _family_config(args, cfg: dict) -> FamilyConfig:
     kind = _required(_settings(args, cfg, {"family": str}), "family")
     fit = _settings(args, cfg, _FIT_SETTINGS)
-    return FamilyConfig(kind=kind, fit=FitMode.gradient(**fit) if fit else None,
+    return FamilyConfig(kind=kind, fit=FitMode(**fit) if fit else None,
                         **_settings(args, cfg, _FAMILY_SETTINGS))
+
+
+@contextmanager
+def _fit_warnings_fail(where: str):
+    """Raise a ``FitWarning`` from the body as a ``NumericalError`` naming ``where``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        try:
+            yield
+        except FitWarning as exc:
+            raise NumericalError(f"{where}: {exc}") from None
 
 
 def _parse_family_token(token: str):
@@ -326,25 +338,27 @@ def _cmd_estimate(args) -> int:
 def _cmd_tree(args) -> int:
     t0 = time.perf_counter()
     cfg = _load_config(args.config)
+    settings = _settings(args, cfg, {
+        "data": str, "sim_config": str, "truth": str, "directed": bool})
     truth = None
     seed = None
     timings = {}
-    if args.sim_config:
-        sim = _simulation_config(args, _load_config(args.sim_config))
+    if "sim_config" in settings:
+        sim = _simulation_config(args, _load_config(settings["sim_config"]))
         seed = sim.seed
         with stage_timer(timings, "simulate_s"):
             dataset, ground = simulate(sim)
         truth = ground.tree
         source = {"sim_config": _sim_config_dict(sim)}
-    elif args.data:
+    elif "data" in settings:
         with stage_timer(timings, "read_s"):
-            dataset = read_dataset_csv(args.data)
-        source = {"data": str(args.data)}
+            dataset = read_dataset_csv(settings["data"])
+        source = {"data": settings["data"]}
     else:
         raise ValueError("tree needs --data or --sim-config")
 
-    if args.truth:
-        with open(args.truth, "r", encoding="utf-8") as fh:
+    if "truth" in settings:
+        with open(settings["truth"], "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         node = payload.get("results", payload)
         node = node.get("truth", node)
@@ -357,7 +371,7 @@ def _cmd_tree(args) -> int:
         tree = max_arborescence(weights)
     results = {"tree": tree.to_dict(), "timings": timings}
     if truth is not None:
-        mode = "directed" if args.directed else "undirected"
+        mode = "directed" if settings.get("directed") else "undirected"
         results["wrong_edges_ratio"] = wrong_edges_ratio(tree, truth, mode=mode)
         results["ratio_mode"] = mode
     effective = {**source, "family": family.kind, "order": family.order,
@@ -379,20 +393,17 @@ def _sweep_task(task: tuple) -> tuple:
     cell; the rest go back to the caller to be re-emitted.
     """
     scenario, family_token, n, seed, m, d = task
+    cell = f"sweep cell scenario={scenario} family={family_token} n={n} seed={seed}"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        warnings.simplefilter("error", FitWarning)
         sim = SimulationConfig(scenario=scenario, n=n, seed=seed, m=m, d=d)
         dataset, truth = simulate(sim)
         role, payload = _parse_family_token(family_token)
-        try:
+        with _fit_warnings_fail(cell):
             if role == "family":
                 weights = edge_weights(dataset.variables, payload)
             else:
                 weights = baseline_edge_weights(dataset.variables, payload, seed)
-        except FitWarning as exc:
-            raise NumericalError(f"sweep cell scenario={scenario} family={family_token} "
-                                 f"n={n} seed={seed}: {exc}") from None
         tree = max_arborescence(weights)
         ratio = wrong_edges_ratio(tree, truth.tree, mode="undirected")
     row = (scenario, family_token, n, seed, ratio, tree.total_weight)
@@ -466,8 +477,10 @@ def _cmd_baselines(args) -> int:
             perm = rng.permutation(n - half)
             pairs = (x[:half], y[:half], x[half:], y[half:])
             seeded = replace(spec, seed=seed)
-            cpc_val = fit_and_estimate("cpc", *pairs, seeded)
-            nwj_val = fit_and_estimate("nwj", *pairs, seeded, perm=perm)
+            with _fit_warnings_fail(f"baselines rho={rho} seed={seed} estimator=cpc"):
+                cpc_val = fit_and_estimate("cpc", *pairs, seeded)
+            with _fit_warnings_fail(f"baselines rho={rho} seed={seed} estimator=nwj"):
+                nwj_val = fit_and_estimate("nwj", *pairs, seeded, perm=perm)
             oracle_val = nwj_estimate(gaussian_oracle_critic(rho), x[half:], y[half:],
                                       x[half:], y[half:][perm])
             for estimator, value in (("cpc", cpc_val), ("nwj", nwj_val),
@@ -615,7 +628,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sim-config", dest="sim_config")
     p.add_argument("--seed", type=int)
     p.add_argument("--truth", help="ground-truth JSON for scoring")
-    p.add_argument("--directed", action="store_true")
+    p.add_argument("--directed", action="store_true", default=None)
     _family_flags(p)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_tree)

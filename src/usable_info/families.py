@@ -112,32 +112,29 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class FitMode:
-    """How a family member is fitted.
+    """Iteration cap, step and stopping tolerance of an iterative fit.
 
-    ``closed_form`` solves exactly; ``gradient`` runs (projected) gradient
-    descent with the given cap, step and tolerance (on iterate movement).
-    ``step_size=None`` picks a safe step from the design curvature.
+    Gradient descent (``categorical_softmax``, norm-constrained linear
+    maps) and ``laplace_mean``'s Weiszfeld iteration read it; exact fits
+    ignore it.  ``step_size=None`` picks a safe step from the design
+    curvature.
     """
 
-    kind: str = "closed_form"
     max_iters: int = 5000
     step_size: float | None = None
     tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.kind not in ("closed_form", "gradient"):
-            raise ValueError(f"unknown fit mode {self.kind!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if self.step_size is not None and not _positive_finite(self.step_size):
+            raise ValueError("step_size must be positive and finite")
+        if not _positive_finite(self.tolerance):
+            raise ValueError("tolerance must be positive and finite")
 
-    @classmethod
-    def gradient(cls, max_iters: int = 5000, step_size: float | None = None,
-                 tolerance: float = 1e-8) -> "FitMode":
-        return cls("gradient", max_iters, step_size, tolerance)
+
+def _positive_finite(value: float) -> bool:
+    return math.isfinite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -173,9 +170,6 @@ class FamilyConfig:
                 raise ValueError("norm_radius applies to linear/polynomial maps only")
             if self.norm_radius <= 0:
                 raise ValueError("norm_radius must be positive")
-
-    def _fit_mode(self) -> FitMode:
-        return self.fit if self.fit is not None else FitMode()
 
 
 # --------------------------------------------------------------------- #
@@ -516,10 +510,9 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
 
     y = _real_matrix(ys, "ys", config.y_spec)
     if config.kind == "laplace_mean":
-        mode = config._fit_mode()
-        tol = mode.tolerance if config.fit is not None else 1e-9
-        iters = mode.max_iters if config.fit is not None else 10_000
-        mu = geometric_median(y, tol=tol, max_iters=iters)
+        fit = config.fit
+        mu = (geometric_median(y) if fit is None
+              else geometric_median(y, tol=fit.tolerance, max_iters=fit.max_iters))
         return LaplaceMean(mu, clip=config.clip_b)
     # gaussian_mean, linear_gaussian, polynomial_gaussian
     return GaussianMean(y.mean(axis=0), family=config.kind, clip=config.clip_b)
@@ -627,9 +620,8 @@ def _fit_linear_conditional(config: FamilyConfig, xs, ys) -> LinearGaussianMap:
     bias = coef[-1]
     diagnostics = None
     if config.norm_radius is not None:
-        mode = config.fit if config.fit is not None else FitMode.gradient()
         weight, bias, diagnostics = _project_linear_fit(
-            design, y, weight, bias, config.norm_radius, mode
+            design, y, weight, bias, config.norm_radius, config.fit or FitMode()
         )
     return LinearGaussianMap(
         weight, bias, x_dim=x.shape[1], exponents=exponents,
@@ -646,8 +638,6 @@ def _spectral_project(mat: np.ndarray, radius: float) -> np.ndarray:
 
 def _project_linear_fit(design, y, weight, bias, radius, mode: FitMode):
     """Projected gradient descent on mean squared error over the spectral ball."""
-    if mode.kind == "closed_form":
-        raise ValueError("norm-constrained fit requires a gradient fit mode")
     n = design.shape[0]
     gram = design.T @ design / n
     lam = float(np.linalg.eigvalsh(gram)[-1])
@@ -698,9 +688,7 @@ def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
         x = _real_matrix(xs, "xs", config.x_spec)
     if x.shape[0] != yi.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    mode = config.fit if config.fit is not None else FitMode.gradient()
-    if mode.kind == "closed_form":
-        raise ValueError("categorical_softmax conditional requires a gradient fit mode")
+    mode = config.fit or FitMode()
 
     n = x.shape[0]
     feats = np.hstack([x, np.ones((n, 1))])
@@ -760,8 +748,8 @@ def geometric_median(points, tol: float = 1e-9, max_iters: int = 10_000) -> np.n
     """
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not _positive_finite(tol):
+        raise ValueError("tol must be positive and finite")
     pts = _real_matrix(points, "points")
     if pts.shape[0] == 1:
         return pts[0].copy()

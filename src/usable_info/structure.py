@@ -8,14 +8,14 @@ trees.  One Chu-Liu/Edmonds run solves it exactly for every root at once:
 a virtual root points at each node, and exact lexicographic edge keys
 make the tree it finds hang from a single virtual edge.
 
-Edge weights take one of two paths.  A single ``linear_gaussian`` or
-``polynomial_gaussian`` config with no ``clip_b`` and no ``norm_radius``
-uses the closed form ``w[i, j] = ||P_i Yc_j||_F^2 / n``: ``P_i`` projects
-onto the span of source i's centred features and ``Yc_j`` is the centred
-target, so one thin SVD per source scores every target.  Every other
-config (a callable per-pair choice, a clip bound or a norm radius, and the
-categorical, laplace and gaussian_mean kinds) fits each ordered pair on
-its own; that per-pair path is also the closed form's test oracle.
+Edge weights score every ordered pair with one family config, by one of
+two paths.  A ``linear_gaussian`` or ``polynomial_gaussian`` config with
+no ``clip_b`` and no ``norm_radius`` uses the closed form ``w[i, j] =
+||P_i Yc_j||_F^2 / n``: ``P_i`` projects onto the span of source i's
+centred features and ``Yc_j`` is the centred target, so one thin SVD per
+source scores every target.  Every other config (a clip bound or a norm
+radius, and the categorical, laplace and gaussian_mean kinds) fits each
+ordered pair on its own; that per-pair path is the closed form's oracle.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
 the correctness oracle for the fast arborescence.  Weights may be negative
@@ -159,36 +159,36 @@ def _check_aligned(variables) -> int:
     return m
 
 
-def edge_weights(variables, family) -> EdgeWeightMatrix:
+def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
     """Estimate the information weight of every ordered variable pair.
 
-    ``variables`` holds one aligned sample array per variable; ``family``
-    is either a single :class:`FamilyConfig` or a callable ``(i, j) ->
-    FamilyConfig`` choosing the family per directed pair.  A single
-    linear or polynomial config with no clip bound and no norm radius
-    takes the closed form (see the module docstring); the rest fit pair
-    by pair.  Either way the result is deterministic given the data and
-    configs.
+    ``variables`` holds one aligned sample array per variable, and every
+    directed pair is scored with the family ``config``.  A linear or
+    polynomial config with no clip bound and no norm radius takes the
+    closed form (see the module docstring); the rest fit pair by pair.
+    Either way the result is deterministic given the data and config.
     """
-    if (isinstance(family, FamilyConfig) and family.kind in _CLOSED_FORM_KINDS
-            and family.norm_radius is None and family.clip_b is None):
-        weights = _projection_weights(variables, family)
+    if (config.kind in _CLOSED_FORM_KINDS and config.norm_radius is None
+            and config.clip_b is None):
+        weights = _projection_weights(variables, config)
         if weights is not None:
             return weights
+    return _pair_weights(variables, config)
+
+
+def _pair_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
+    """Fit every ordered pair on its own; each target's marginal fits once."""
     m = _check_aligned(variables)
-    family_for = family if callable(family) else (lambda i, j: family)
-    marginal_cache: dict = {}
+    marginal: dict = {}
     w = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
             if i == j:
                 continue
-            config = family_for(i, j)
-            key = (j, config)
-            if key not in marginal_cache:
-                marginal_cache[key] = empirical_entropy(config, variables[j])
-            h_cond = empirical_conditional_entropy(config, variables[i], variables[j])
-            w[i, j] = marginal_cache[key] - h_cond
+            if j not in marginal:
+                marginal[j] = empirical_entropy(config, variables[j])
+            w[i, j] = marginal[j] - empirical_conditional_entropy(config, variables[i],
+                                                                  variables[j])
     return EdgeWeightMatrix(w)
 
 

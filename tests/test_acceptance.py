@@ -176,7 +176,7 @@ def test_criterion_6_pac_coverage():
     t0 = time.time()
     delta = 0.1
     cfg = FamilyConfig("linear_gaussian", norm_radius=1.0, clip_b=50.0,
-                       fit=FitMode.gradient(max_iters=4000, tolerance=1e-8))
+                       fit=FitMode(max_iters=4000, tolerance=1e-8))
     pac = PacConfig(delta=delta, b=50.0, k_x=1.0, k_y=1.0)
     true_info = gaussian_pair_information(0.8, 1.0)
     covered = 0

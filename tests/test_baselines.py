@@ -106,15 +106,9 @@ def test_nwj_oracle_critic_is_unbiased():
 def test_score_cap_prevents_overflow():
     critic = _constant_critic(1e4)
     x, y = _pair(0.1, 8, 4)
-    got = nwj_estimate(critic, x, y, x, y, cap=50.0)
+    got = nwj_estimate(critic, x, y, x, y)
     assert np.isfinite(got)
     assert got == pytest.approx(50.0 - math.exp(49.0))
-
-
-def test_cap_must_be_positive():
-    x, y = _pair(0.1, 8, 5)
-    with pytest.raises(ValueError):
-        nwj_estimate(_constant_critic(0.0), x, y, x, y, cap=0.0)
 
 
 # ------------------------------------------------------------------ #
@@ -251,7 +245,7 @@ def test_batch_spec_validation():
 
 
 @pytest.mark.parametrize("settings", [
-    {"n_joint": 0}, {"n_product": 0}, {"n_product": -3},
+    {"batch_size": 0}, {"batch_size": -3}, {"iterations": -3},
     {"step_size": math.nan}, {"step_size": math.inf}, {"step_size": -math.inf},
     {"step_size": 0.0},
 ])
@@ -300,11 +294,10 @@ def _reference_fit_critic(kind, objective, xs, ys, spec, cap=50.0):
             idx = rng.choice(n, size=spec.batch_size, replace=False)
             value, grad = _reference_cpc_value_grad(kind, theta, xs[idx], ys[idx], cap)
         else:
-            n_joint = spec.n_joint or min(n, 256)
-            n_prod = spec.n_product or min(n, 256)
-            j_idx = rng.choice(n, size=n_joint, replace=n_joint > n)
-            px = rng.choice(n, size=n_prod, replace=True)
-            py = rng.choice(n, size=n_prod, replace=True)
+            n_draw = min(n, 256)
+            j_idx = rng.choice(n, size=n_draw, replace=False)
+            px = rng.choice(n, size=n_draw, replace=True)
+            py = rng.choice(n, size=n_draw, replace=True)
             value, grad = _reference_nwj_value_grad(kind, theta, xs[j_idx], ys[j_idx],
                                                     xs[px], ys[py], cap)
         theta = theta + spec.step_size * grad
@@ -445,16 +438,17 @@ def test_fit_and_estimate_validates_eval_pairs():
 
 
 @pytest.mark.parametrize("n", [8, 37, 300])
-@pytest.mark.parametrize("sizes", [(None, None), (5, 7), (400, 3)])
+@pytest.mark.parametrize("sizes", [(8, 0.05), (2, 0.3), (5, 0.01)])
 @pytest.mark.parametrize("objective", ["cpc", "nwj"])
 @pytest.mark.parametrize("kind", ["bilinear", "quadratic"])
 def test_fit_critic_matches_reference_bitwise(kind, objective, sizes, n):
-    # n = 8 is exactly one CPC batch, 37 leaves a partial one and 300 is
-    # above the default NWJ batch of 256; n_joint = 400 draws with replacement.
+    # n = 8 is exactly one default CPC batch, 37 leaves a partial one and
+    # 300 is above the NWJ draw of 256 pairs.  ``sizes`` is the (batch,
+    # step) size pair; (8, 0.05) is the default.
     rng = np.random.default_rng(n)
     x = 3.0 * rng.normal(size=(n, 2))
     y = x[:, :1] + rng.normal(size=(n, 1))
-    spec = BatchSpec(iterations=40, n_joint=sizes[0], n_product=sizes[1], seed=n + 1)
+    spec = BatchSpec(batch_size=sizes[0], step_size=sizes[1], iterations=40, seed=n + 1)
     got = fit_critic(kind, objective, x, y, spec=spec)
     want = _reference_fit_critic(kind, objective, x, y, spec)
     assert got.theta.tobytes() == want.theta.tobytes()

@@ -213,6 +213,22 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--norm-radius", "1", "--step-size", "nan"], "step_size must be positive and finite"),
+    (["--norm-radius", "1", "--tolerance", "nan"], "tolerance must be positive and finite"),
+    (["--family", "laplace_mean", "--tolerance", "inf"],
+     "tolerance must be positive and finite"),
+])
+def test_estimate_non_finite_fit_settings_exit_2(correlated_csv, tmp_path, capsys, flags,
+                                                 message):
+    path, _ = correlated_csv
+    rc = main(["estimate", "--data", str(path), "--x-cols", "var0", "--y-cols", "var1",
+               "--family", "linear_gaussian", *flags, "--out", str(tmp_path / "e.json")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "e.json").exists()
+
+
 # ------------------------------------------------------------------ #
 # tree
 # ------------------------------------------------------------------ #
@@ -287,6 +303,40 @@ def test_tree_sim_config_matches_simulate_then_tree_data(tmp_path):
     assert (sim["parents"], sim["noise_var"], sim["d"]) == (
         {"1": 0, "2": 0, "3": 1, "4": 1}, 0.5, 2)
     assert direct_record["seed"] == 4
+
+
+def test_tree_config_file_keys_match_flags(tmp_path):
+    data = tmp_path / "d.csv"
+    truth = tmp_path / "t.json"
+    main(["simulate", "--scenario", "sim1", "--m", "5", "--d", "2", "--n", "300",
+          "--seed", "2", "--out", str(data), "--truth-out", str(truth)])
+    cfg = tmp_path / "tree.json"
+    cfg.write_text(json.dumps({"data": str(data), "family": "linear_gaussian",
+                               "truth": str(truth), "directed": True}))
+    records = []
+    for name, argv in (("via_config", ["--config", str(cfg)]),
+                       ("via_flags", ["--data", str(data), "--family", "linear_gaussian",
+                                      "--truth", str(truth), "--directed"])):
+        out = tmp_path / f"{name}.json"
+        assert main(["tree", *argv, "--out", str(out)]) == 0
+        record = json.loads(out.read_text())
+        del record["duration_s"], record["results"]["timings"]
+        records.append(record)
+    assert records[0] == records[1]
+    assert records[0]["results"]["ratio_mode"] == "directed"
+    assert records[0]["config"]["data"] == str(data)
+
+
+def test_tree_sim_config_from_config_file(tmp_path):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"scenario": "sim1", "m": 4, "d": 2, "n": 300, "seed": 5}))
+    cfg = tmp_path / "tree.json"
+    cfg.write_text(json.dumps({"sim_config": str(sim), "family": "linear_gaussian"}))
+    out = tmp_path / "out.json"
+    assert main(["tree", "--config", str(cfg), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert record["seed"] == 5
+    assert record["results"]["ratio_mode"] == "undirected"
 
 
 def test_tree_requires_a_source(tmp_path):
@@ -454,6 +504,17 @@ def test_baselines_command_table(tmp_path):
     assert all(float(r[5]) <= math.log(8.0) + 1e-9 for r in cpc_rows)
     truths = {r[0]: float(r[6]) for r in rows}
     assert truths["0.5"] == pytest.approx(-0.5 * math.log(1 - 0.25))
+
+
+def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256",
+               "--step-size", "1e300", "--iterations", "5", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
+        "critic fit diverged to non-finite parameters\n")
+    assert not out.exists()
 
 
 # ------------------------------------------------------------------ #

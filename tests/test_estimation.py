@@ -92,8 +92,7 @@ def test_clamp_reports_flag_and_zero():
     xs = rng.normal(size=60)
     ys = (rng.random(60) < 0.9).astype(int)
     cfg = FamilyConfig("categorical_softmax",
-                       fit=FitMode.gradient(max_iters=1, step_size=1e-6,
-                                            tolerance=1e-15))
+                       fit=FitMode(max_iters=1, step_size=1e-6, tolerance=1e-15))
     with pytest.warns(UserWarning):
         raw = empirical_information(cfg, xs, ys)
         clamped = empirical_information(cfg, xs, ys, clamp=True)
@@ -184,7 +183,7 @@ def test_closed_form_width_requires_constrained_linear():
         empirical_information(FamilyConfig("linear_gaussian", clip_b=10.0),
                               xs, ys, pac=pac)
     cfg = FamilyConfig("linear_gaussian", clip_b=10.0, norm_radius=1.0,
-                       fit=FitMode.gradient(max_iters=2000, tolerance=1e-8))
+                       fit=FitMode(max_iters=2000, tolerance=1e-8))
     est = empirical_information(cfg, xs, ys, pac=pac)
     assert est.pac.bound_kind == "closed_form_linear"
     assert est.pac.half_width == pytest.approx(

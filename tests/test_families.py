@@ -183,8 +183,7 @@ def test_softmax_conditional_learns_separable_labels():
     rng = np.random.default_rng(3)
     xs = np.concatenate([rng.normal(-2.0, 0.3, 60), rng.normal(2.0, 0.3, 60)])
     ys = np.concatenate([np.zeros(60, int), np.ones(60, int)])
-    cfg = FamilyConfig("categorical_softmax", fit=FitMode.gradient(max_iters=4000,
-                                                                   tolerance=1e-3))
+    cfg = FamilyConfig("categorical_softmax", fit=FitMode(max_iters=4000, tolerance=1e-3))
     pred = fit_conditional(cfg, xs, ys)
     probs_lo = np.exp(pred._log_probs([-2.0]))[0]
     probs_hi = np.exp(pred._log_probs([2.0]))[0]
@@ -197,19 +196,11 @@ def test_softmax_nonconvergence_warns_with_diagnostic():
     xs = rng.normal(size=50)
     ys = (xs > 0).astype(int)
     cfg = FamilyConfig("categorical_softmax",
-                       fit=FitMode.gradient(max_iters=2, tolerance=1e-12))
+                       fit=FitMode(max_iters=2, tolerance=1e-12))
     with pytest.warns(FitWarning):
         pred = fit_conditional(cfg, xs, ys)
     assert pred.diagnostics["converged"] is False
     assert pred.diagnostics["iterations"] == 2
-
-
-def test_softmax_rejects_closed_form_mode():
-    with pytest.raises(ValueError):
-        fit_conditional(
-            FamilyConfig("categorical_softmax", fit=FitMode()),
-            [0.0, 1.0], [0, 1],
-        )
 
 
 # ------------------------------------------------------------------ #
@@ -277,7 +268,7 @@ def _probe_pairs(kind, rng):
 def test_optional_ignorance(kind, order):
     rng = np.random.default_rng(11)
     xs, ys = _probe_pairs(kind, rng)
-    fit = FitMode.gradient(max_iters=500) if kind == "categorical_softmax" else None
+    fit = FitMode(max_iters=500) if kind == "categorical_softmax" else None
     cfg = FamilyConfig(kind, order=order, fit=fit)
     pred = fit_conditional(cfg, xs, ys)
     probe_xs, probe_ys = _probe_pairs(kind, np.random.default_rng(12))
@@ -396,29 +387,36 @@ def test_constrained_linear_fit_projects_into_ball():
     xs = rng.normal(size=(100, 2))
     ys = xs @ np.array([[3.0, 0.0], [0.0, 3.0]]) + 0.1 * rng.normal(size=(100, 2))
     cfg = FamilyConfig("linear_gaussian", norm_radius=1.0,
-                       fit=FitMode.gradient(max_iters=3000, tolerance=1e-10))
+                       fit=FitMode(max_iters=3000, tolerance=1e-10))
     pred = fit_conditional(cfg, xs, ys)
     stacked = np.hstack([pred.weight, pred.bias[:, None]])
     assert np.linalg.norm(stacked, 2) <= 1.0 + 1e-9
 
 
 def test_constrained_fit_defaults_to_gradient_mode():
-    # norm_radius with fit=None must auto-select gradient descent; only an
-    # explicit closed_form request is an error.
+    # norm_radius with fit=None must run gradient descent with FitMode().
     rng = np.random.default_rng(13)
     xs = rng.normal(size=(50, 1))
     ys = 0.4 * xs + 0.1 * rng.normal(size=(50, 1))
     pred = fit_conditional(FamilyConfig("linear_gaussian", norm_radius=1.0),
                            xs, ys)
     assert pred.diagnostics["converged"]
-    with pytest.raises(ValueError, match="gradient"):
-        fit_conditional(FamilyConfig("linear_gaussian", norm_radius=1.0,
-                                     fit=FitMode()), xs, ys)
 
 
 @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"max_iters": -3}, {"tol": 0.0},
-                                    {"tol": -1e-9}])
+                                    {"tol": -1e-9}, {"tol": math.nan}, {"tol": math.inf}])
 def test_geometric_median_rejects_bad_iteration_settings(kwargs):
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         geometric_median(pts, **kwargs)
+
+
+@pytest.mark.parametrize("settings", [
+    {"step_size": math.nan}, {"step_size": math.inf}, {"step_size": -1.0},
+    {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": 0.0},
+    {"max_iters": 0},
+])
+def test_fit_mode_rejects_bad_settings(settings):
+    (name,) = settings
+    with pytest.raises(ValueError, match=name):
+        FitMode(**settings)

@@ -190,20 +190,6 @@ def test_edge_weights_cubic_relation_is_asymmetric():
     assert abs(weights.w[0, 1] - weights.w[1, 0]) > 0.1
 
 
-def test_edge_weights_per_pair_families():
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-1.0, 1.0, 200)
-    y = x**2 + 0.05 * rng.normal(size=200)
-
-    def family_for(i, j):
-        return FamilyConfig("polynomial_gaussian", order=2) if (i, j) == (0, 1) \
-            else FamilyConfig("linear_gaussian")
-
-    weights = edge_weights([x, y], family_for)
-    # order-2 features capture the square; the linear reverse fit cannot
-    assert weights.w[0, 1] > weights.w[1, 0] + 0.05
-
-
 def test_learned_tree_validated_against_oracle_and_truth():
     from usable_info.synth import SimulationConfig, simulate
 
@@ -223,13 +209,9 @@ def test_edge_weights_alignment_checked():
         edge_weights([np.zeros(5)], FamilyConfig("linear_gaussian"))
 
 
-# The closed-form path (one SVD per source) against the per-pair lstsq fits.
-# A callable family always takes the per-pair path, so it is the oracle.
+# The closed-form path (one SVD per source) against its oracle, the
+# per-pair lstsq fits of structure._pair_weights.
 CLOSED_FORM_ATOL = 1e-10
-
-
-def _per_pair(variables, config):
-    return edge_weights(variables, lambda i, j: config)
 
 
 def _correlated(rng, dims, n):
@@ -239,7 +221,7 @@ def _correlated(rng, dims, n):
 
 def _assert_matches_per_pair(variables, config, same_tree=True):
     fast = edge_weights(variables, config)
-    slow = _per_pair(variables, config)
+    slow = structure._pair_weights(variables, config)
     np.testing.assert_allclose(fast.w, slow.w, rtol=0, atol=CLOSED_FORM_ATOL)
     if same_tree:
         a, b = max_arborescence(fast), max_arborescence(slow)
@@ -307,8 +289,7 @@ def test_only_plain_linear_and_polynomial_configs_skip_the_pair_loop(monkeypatch
         (real, FamilyConfig("polynomial_gaussian", order=2), 0),
         (real, FamilyConfig("linear_gaussian", clip_b=50.0), 6),
         (real, FamilyConfig("linear_gaussian", norm_radius=1.0,
-                            fit=FitMode.gradient(max_iters=50)), 6),
-        (real, lambda i, j: FamilyConfig("linear_gaussian"), 6),
+                            fit=FitMode(max_iters=50)), 6),
         (symbols, FamilyConfig("tabular"), 6),
         (real, FamilyConfig("gaussian_mean"), 6),
     ]
@@ -333,7 +314,7 @@ def test_closed_form_failures_raise_the_per_pair_error(config, bad, message):
     good = np.array([[0.5], [1.0], [4.0]])
     for variables in ([good, bad], [bad, good]):
         with pytest.raises(Exception, match=message) as slow:
-            _per_pair(variables, config)
+            structure._pair_weights(variables, config)
         with pytest.raises(type(slow.value)) as fast:
             edge_weights(variables, config)
         assert str(fast.value) == str(slow.value)
