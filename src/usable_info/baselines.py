@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .families import FitWarning
 from .structure import EdgeWeightMatrix, _check_aligned
 
@@ -174,7 +175,7 @@ def _matvec(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _finite(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
-        raise ValueError("critic produced non-finite scores")
+        raise NumericalError("critic produced non-finite scores")
     return scores
 
 

@@ -12,15 +12,20 @@ Subcommands::
     usable-info baselines --rhos 0.5,0.9 --n 2048 --seeds 0,1 --out bench.csv
     usable-info auc       --scores scores.csv --truth truth.csv --out auc.json
 
-Every subcommand accepts ``--config FILE`` with a JSON object whose keys
-mirror the flags; explicit flags override file values.  The default seed
-comes from the ``USABLE_INFO_SEED`` environment variable when neither a
-flag nor a config supplies one.
+Every subcommand accepts ``--config FILE``, a JSON object whose keys are
+the flags' dest names (``x_cols``, ``exponential_mean_mode``, ...); a flag
+given on the command line wins over the file.  A value means what the same
+text would mean as a flag, except that the on/off keys (``directed``,
+``clamp``, ``pac``, ``exponential_mean_mode``) take only JSON true or false.
+null leaves a setting unset, and an unknown key is a usage error.  The
+default seed comes from the ``USABLE_INFO_SEED`` environment variable when
+neither a flag nor a config supplies one.
 
 Outputs embed their generating configuration: JSON results carry a full
 run record (command, config, seed, duration, version); CSVs start with a
 ``# config: <json>`` comment.  Exit codes: 0 success, 2 usage error,
 3 data error, 4 numerical failure (an estimator or fit did not converge).
+A numerical failure writes no output file.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -68,19 +73,17 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            # A fit that did not converge stops the command before it writes.
+            warnings.simplefilter("error", FitWarning)
+            _fill_from_config(args, _command_flags(parser, args.command), args.config)
             result = args.func(args)
-        fit_warnings = [w for w in caught if issubclass(w.category, FitWarning)]
         for w in caught:
-            if not issubclass(w.category, FitWarning):
-                print(f"warning: {w.message}", file=sys.stderr)
-        if fit_warnings:
-            print(f"numerical failure: {fit_warnings[0].message}", file=sys.stderr)
-            return EXIT_NUMERICAL
+            print(f"warning: {w.message}", file=sys.stderr)
         return result
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except NumericalError as exc:
+    except (NumericalError, FitWarning) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
@@ -94,8 +97,6 @@ def main(argv=None) -> int:
 
 
 def _load_config(path) -> dict:
-    if path is None:
-        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -106,33 +107,62 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _settings(args, cfg: dict, convert: dict) -> dict:
-    """Settings in ``convert`` set by a flag or else by the config file.
+def _command_flags(parser, command: str) -> dict:
+    """Dest name -> argparse action of every flag ``command`` declares but ``--config``."""
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in commands.choices[command]._actions
+            if a.dest not in ("help", "config")}
 
-    Each value passes through ``convert[name]``; unset ones are left out,
-    so the library's own defaults apply.
-    """
-    out = {}
-    for name, conv in convert.items():
-        value = getattr(args, name, None)
+
+def _fill_from_config(args, flags: dict, path):
+    """Set each flag in ``flags`` that ``args`` leaves unset from the config at
+    ``path``, by the rules in the module docstring.  A non-string value goes
+    through the flag's type as its JSON text."""
+    if path is None:
+        return args
+    for key, value in _load_config(path).items():
+        action = flags.get(key)
+        if action is None:
+            raise ValueError(f"{path}: unknown config key {key!r}")
         if value is None:
-            value = cfg.get(name)
-        if value is not None:
-            out[name] = conv(value)
-    return out
+            continue
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ValueError(f"{path}: {key} must be true or false, not {value!r}")
+        else:
+            text = value if isinstance(value, str) else json.dumps(value)
+            try:
+                value = (action.type or str)(text)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: {key}: {exc}") from None
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    return args
 
 
-def _required(settings: dict, name: str):
-    value = settings.get(name)
+def _fields_set(cls, args) -> dict:
+    """Fields of dataclass ``cls`` that ``args`` sets; the rest keep their defaults."""
+    return {f.name: getattr(args, f.name) for f in fields(cls)
+            if getattr(args, f.name, None) is not None}
+
+
+def _required(args, name: str):
+    value = getattr(args, name)
     if not value:
         raise ValueError(f"missing required setting: {name.replace('_', '-')}")
     return value
 
 
 def _list_of(convert):
-    """Converter for a comma-separated setting; blank items are skipped."""
-    return lambda text: [convert(tok.strip()) for tok in str(text).split(",")
-                         if tok.strip()]
+    """Type of a comma-separated flag; blank items are skipped."""
+    return lambda text: [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+
+def _parse_parents(text):
+    parents = json.loads(text)
+    if not isinstance(parents, dict):
+        raise ValueError("parents must be a JSON object")
+    return {int(c): int(p) for c, p in parents.items()}
 
 
 def _emit_json(path, command: str, config: dict, seed, t0: float, results: dict):
@@ -152,23 +182,8 @@ def _emit_json(path, command: str, config: dict, seed, t0: float, results: dict)
             fh.write(text + "\n")
 
 
-def _parse_parents(v):
-    if isinstance(v, str):
-        v = json.loads(v)
-    return {int(c): int(p) for c, p in v.items()}
-
-
-_SIMULATION_SETTINGS = {
-    "scenario": str, "n": int, "seed": int, "m": int, "d": int, "rho": float,
-    "var_y": float, "parents": _parse_parents, "noise_var": float,
-    "exponential_mean_mode": bool,
-}
-_FAMILY_SETTINGS = {"order": int, "clip_b": float, "norm_radius": float}
-_FIT_SETTINGS = {"max_iters": int, "step_size": float, "tolerance": float}
-
-
-def _simulation_config(args, cfg: dict) -> SimulationConfig:
-    settings = _settings(args, cfg, _SIMULATION_SETTINGS)
+def _simulation_config(args) -> SimulationConfig:
+    settings = _fields_set(SimulationConfig, args)
     if "seed" not in settings:
         env = os.environ.get("USABLE_INFO_SEED")
         if env is None:
@@ -177,26 +192,26 @@ def _simulation_config(args, cfg: dict) -> SimulationConfig:
                 "or set USABLE_INFO_SEED"
             )
         settings["seed"] = int(env)
-    _required(settings, "scenario")
-    _required(settings, "n")
+    _required(args, "scenario")
+    _required(args, "n")
     return SimulationConfig(**settings)
 
 
-def _family_config(args, cfg: dict) -> FamilyConfig:
-    kind = _required(_settings(args, cfg, {"family": str}), "family")
-    fit = _settings(args, cfg, _FIT_SETTINGS)
+def _family_config(args) -> FamilyConfig:
+    kind = _required(args, "family")
+    fit = _fields_set(FitMode, args)
     return FamilyConfig(kind=kind, fit=FitMode(**fit) if fit else None,
-                        **_settings(args, cfg, _FAMILY_SETTINGS))
+                        **_fields_set(FamilyConfig, args))
 
 
 @contextmanager
 def _fit_warnings_fail(where: str):
-    """Raise a ``FitWarning`` from the body as a ``NumericalError`` naming ``where``."""
+    """Re-raise a ``FitWarning`` or ``NumericalError`` as a ``NumericalError`` naming ``where``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", FitWarning)
         try:
             yield
-        except FitWarning as exc:
+        except (FitWarning, NumericalError) as exc:
             raise NumericalError(f"{where}: {exc}") from None
 
 
@@ -215,7 +230,7 @@ def _parse_family_token(token: str):
 
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    sim = _simulation_config(args, _load_config(args.config))
+    sim = _simulation_config(args)
     dataset, truth = simulate(sim)
     effective = _sim_config_dict(sim)
     write_dataset_csv(dataset, args.out, config=effective)
@@ -291,31 +306,25 @@ def _select_columns(dataset: Dataset, tokens: list[str], role: str):
 
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    settings = _settings(args, cfg, {
-        "data": str, "x_cols": _list_of(str), "y_cols": _list_of(str), "clamp": bool,
-        "pac": bool, "delta": float, "pac_b": float, "rademacher": float,
-        "kx": float, "ky": float,
-    })
-    data_path = _required(settings, "data")
+    data_path = _required(args, "data")
     timings = {}
     with stage_timer(timings, "read_s"):
         dataset = read_dataset_csv(data_path)
-    x_tokens = _required(settings, "x_cols")
-    y_tokens = _required(settings, "y_cols")
+    x_tokens = _required(args, "x_cols")
+    y_tokens = _required(args, "y_cols")
     xs, x_spec = _select_columns(dataset, x_tokens, "x-cols")
     ys, y_spec = _select_columns(dataset, y_tokens, "y-cols")
-    family = replace(_family_config(args, cfg), x_spec=x_spec, y_spec=y_spec)
-    clamp = settings.get("clamp", False)
+    family = replace(_family_config(args), x_spec=x_spec, y_spec=y_spec)
+    clamp = bool(args.clamp)
 
     pac = None
-    if settings.get("pac"):
+    if args.pac:
         pac = PacConfig(
-            delta=_required(settings, "delta"),
-            b=_required(settings, "pac_b"),
-            rademacher_bound=settings.get("rademacher"),
-            k_x=settings.get("kx"),
-            k_y=settings.get("ky"),
+            delta=_required(args, "delta"),
+            b=_required(args, "pac_b"),
+            rademacher_bound=args.rademacher,
+            k_x=args.kx,
+            k_y=args.ky,
         )
     with stage_timer(timings, "fit_s"):
         estimate = empirical_information(family, xs, ys, pac=pac, clamp=clamp)
@@ -337,41 +346,41 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_tree(args) -> int:
     t0 = time.perf_counter()
-    cfg = _load_config(args.config)
-    settings = _settings(args, cfg, {
-        "data": str, "sim_config": str, "truth": str, "directed": bool})
     truth = None
     seed = None
     timings = {}
-    if "sim_config" in settings:
-        sim = _simulation_config(args, _load_config(settings["sim_config"]))
+    if args.sim_config is not None:
+        flags = _command_flags(_build_parser(), "simulate")
+        # Tree's own --seed wins over the file's seed.
+        sim_args = argparse.Namespace(**{**dict.fromkeys(flags), "seed": args.seed})
+        sim = _simulation_config(_fill_from_config(sim_args, flags, args.sim_config))
         seed = sim.seed
         with stage_timer(timings, "simulate_s"):
             dataset, ground = simulate(sim)
         truth = ground.tree
         source = {"sim_config": _sim_config_dict(sim)}
-    elif "data" in settings:
+    elif args.data is not None:
         with stage_timer(timings, "read_s"):
-            dataset = read_dataset_csv(settings["data"])
-        source = {"data": settings["data"]}
+            dataset = read_dataset_csv(args.data)
+        source = {"data": args.data}
     else:
         raise ValueError("tree needs --data or --sim-config")
 
-    if "truth" in settings:
-        with open(settings["truth"], "r", encoding="utf-8") as fh:
+    if args.truth is not None:
+        with open(args.truth, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
         node = payload.get("results", payload)
         node = node.get("truth", node)
         truth = Arborescence.from_dict(node)
 
-    family = _family_config(args, cfg)
+    family = _family_config(args)
     with stage_timer(timings, "edge_weights_s"):
         weights = edge_weights(dataset.variables, family)
     with stage_timer(timings, "arborescence_s"):
         tree = max_arborescence(weights)
     results = {"tree": tree.to_dict(), "timings": timings}
     if truth is not None:
-        mode = "directed" if settings.get("directed") else "undirected"
+        mode = "directed" if args.directed else "undirected"
         results["wrong_edges_ratio"] = wrong_edges_ratio(tree, truth, mode=mode)
         results["ratio_mode"] = mode
     effective = {**source, "family": family.kind, "order": family.order,
@@ -414,18 +423,13 @@ DEFAULT_SWEEP_SIZES = [10, 30, 100, 300, 1000, 5000]
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _settings(args, cfg, {
-        "scenario": str, "sizes": _list_of(int), "seeds": _list_of(int),
-        "families": _list_of(str), "m": int, "d": int, "jobs": int,
-    })
-    scenario = _required(settings, "scenario")
-    sizes = settings.get("sizes", DEFAULT_SWEEP_SIZES)
-    seeds = _required(settings, "seeds")
-    families = _required(settings, "families")
-    m = settings.get("m")
-    d = settings.get("d", SimulationConfig.d)
-    jobs = settings.get("jobs", 1)
+    scenario = _required(args, "scenario")
+    sizes = DEFAULT_SWEEP_SIZES if args.sizes is None else args.sizes
+    seeds = _required(args, "seeds")
+    families = _required(args, "families")
+    m = args.m
+    d = SimulationConfig.d if args.d is None else args.d
+    jobs = 1 if args.jobs is None else args.jobs
     for token in families:
         _parse_family_token(token)  # validate early
 
@@ -457,14 +461,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_baselines(args) -> int:
-    cfg = _load_config(args.config)
-    settings = _settings(args, cfg, {
-        "rhos": _list_of(float), "seeds": _list_of(int), "n": int})
-    rhos = _required(settings, "rhos")
-    seeds = _required(settings, "seeds")
-    n = settings.get("n", 2048)
-    spec = BatchSpec(**_settings(args, cfg, {
-        "batch_size": int, "iterations": int, "step_size": float}))
+    rhos = _required(args, "rhos")
+    seeds = _required(args, "seeds")
+    n = 2048 if args.n is None else args.n
+    spec = BatchSpec(**_fields_set(BatchSpec, args))
 
     rows = []
     for rho in rhos:
@@ -599,7 +599,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float)
     p.add_argument("--var-y", type=float, dest="var_y")
     p.add_argument("--noise-var", type=float, dest="noise_var")
-    p.add_argument("--parents", help="JSON child->parent map for custom_tree")
+    p.add_argument("--parents", type=_parse_parents,
+                   help="JSON child->parent map for custom_tree")
     p.add_argument("--exp-mean-mode", action="store_true", default=None,
                    dest="exponential_mean_mode")
     p.add_argument("--out", required=True, help="dataset CSV path")
@@ -609,8 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate information between columns")
     common(p)
     p.add_argument("--data")
-    p.add_argument("--x-cols", dest="x_cols")
-    p.add_argument("--y-cols", dest="y_cols")
+    p.add_argument("--x-cols", type=_list_of(str), dest="x_cols")
+    p.add_argument("--y-cols", type=_list_of(str), dest="y_cols")
     _family_flags(p)
     p.add_argument("--clamp", action="store_true", default=None)
     p.add_argument("--pac", action="store_true", default=None)
@@ -636,9 +637,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sample-size sweep over seeds and families")
     common(p)
     p.add_argument("--scenario")
-    p.add_argument("--sizes")
-    p.add_argument("--seeds")
-    p.add_argument("--families")
+    p.add_argument("--sizes", type=_list_of(int))
+    p.add_argument("--seeds", type=_list_of(int))
+    p.add_argument("--families", type=_list_of(str))
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--jobs", type=int)
@@ -647,8 +648,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baselines", help="benchmark CPC/NWJ on Gaussian pairs")
     common(p)
-    p.add_argument("--rhos")
-    p.add_argument("--seeds")
+    p.add_argument("--rhos", type=_list_of(float))
+    p.add_argument("--seeds", type=_list_of(int))
     p.add_argument("--n", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--iterations", type=int)

@@ -295,10 +295,6 @@ class TabularPmf(MarginalPredictor):
         with np.errstate(divide="ignore"):
             self._log_pmf = np.log(pmf)
 
-    @property
-    def params(self) -> np.ndarray:
-        return self.pmf
-
     def _raw_log_densities(self, ys) -> np.ndarray:
         idx = _symbol_vector(ys, "y", cardinality=self.pmf.shape[0])
         return self._log_pmf[idx]
@@ -311,10 +307,6 @@ class GaussianMean(MarginalPredictor):
         self.family = family
         self.clip = clip
         self.mu = np.asarray(mu, dtype=float).reshape(-1)
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.mu
 
     def _raw_log_densities(self, ys) -> np.ndarray:
         y = _real_matrix(ys, "y", VariableSpec.real(self.mu.shape[0]))
@@ -330,10 +322,6 @@ class LaplaceMean(MarginalPredictor):
         self.clip = clip
         self.mu = np.asarray(mu, dtype=float).reshape(-1)
         self.log_normalizer = laplace_log_normalizer(self.mu.shape[0])
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.mu
 
     def _raw_log_densities(self, ys) -> np.ndarray:
         y = _real_matrix(ys, "y", VariableSpec.real(self.mu.shape[0]))
@@ -358,10 +346,6 @@ class LinearGaussianMap(ConditionalPredictor):
         self.x_dim = x_dim
         self.exponents = exponents
         self.diagnostics = diagnostics
-
-    @property
-    def params(self) -> np.ndarray:
-        return np.concatenate([self.weight.ravel(), self.bias])
 
     def _features(self, xs) -> np.ndarray:
         x = _real_matrix(xs, "x", VariableSpec.real(self.x_dim))
@@ -394,10 +378,6 @@ class SoftmaxMap(ConditionalPredictor):
         self.x_dim = x_dim
         self.x_cardinality = x_cardinality
         self.diagnostics = diagnostics
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.theta.ravel()
 
     def _features(self, xs) -> np.ndarray:
         x = _encode_softmax_inputs(xs, self.x_dim, self.x_cardinality)
@@ -441,10 +421,6 @@ class TabularConditional(ConditionalPredictor):
         with np.errstate(divide="ignore"):
             self._log_table = np.log(self.table)
 
-    @property
-    def params(self) -> np.ndarray:
-        return self.table.ravel()
-
     def _raw_log_densities(self, xs, ys) -> np.ndarray:
         xi = _symbol_vector(xs, "x", cardinality=self.table.shape[0])
         yi = _symbol_vector(ys, "y", cardinality=self.table.shape[1])
@@ -469,10 +445,6 @@ class ConstantConditional(ConditionalPredictor):
         self.base = base
         self.family = base.family
         self.clip = clip
-
-    @property
-    def params(self) -> np.ndarray:
-        return self.base.params
 
     def _raw_log_densities(self, xs, ys) -> np.ndarray:
         vals = self.base._raw_log_densities(ys)

@@ -16,6 +16,7 @@ from usable_info.baselines import (
     gaussian_oracle_critic,
     nwj_estimate,
 )
+from usable_info.errors import NumericalError
 from usable_info.families import FitWarning
 from usable_info.synth import SimulationConfig, simulate
 
@@ -146,7 +147,7 @@ def _n_feats(kind, dx, dy):
 def test_nonfinite_critic_output_rejected():
     critic = Critic("fixed", 1, 1,
                     score_fn=lambda xs, ys: np.full(xs.shape[0], np.nan))
-    with pytest.raises(ValueError):
+    with pytest.raises(NumericalError):
         critic.score(np.zeros((3, 1)), np.zeros((3, 1)))
 
 
@@ -516,7 +517,7 @@ def test_diverged_fits_name_their_pairs(method):
     # Left as a warning, it comes once, before the non-finite scores error.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with pytest.raises(ValueError, match="non-finite scores"):
+        with pytest.raises(NumericalError, match="non-finite scores"):
             baseline_edge_weights(variables, method, seed=0)
     fit_warnings = [w for w in caught if issubclass(w.category, FitWarning)]
     assert [str(w.message) for w in fit_warnings] == [message]

@@ -102,6 +102,14 @@ def test_simulate_seed_from_environment(tmp_path, monkeypatch):
     assert out_env.read_bytes() == out_flag.read_bytes()
 
 
+@pytest.mark.parametrize("parents", ['[1, 0]', '{"1": [0]}', '{"1": 0'])
+def test_simulate_malformed_parents_is_usage_error(tmp_path, parents):
+    rc = main(["simulate", "--scenario", "custom_tree", "--parents", parents, "--n", "5",
+               "--seed", "1", "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_simulate_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({"scenario": "sim1", "m": 3, "d": 2, "n": 10,
@@ -211,6 +219,7 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
                "--out", str(tmp_path / "e.json")])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "e.json").exists()
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -337,6 +346,16 @@ def test_tree_sim_config_from_config_file(tmp_path):
     record = json.loads(out.read_text())
     assert record["seed"] == 5
     assert record["results"]["ratio_mode"] == "undirected"
+
+
+def test_tree_nonconvergence_exits_4_and_writes_nothing(sim1_inputs, capsys):
+    out = sim1_inputs / "tree.json"
+    rc = main(["tree", "--data", str(sim1_inputs / "data.csv"), "--family", "linear_gaussian",
+               "--norm-radius", "1", "--max-iters", "1", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: constrained linear fit stopped after 1 iterations")
+    assert not out.exists()
 
 
 def test_tree_requires_a_source(tmp_path):
@@ -517,6 +536,17 @@ def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256",
+               "--step-size", "1e308", "--iterations", "1", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
+        "critic produced non-finite scores\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ #
 # auc
 # ------------------------------------------------------------------ #
@@ -588,6 +618,178 @@ def test_auc_single_class_truth_rejected(tmp_path):
     _write_pairs(scores, [(i, j, 0.5) for i, j, _ in rows], "score")
     _write_pairs(truth, rows, "edge")
     assert main(["auc", "--scores", str(scores), "--truth", str(truth)]) == 3
+
+
+# ------------------------------------------------------------------ #
+# config files
+# ------------------------------------------------------------------ #
+
+
+# Each case: a command, a config file and the flags that say the same.  Input
+# paths are relative to the run directory, so both runs record them alike.
+CONFIG_CASES = {
+    "simulate-custom_tree": (
+        "simulate",
+        {"scenario": "custom_tree", "parents": {"1": 0, "2": 1}, "noise_var": 0.5, "d": 2,
+         "n": 40, "seed": 3, "truth_out": "truth.json"},
+        ["--scenario", "custom_tree", "--parents", '{"1": 0, "2": 1}', "--noise-var", "0.5",
+         "--d", "2", "--n", "40", "--seed", "3", "--truth-out", "truth.json"]),
+    "simulate-gaussian_pair": (
+        "simulate",
+        {"scenario": "gaussian_pair", "rho": 0.6, "var_y": 2.0, "n": 40, "seed": 3},
+        ["--scenario", "gaussian_pair", "--rho", "0.6", "--var-y", "2", "--n", "40",
+         "--seed", "3"]),
+    "simulate-sim2": (
+        "simulate",
+        {"scenario": "sim2", "m": 4, "d": 2, "n": 40, "seed": 3, "exponential_mean_mode": True},
+        ["--scenario", "sim2", "--m", "4", "--d", "2", "--n", "40", "--seed", "3",
+         "--exp-mean-mode"]),
+    "estimate-radii": (
+        "estimate",
+        {"data": "../data.csv", "x_cols": "var0", "y_cols": "var1", "family": "linear_gaussian",
+         "norm_radius": 1.0, "clip_b": 50, "max_iters": 3000, "step_size": 0.01,
+         "tolerance": 1e-6, "pac": True, "delta": 0.1, "pac_b": 50, "kx": 1, "ky": 1,
+         "out": "est.json"},
+        ["--data", "../data.csv", "--x-cols", "var0", "--y-cols", "var1",
+         "--family", "linear_gaussian", "--norm-radius", "1", "--clip-b", "50",
+         "--max-iters", "3000", "--step-size", "0.01", "--tolerance", "1e-6", "--pac",
+         "--delta", "0.1", "--pac-b", "50", "--kx", "1", "--ky", "1", "--out", "est.json"]),
+    "estimate-rademacher": (
+        "estimate",
+        {"data": "../data.csv", "x_cols": "var0,var2", "y_cols": "var1_0",
+         "family": "polynomial_gaussian", "order": 2, "clip_b": 50, "clamp": True,
+         "pac": True, "delta": 0.1, "pac_b": 50, "rademacher": 0.5, "out": "est.json"},
+        ["--data", "../data.csv", "--x-cols", "var0,var2", "--y-cols", "var1_0",
+         "--family", "polynomial_gaussian", "--order", "2", "--clip-b", "50", "--clamp",
+         "--pac", "--delta", "0.1", "--pac-b", "50", "--rademacher", "0.5",
+         "--out", "est.json"]),
+    "tree-data": (
+        "tree",
+        {"data": "../data.csv", "truth": "../truth.json", "directed": True,
+         "family": "polynomial_gaussian", "order": 2, "clip_b": 50, "out": "tree.json"},
+        ["--data", "../data.csv", "--truth", "../truth.json", "--directed",
+         "--family", "polynomial_gaussian", "--order", "2", "--clip-b", "50",
+         "--out", "tree.json"]),
+    "tree-sim_config": (
+        "tree",
+        {"sim_config": "../sim.json", "seed": 11, "family": "linear_gaussian",
+         "norm_radius": 1.0, "max_iters": 3000, "step_size": 0.01, "tolerance": 1e-6,
+         "out": "tree.json"},
+        ["--sim-config", "../sim.json", "--seed", "11", "--family", "linear_gaussian",
+         "--norm-radius", "1", "--max-iters", "3000", "--step-size", "0.01",
+         "--tolerance", "1e-6", "--out", "tree.json"]),
+    "sweep": (
+        "sweep",
+        {"scenario": "sim1", "sizes": "20,40", "seeds": "0,1",
+         "families": "linear_gaussian,polynomial_gaussian:2", "m": 3, "d": 2, "jobs": 1},
+        ["--scenario", "sim1", "--sizes", "20,40", "--seeds", "0,1",
+         "--families", "linear_gaussian,polynomial_gaussian:2", "--m", "3", "--d", "2",
+         "--jobs", "1"]),
+    "baselines": (
+        "baselines",
+        {"rhos": "0.5,0.9", "seeds": "0", "n": 128, "batch_size": 4, "iterations": 20,
+         "step_size": 0.02},
+        ["--rhos", "0.5,0.9", "--seeds", "0", "--n", "128", "--batch-size", "4",
+         "--iterations", "20", "--step-size", "0.02"]),
+}
+# --out is required on the command line for these, so a config cannot set it.
+REQUIRED_OUT = {"simulate": "data.csv", "sweep": "sweep.csv", "baselines": "bench.csv"}
+
+
+@pytest.fixture()
+def sim1_inputs(tmp_path):
+    assert main(["simulate", "--scenario", "sim1", "--m", "3", "--d", "2", "--n", "200",
+                 "--seed", "2", "--out", str(tmp_path / "data.csv"),
+                 "--truth-out", str(tmp_path / "truth.json")]) == 0
+    (tmp_path / "sim.json").write_text(json.dumps(
+        {"scenario": "sim1", "m": 3, "d": 2, "n": 100, "seed": 5}))
+    return tmp_path
+
+
+def _outputs(directory) -> dict:
+    """Every file a run wrote, JSON run records without their timings."""
+    out = {}
+    for path in sorted(directory.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".json":
+            text = json.loads(text)
+            del text["duration_s"]
+            text["results"].pop("timings", None)
+        out[path.name] = text
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CASES))
+def test_config_file_gives_the_same_output_as_flags(sim1_inputs, monkeypatch, case):
+    command, config, flags = CONFIG_CASES[case]
+    cfg = sim1_inputs / f"{case}.json"
+    cfg.write_text(json.dumps(config))
+    required = ["--out", REQUIRED_OUT[command]] if command in REQUIRED_OUT else []
+    outputs = []
+    for name, argv in (("via_config", ["--config", str(cfg)]), ("via_flags", flags)):
+        run_dir = sim1_inputs / name
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main([command, *argv, *required]) == 0
+        outputs.append(_outputs(run_dir))
+    assert outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "tree", "sweep", "baselines"])
+def test_config_cases_set_every_flag(command):
+    keys = {key for cmd, config, _ in CONFIG_CASES.values() if cmd == command
+            for key in config}
+    assert keys | {"out"} == set(cli._command_flags(cli._build_parser(), command))
+
+
+@pytest.mark.parametrize("command,key", [
+    ("tree", "directed"), ("estimate", "clamp"), ("estimate", "pac"),
+    ("simulate", "exponential_mean_mode"),
+])
+def test_config_on_off_key_takes_only_json_booleans(tmp_path, capsys, command, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: "false"}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: {key} must be true or false, not 'false'\n")
+    assert not out.exists()
+
+
+def test_config_unknown_key_exits_2_naming_it(correlated_csv, tmp_path, capsys):
+    path, _ = correlated_csv
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"data": str(path), "family": "linear_gaussian",
+                               "max_iter": 3}))
+    out = tmp_path / "tree.json"
+    assert main(["tree", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'max_iter'\n"
+    assert not out.exists()
+
+
+def test_config_null_leaves_a_setting_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("USABLE_INFO_SEED", "4")
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"scenario": "sim1", "m": 3, "d": None, "n": 30,
+                               "seed": None, "exponential_mean_mode": None,
+                               "truth_out": None}))
+    via_config, via_flags = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(via_config)]) == 0
+    assert main(["simulate", "--scenario", "sim1", "--m", "3", "--n", "30",
+                 "--out", str(via_flags)]) == 0
+    assert via_config.read_bytes() == via_flags.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "c.json"]
+
+
+def test_tree_seed_flag_wins_over_sim_config_seed(tmp_path):
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"scenario": "sim1", "m": 3, "d": 2, "n": 100, "seed": 5}))
+    out = tmp_path / "tree.json"
+    assert main(["tree", "--sim-config", str(sim), "--seed", "11",
+                 "--family", "linear_gaussian", "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    assert (record["seed"], record["config"]["sim_config"]["seed"]) == (11, 11)
 
 
 # ------------------------------------------------------------------ #
