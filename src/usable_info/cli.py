@@ -16,7 +16,9 @@ Every subcommand accepts ``--config FILE``, a JSON object whose keys are
 the flags' dest names (``x_cols``, ``exponential_mean_mode``, ...); a flag
 given on the command line wins over the file.  A value means what the same
 text would mean as a flag, except that the on/off keys (``directed``,
-``clamp``, ``pac``, ``exponential_mean_mode``) take only JSON true or false.
+``clamp``, ``pac``, ``exponential_mean_mode``) take only JSON true or false,
+and the list keys (``sizes``, ``seeds``, ``families``, ``rhos``, ``x_cols``,
+``y_cols``) also take a JSON array, meaning its comma-joined items.
 null leaves a setting unset, and an unknown key is a usage error.  The
 default seed comes from the ``USABLE_INFO_SEED`` environment variable when
 neither a flag nor a config supplies one.
@@ -47,7 +49,7 @@ import numpy as np
 from . import __version__
 from .baselines import (BatchSpec, baseline_edge_weights, fit_and_estimate,
                         gaussian_oracle_critic, nwj_estimate)
-from .data import Dataset, read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
+from .data import read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
 from .errors import DataError, NumericalError
 from .estimation import PacConfig, empirical_information
 from .families import FamilyConfig, FitMode, FitWarning, VariableSpec
@@ -116,8 +118,9 @@ def _command_flags(parser, command: str) -> dict:
 
 def _fill_from_config(args, flags: dict, path):
     """Set each flag in ``flags`` that ``args`` leaves unset from the config at
-    ``path``, by the rules in the module docstring.  A non-string value goes
-    through the flag's type as its JSON text."""
+    ``path``, by the rules in the module docstring.  A JSON array given to a
+    list flag stands for its comma-joined items; any other non-string value
+    goes through the flag's type as its JSON text."""
     if path is None:
         return args
     for key, value in _load_config(path).items():
@@ -130,6 +133,8 @@ def _fill_from_config(args, flags: dict, path):
             if not isinstance(value, bool):
                 raise ValueError(f"{path}: {key} must be true or false, not {value!r}")
         else:
+            if isinstance(value, list) and isinstance(action.type, _ListOf):
+                value = ",".join(v if isinstance(v, str) else json.dumps(v) for v in value)
             text = value if isinstance(value, str) else json.dumps(value)
             try:
                 value = (action.type or str)(text)
@@ -153,9 +158,17 @@ def _required(args, name: str):
     return value
 
 
-def _list_of(convert):
+class _ListOf:
     """Type of a comma-separated flag; blank items are skipped."""
-    return lambda text: [convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+    def __init__(self, convert):
+        self.convert = convert
+
+    def __call__(self, text):
+        return [self.convert(tok.strip()) for tok in text.split(",") if tok.strip()]
+
+    def __repr__(self):  # argparse names the type by it in usage errors
+        return f"comma-separated {self.convert.__name__}"
 
 
 def _parse_parents(text):
@@ -263,41 +276,47 @@ def _sim_config_dict(sim: SimulationConfig) -> dict:
 # --------------------------------------------------------------------- #
 
 
-def _select_columns(dataset: Dataset, tokens: list[str], role: str):
-    """Resolve column tokens to one array plus a variable spec.
+def _column_refs(tokens: list[str], role: str) -> list[tuple[int, str | None]]:
+    """``(variable index, coordinate or None)`` of each column token.
 
     A token is either ``var<i>`` (the whole variable) or ``var<i>_<k>``
-    (one real coordinate).  A categorical variable must be selected alone.
+    (one real coordinate).
     """
-    pieces = []
-    categorical = None
+    refs = []
     for token in tokens:
         match = re.fullmatch(r"var(\d+)(?:_(\d+))?", token)
         if not match:
             raise ValueError(f"{role}: bad column token {token!r}")
-        vid = int(match.group(1))
-        if vid >= dataset.m:
-            raise ValueError(f"{role}: no variable var{vid}")
-        spec = dataset.specs[vid]
-        coord = match.group(2)
+        refs.append((int(match.group(1)), match.group(2)))
+    return refs
+
+
+def _select_columns(chosen: dict, refs: list, role: str):
+    """Resolve column refs to one array plus a variable spec.
+
+    ``chosen`` maps each referenced variable index to its ``(array, spec)``
+    as read.  A categorical variable must be selected alone and keeps the
+    header's cardinality.
+    """
+    pieces = []
+    categorical = None
+    for vid, coord in refs:
+        arr, spec = chosen[vid]
         if spec.kind == "categorical":
             if coord not in (None, "0"):
                 raise ValueError(f"{role}: var{vid} is categorical; select it whole")
-            categorical = dataset.variables[vid]
+            categorical = arr, spec
+        elif coord is None:
+            pieces.append(arr)
         else:
-            arr = dataset.variables[vid]
-            if coord is None:
-                pieces.append(arr)
-            else:
-                k = int(coord)
-                if k >= spec.dim:
-                    raise ValueError(f"{role}: var{vid} has no coordinate {k}")
-                pieces.append(arr[:, [k]])
+            k = int(coord)
+            if k >= spec.dim:
+                raise ValueError(f"{role}: var{vid} has no coordinate {k}")
+            pieces.append(arr[:, [k]])
     if categorical is not None:
-        if pieces or len(tokens) != 1:
+        if pieces or len(refs) != 1:
             raise ValueError(f"{role}: a categorical variable must be selected alone")
-        card = int(categorical.max()) + 1
-        return categorical, VariableSpec.categorical(max(card, 2))
+        return categorical
     if not pieces:
         raise ValueError(f"{role}: no columns selected")
     block = np.hstack(pieces)
@@ -307,13 +326,24 @@ def _select_columns(dataset: Dataset, tokens: list[str], role: str):
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     data_path = _required(args, "data")
-    timings = {}
-    with stage_timer(timings, "read_s"):
-        dataset = read_dataset_csv(data_path)
     x_tokens = _required(args, "x_cols")
     y_tokens = _required(args, "y_cols")
-    xs, x_spec = _select_columns(dataset, x_tokens, "x-cols")
-    ys, y_spec = _select_columns(dataset, y_tokens, "y-cols")
+    x_refs = _column_refs(x_tokens, "x-cols")
+    y_refs = _column_refs(y_tokens, "y-cols")
+    # Read only the named variables, in token order, so that a KeyError
+    # names the first token whose variable the header lacks.
+    wanted = list(dict.fromkeys(vid for vid, _ in x_refs + y_refs))
+    timings = {}
+    with stage_timer(timings, "read_s"):
+        try:
+            dataset = read_dataset_csv(data_path, variables=wanted)
+        except KeyError as exc:
+            vid = exc.args[0]
+            role = "x-cols" if any(v == vid for v, _ in x_refs) else "y-cols"
+            raise ValueError(f"{role}: no variable var{vid}") from None
+    chosen = dict(zip(wanted, zip(dataset.variables, dataset.specs)))
+    xs, x_spec = _select_columns(chosen, x_refs, "x-cols")
+    ys, y_spec = _select_columns(chosen, y_refs, "y-cols")
     family = replace(_family_config(args), x_spec=x_spec, y_spec=y_spec)
     clamp = bool(args.clamp)
 
@@ -360,6 +390,9 @@ def _cmd_tree(args) -> int:
         truth = ground.tree
         source = {"sim_config": _sim_config_dict(sim)}
     elif args.data is not None:
+        if args.seed is not None:
+            raise ValueError("seed only applies to --sim-config; a --data run "
+                             "draws nothing at random")
         with stage_timer(timings, "read_s"):
             dataset = read_dataset_csv(args.data)
         source = {"data": args.data}
@@ -610,8 +643,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate information between columns")
     common(p)
     p.add_argument("--data")
-    p.add_argument("--x-cols", type=_list_of(str), dest="x_cols")
-    p.add_argument("--y-cols", type=_list_of(str), dest="y_cols")
+    p.add_argument("--x-cols", type=_ListOf(str), dest="x_cols")
+    p.add_argument("--y-cols", type=_ListOf(str), dest="y_cols")
     _family_flags(p)
     p.add_argument("--clamp", action="store_true", default=None)
     p.add_argument("--pac", action="store_true", default=None)
@@ -637,9 +670,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sample-size sweep over seeds and families")
     common(p)
     p.add_argument("--scenario")
-    p.add_argument("--sizes", type=_list_of(int))
-    p.add_argument("--seeds", type=_list_of(int))
-    p.add_argument("--families", type=_list_of(str))
+    p.add_argument("--sizes", type=_ListOf(int))
+    p.add_argument("--seeds", type=_ListOf(int))
+    p.add_argument("--families", type=_ListOf(str))
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--jobs", type=int)
@@ -648,8 +681,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baselines", help="benchmark CPC/NWJ on Gaussian pairs")
     common(p)
-    p.add_argument("--rhos", type=_list_of(float))
-    p.add_argument("--seeds", type=_list_of(int))
+    p.add_argument("--rhos", type=_ListOf(float))
+    p.add_argument("--seeds", type=_ListOf(int))
     p.add_argument("--n", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--iterations", type=int)

@@ -14,6 +14,14 @@ UTF-8 with LF line endings and ``.`` as the decimal separator.  Lines
 starting with ``#`` are comments; tools in this package emit a leading
 ``# config: <json>`` comment so every file records how it was produced.
 Result tables (``usable-info sweep``, ``baselines``) share these rules.
+
+Reading
+-------
+:func:`read_dataset_csv` validates the whole header and checks that every
+data row has one cell per header column.  Given ``variables``, it converts
+only those variables' columns (``usable-info estimate`` reads just the
+variables its column tokens name), so a malformed cell in any other column
+goes unnoticed; a full read rejects it with its line number.
 """
 
 from __future__ import annotations
@@ -131,8 +139,15 @@ def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> Non
             fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
-def read_dataset_csv(path) -> Dataset:
+def read_dataset_csv(path, variables=None) -> Dataset:
     """Parse a dataset CSV; raises :class:`DataError` with line numbers.
+
+    ``variables``, a sequence of variable indices, projects the read: the
+    result holds just those variables, in the order given, with their specs
+    from the header.  The whole header is still validated, and every row
+    must still have one cell per header column, but only the selected
+    columns are converted, so a malformed cell in an unselected column is
+    not an error.  An index the header lacks raises ``KeyError(index)``.
 
     The data rows go through one ``np.loadtxt`` pass; when it declines, the
     row-by-row parser reads them and names the offending line.
@@ -179,13 +194,24 @@ def read_dataset_csv(path) -> Dataset:
             spec = VariableSpec.real(len(own))
         layout.append((spec, [c[3] for c in own]))
 
+    usecols = None
+    if variables is not None:
+        for vid in variables:
+            if not 0 <= vid < len(layout):
+                raise KeyError(vid)
+        layout = [layout[vid] for vid in variables]
+        usecols = sorted({pos for _, positions in layout for pos in positions})
+        where = {pos: k for k, pos in enumerate(usecols)}
+        layout = [(spec, [where[pos] for pos in positions])
+                  for spec, positions in layout]
+
     if not rows:
         raise DataError(f"{path}: no data rows")
-    table = _fast_table(rows, len(header))
+    table = _fast_table(rows, len(header), usecols)
     if table is None:
-        table = _parse_rows(path, rows, len(header))
+        table = _parse_rows(path, rows, len(header), usecols)
 
-    variables = []
+    arrays = []
     specs = []
     for spec, positions in layout:
         block = table[:, positions]
@@ -201,40 +227,49 @@ def read_dataset_csv(path) -> Dataset:
                 raise DataError(f"{path}:{rows[bad][0]}: categorical symbol "
                                 f"out of range for var cardinality "
                                 f"{spec.cardinality}")
-            variables.append(ints)
+            arrays.append(ints)
         else:
-            variables.append(block)
+            arrays.append(block)
         specs.append(spec)
-    return Dataset(variables=variables, specs=specs)
+    return Dataset(variables=arrays, specs=specs)
 
 
-def _fast_table(rows, n_cols: int) -> np.ndarray | None:
+def _fast_table(rows, n_cols: int, usecols=None) -> np.ndarray | None:
     """The data rows parsed in one ``np.loadtxt`` pass, or None.
 
-    None when a row holds a quote or a mid-line ``#`` (which the csv module
-    and loadtxt read differently), when loadtxt rejects a row, or when the
-    table is not ``n_cols`` wide; :func:`_parse_rows` then names the line.
+    ``usecols`` (sorted column positions; None for all) picks the columns
+    converted.  None when a row holds a quote or a mid-line ``#`` (which the
+    csv module and loadtxt read differently), when a row is not ``n_cols``
+    cells wide, or when loadtxt rejects a row; :func:`_parse_rows` then
+    names the line.
     """
     lines = [line for _, line in rows]
     if any('"' in line or "#" in line for line in lines):
         return None
+    # loadtxt checks row widths only when it converts every column.
+    if usecols is not None and any(line.count(",") != n_cols - 1 for line in lines):
+        return None
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                           usecols=usecols)
     except ValueError:
         return None
-    return table if table.shape == (len(lines), n_cols) else None
+    width = n_cols if usecols is None else len(usecols)
+    return table if table.shape == (len(lines), width) else None
 
 
-def _parse_rows(path, rows, n_cols: int) -> np.ndarray:
-    """Row-by-row parser: the csv module and ``float`` on each cell."""
-    table = np.empty((len(rows), n_cols))
+def _parse_rows(path, rows, n_cols: int, usecols=None) -> np.ndarray:
+    """Row-by-row parser: the csv module, then ``float`` on each cell in
+    ``usecols`` (all when None).  Every row must be ``n_cols`` cells wide."""
+    usecols = range(n_cols) if usecols is None else usecols
+    table = np.empty((len(rows), len(usecols)))
     for r, (line_no, line) in enumerate(rows):
         cells = next(csv.reader([line]))
         if len(cells) != n_cols:
             raise DataError(f"{path}:{line_no}: expected {n_cols} cells, "
                             f"got {len(cells)}")
         try:
-            table[r] = [float(c) for c in cells]
+            table[r] = [float(cells[pos]) for pos in usecols]
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
     return table

@@ -197,6 +197,39 @@ def test_estimate_tabular_on_categorical_columns(tmp_path):
     assert got == pytest.approx(entropy, abs=1e-12)
 
 
+def test_estimate_categorical_keeps_the_header_cardinality(tmp_path, monkeypatch):
+    path = tmp_path / "cat.csv"
+    symbols = [0, 1, 2] * 20
+    path.write_text("var0_0:cat5,var1_0:cat3\n"
+                    + "".join(f"{s},{(s + 1) % 3}\n" for s in symbols))
+    seen = []
+    estimate = cli.empirical_information
+    monkeypatch.setattr(cli, "empirical_information",
+                        lambda family, *args, **kwargs: seen.append(family)
+                        or estimate(family, *args, **kwargs))
+    assert main(["estimate", "--data", str(path), "--x-cols", "var0", "--y-cols", "var1",
+                 "--family", "tabular", "--out", str(tmp_path / "e.json")]) == 0
+    [family] = seen
+    assert family.x_spec == VariableSpec.categorical(5)
+    assert family.y_spec == VariableSpec.categorical(3)
+
+
+@pytest.mark.parametrize("x_cols,y_cols,message", [
+    ("var7", "var1", "x-cols: no variable var7"),
+    ("var0", "var1,var9", "y-cols: no variable var9"),
+    ("var0_0,var7", "var9", "x-cols: no variable var7"),
+    ("var0", "vx", "y-cols: bad column token 'vx'"),
+])
+def test_estimate_bad_column_selection_exits_2(correlated_csv, tmp_path, capsys,
+                                               x_cols, y_cols, message):
+    path, _ = correlated_csv
+    out = tmp_path / "e.json"
+    assert main(["estimate", "--data", str(path), "--x-cols", x_cols, "--y-cols", y_cols,
+                 "--family", "linear_gaussian", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_estimate_malformed_csv_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("var0_0,var1_0\n1.0,2.0\noops,3.0\n")
@@ -685,6 +718,23 @@ CONFIG_CASES = {
         ["--scenario", "sim1", "--sizes", "20,40", "--seeds", "0,1",
          "--families", "linear_gaussian,polynomial_gaussian:2", "--m", "3", "--d", "2",
          "--jobs", "1"]),
+    "estimate-arrays": (
+        "estimate",
+        {"data": "../data.csv", "x_cols": ["var0", "var2"], "y_cols": ["var1_0"],
+         "family": "linear_gaussian", "out": "est.json"},
+        ["--data", "../data.csv", "--x-cols", "var0,var2", "--y-cols", "var1_0",
+         "--family", "linear_gaussian", "--out", "est.json"]),
+    "sweep-arrays": (
+        "sweep",
+        {"scenario": "sim1", "sizes": [20, 40], "seeds": [0, 1],
+         "families": ["linear_gaussian", "polynomial_gaussian:2"], "m": 3, "d": 2},
+        ["--scenario", "sim1", "--sizes", "20,40", "--seeds", "0,1",
+         "--families", "linear_gaussian,polynomial_gaussian:2", "--m", "3", "--d", "2"]),
+    "baselines-arrays": (
+        "baselines",
+        {"rhos": [0.5, 0.9], "seeds": [0], "n": 128, "batch_size": 4, "iterations": 20},
+        ["--rhos", "0.5,0.9", "--seeds", "0", "--n", "128", "--batch-size", "4",
+         "--iterations", "20"]),
     "baselines": (
         "baselines",
         {"rhos": "0.5,0.9", "seeds": "0", "n": 128, "batch_size": 4, "iterations": 20,
@@ -757,6 +807,19 @@ def test_config_on_off_key_takes_only_json_booleans(tmp_path, capsys, command, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("simulate", "n", [20]), ("simulate", "parents", [1, 0]), ("sweep", "m", [3, 4]),
+])
+def test_config_array_for_a_non_list_key_exits_2_naming_it(tmp_path, capsys, command,
+                                                            key, value):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: value}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: {key}: ")
+    assert not out.exists()
+
+
 def test_config_unknown_key_exits_2_naming_it(correlated_csv, tmp_path, capsys):
     path, _ = correlated_csv
     cfg = tmp_path / "c.json"
@@ -792,6 +855,23 @@ def test_tree_seed_flag_wins_over_sim_config_seed(tmp_path):
     assert (record["seed"], record["config"]["sim_config"]["seed"]) == (11, 11)
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_tree_seed_without_sim_config_exits_2(correlated_csv, tmp_path, capsys, form):
+    path, _ = correlated_csv
+    out = tmp_path / "tree.json"
+    argv = ["tree", "--data", str(path), "--family", "linear_gaussian", "--out", str(out)]
+    if form == "flag":
+        argv += ["--seed", "3"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: seed only applies to --sim-config; a --data run draws nothing at random\n")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ #
 # misc
 # ------------------------------------------------------------------ #
@@ -817,3 +897,4 @@ def test_cli_import_leaves_scipy_unloaded():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+

@@ -1,11 +1,13 @@
 """Dataset CSV reader and writer against their row-by-row reference forms."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from usable_info import data
+from usable_info.cli import main
 from usable_info.data import Dataset, read_dataset_csv, write_dataset_csv
 from usable_info.errors import DataError
 from usable_info.families import VariableSpec
@@ -30,19 +32,19 @@ def _reference_write(dataset, path, config=None):
             writer.writerow(row)
 
 
-def _outcome(path):
+def _outcome(path, variables=None):
     try:
-        return read_dataset_csv(path)
+        return read_dataset_csv(path, variables=variables)
     except DataError as exc:
         return str(exc)
 
 
-def _read_both(path, monkeypatch):
+def _read_both(path, monkeypatch, variables=None):
     """What the reader gives, with the loadtxt pass and with the row parser only."""
-    fast = _outcome(path)
+    fast = _outcome(path, variables)
     with monkeypatch.context() as patch:
-        patch.setattr(data, "_fast_table", lambda rows, n_cols: None)
-        rows_only = _outcome(path)
+        patch.setattr(data, "_fast_table", lambda *args: None)
+        rows_only = _outcome(path, variables)
     return fast, rows_only
 
 
@@ -132,3 +134,131 @@ def test_writer_bytes_match_row_loop(tmp_path):
     assert back.variables[1].dtype == np.int64
     assert np.array_equal(back.variables[1], ds.variables[1])
     assert np.array_equal(back.variables[0], real, equal_nan=True)
+
+
+# ------------------------------------------------------------------ #
+# column-projected reads
+# ------------------------------------------------------------------ #
+
+# Corpus files whose full read fails on a cell of one variable: that variable.
+# A projected read that leaves the variable out does not convert the cell.
+BAD_CELL_VARIABLE = {"hash_mid_line": 0, "non_numeric": 0, "non_integer_symbol": 1,
+                     "symbol_out_of_range": 1, "negative_symbol": 1}
+# (file, variables) whose loadtxt pass succeeds only because the cell it
+# rejects in a full read is in an unselected column.
+FAST_ONLY_WHEN_PROJECTED = {("non_numeric", (1,)), ("underscore_digits", (1,))}
+SUBSETS = [(0,), (1,), (1, 0)]
+
+
+def _select(full, variables):
+    """A full read's outcome, cut down to ``variables`` (errors pass through)."""
+    if isinstance(full, str):
+        return full
+    return Dataset(variables=[full.variables[v] for v in variables],
+                   specs=[full.specs[v] for v in variables])
+
+
+def _fast_pass_taken(path, monkeypatch, variables):
+    """Whether a projected read of ``path`` skips the row parser."""
+    calls = []
+    parse_rows = data._parse_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_rows",
+                      lambda *args: calls.append(args) or parse_rows(*args))
+        _outcome(path, variables)
+    return not calls
+
+
+@pytest.mark.parametrize("variables", SUBSETS, ids=lambda v: "vars" + "_".join(map(str, v)))
+@pytest.mark.parametrize("name,body,fast", CORPUS, ids=[c[0] for c in CORPUS])
+def test_projected_read_matches_full_read(tmp_path, monkeypatch, name, body, fast,
+                                          variables):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(HEADER + body, encoding="utf-8", newline="")
+    got, rows_only = _read_both(path, monkeypatch, list(variables))
+    _assert_same(got, rows_only)
+    bad = BAD_CELL_VARIABLE.get(name)
+    if bad is not None and bad not in variables:
+        assert isinstance(got, Dataset)  # the bad cell is not converted
+    else:
+        _assert_same(got, _select(_outcome(path), variables))
+    assert _fast_pass_taken(path, monkeypatch, list(variables)) == (
+        fast or (name, variables) in FAST_ONLY_WHEN_PROJECTED)
+
+
+@pytest.mark.parametrize("body,line,width", [
+    ("1,2,0\n3,4\n", 3, 2),
+    ("1,2,0\n3,4,1,7\n", 3, 4),
+    ("1,2\n3,4,1\n", 2, 2),
+])
+@pytest.mark.parametrize("variables", [[0], [1]])
+def test_projected_read_rejects_ragged_rows(tmp_path, body, line, width, variables):
+    # loadtxt with usecols reads such rows without complaint.
+    path = tmp_path / "ragged.csv"
+    path.write_text(HEADER + body, encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_dataset_csv(path, variables=variables)
+    assert str(err.value) == f"{path}:{line}: expected 3 cells, got {width}"
+
+
+def test_projected_read_names_the_line_of_a_bad_selected_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + "1,2,0\n# c\n3,oops,1\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        read_dataset_csv(path, variables=[0])
+    assert str(err.value) == (f"{path}:4: could not convert string to float: 'oops'")
+
+
+def test_projected_read_accepts_a_bad_unselected_cell(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text(HEADER + "1,2,0\n3,oops,1\n5,6,2\n", encoding="utf-8")
+    with pytest.raises(DataError):
+        read_dataset_csv(path)
+    got = read_dataset_csv(path, variables=[1])
+    assert got.specs == [VariableSpec.categorical(3)]
+    assert got.variables[0].tolist() == [0, 1, 2]
+
+
+def test_projected_read_keeps_the_given_order_and_header_specs(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("var1_0:cat5,var0_1,var2_0,var0_0\n2,1.5,7,-1\n0,2.5,8,-2\n",
+                    encoding="utf-8")
+    got = read_dataset_csv(path, variables=[1, 0])
+    assert got.specs == [VariableSpec.categorical(5), VariableSpec.real(2)]
+    assert got.variables[0].tolist() == [2, 0]
+    assert got.variables[1].tolist() == [[-1.0, 1.5], [-2.0, 2.5]]
+
+
+@pytest.mark.parametrize("variables", [[3], [0, -1]])
+def test_projected_read_of_a_missing_variable_raises_key_error(tmp_path, variables):
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + "1,2,0\n", encoding="utf-8")
+    with pytest.raises(KeyError) as err:
+        read_dataset_csv(path, variables=variables)
+    assert err.value.args == (variables[-1],)
+
+
+def test_projected_read_still_validates_the_whole_header(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("var0_0,var1_0,var1_2\n1,2,3\n", encoding="utf-8")
+    with pytest.raises(DataError, match="var1 coordinates must be 0..d-1"):
+        read_dataset_csv(path, variables=[0])
+
+
+def test_estimate_converts_only_the_selected_columns(tmp_path, monkeypatch):
+    path = tmp_path / "d.csv"
+    rng = np.random.default_rng(1)
+    ds = Dataset(variables=[rng.normal(size=(50, 2)), rng.normal(size=(50, 3)),
+                            rng.normal(size=(50, 1))],
+                 specs=[VariableSpec.real(2), VariableSpec.real(3), VariableSpec.real(1)])
+    write_dataset_csv(ds, path)
+    seen = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *args, **kwargs: seen.append(kwargs.get("usecols"))
+                        or loadtxt(*args, **kwargs))
+    out = tmp_path / "est.json"
+    assert main(["estimate", "--data", str(path), "--x-cols", "var2", "--y-cols", "var0_1",
+                 "--family", "linear_gaussian", "--out", str(out)]) == 0
+    assert seen == [[0, 1, 5]]
+    assert json.loads(out.read_text())["config"]["x_cols"] == ["var2"]
