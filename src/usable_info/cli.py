@@ -553,6 +553,8 @@ def _read_pair_csv(path, value_column: str) -> dict[tuple[int, int], float]:
             val = float(cells[pos[value_column]])
         except (ValueError, IndexError) as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
+        if math.isnan(val):
+            raise DataError(f"{path}:{line_no}: {value_column} is nan")
         if i == j:
             raise DataError(f"{path}:{line_no}: self-pair ({i},{j})")
         if (i, j) in out:
@@ -563,16 +565,15 @@ def _read_pair_csv(path, value_column: str) -> dict[tuple[int, int], float]:
 
 def ranked_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """ROC AUC from the rank statistic, ties averaged."""
-    # Imported here: scipy.stats takes about five times as long to import
-    # as the whole CLI, and only this command needs it.
-    from scipy.stats import rankdata
-
     labels = np.asarray(labels)
     n_pos = int(labels.sum())
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("truth labels must contain both classes")
-    ranks = rankdata(scores)
+    # Tied values share the mean of the ranks they span, which end at ends.
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[inverse]
     return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
                  / (n_pos * n_neg))
 

@@ -185,7 +185,10 @@ def read_dataset_csv(path, variables=None) -> Dataset:
             if len(own) != 1:
                 raise DataError(f"{path}:{header_line}: categorical var{vid} "
                                 f"must be a single column")
-            spec = VariableSpec.categorical(own[0][2])
+            try:
+                spec = VariableSpec.categorical(own[0][2])
+            except ValueError as exc:
+                raise DataError(f"{path}:{header_line}: var{vid}: {exc}") from None
         else:
             coords = [c[1] for c in own]
             if coords != list(range(len(own))):

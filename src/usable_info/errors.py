@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["UsableInfoError", "DataError", "NumericalError", "InfiniteLogDensityError"]
+
 
 class UsableInfoError(Exception):
     """Base class for errors raised by this package."""

@@ -239,6 +239,20 @@ def test_estimate_malformed_csv_exits_3(tmp_path, capsys):
     assert "bad.csv:3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["tree", "--family", "linear_gaussian"],
+    ["estimate", "--x-cols", "var1", "--y-cols", "var0", "--family", "tabular"],
+])
+def test_categorical_cardinality_below_two_exits_3(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# a comment line\nvar0_0:cat1,var1_0\n0,1.5\n0,2.5\n")
+    out = tmp_path / "out.json"
+    assert main(command + ["--data", str(bad), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {bad}:2: var0: categorical variable needs cardinality >= 2\n")
+    assert not out.exists()
+
+
 def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
     rng = np.random.default_rng(3)
     ds = Dataset(variables=[rng.normal(size=(40, 1)),
@@ -645,6 +659,46 @@ def test_auc_missing_pairs_is_data_error(tmp_path, capsys):
     assert "missing" in capsys.readouterr().err
 
 
+def test_auc_nan_score_is_data_error_naming_line(tmp_path, capsys):
+    truth_rows = [(i, j, int(j == 0)) for i in range(3) for j in range(3)
+                  if i != j]
+    score_rows = [(i, j, math.nan if (i, j) == (1, 2) else 1.0)
+                  for i, j, _ in truth_rows]
+    scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+    _write_pairs(scores, score_rows, "score")
+    _write_pairs(truth, truth_rows, "edge")
+    out = tmp_path / "auc.json"
+    rc = main(["auc", "--scores", str(scores), "--truth", str(truth),
+               "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"data error: {scores}:5: score is nan\n"
+    assert not out.exists()
+
+
+def test_ranked_auc_matches_scipy_rankdata_bitwise():
+    # scipy is a test-only reference: the rank-sum AUC on its average ranks.
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(11)
+    checked = 0
+    for trial in range(400):
+        n = int(rng.integers(2, 200))
+        scores = rng.integers(0, int(rng.integers(1, 12)), n).astype(float)
+        scores[rng.random(n) < 0.05] = math.inf
+        if trial % 2:
+            scores[rng.random(n) < 0.3] += rng.normal()
+        labels = (rng.random(n) < 0.4).astype(int)
+        n_pos = int(labels.sum())
+        if n_pos in (0, n):
+            continue
+        ranks = rankdata(scores)
+        expected = float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
+                         / (n_pos * (n - n_pos)))
+        assert ranked_auc(scores, labels) == expected
+        checked += 1
+    assert checked > 300
+
+
 def test_auc_single_class_truth_rejected(tmp_path):
     rows = [(i, j, 1) for i in range(2) for j in range(2) if i != j]
     scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
@@ -885,16 +939,25 @@ def test_no_command_prints_help(capsys):
     assert main([]) == 2
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # ranked_auc imports scipy.stats itself; at the top of the module it
-    # would multiply the start-up time of every command.
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
+    # numpy is the only runtime dependency: even the auc command, which
+    # ranks scores, runs without loading scipy.
     src = str(Path(usable_info.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    truth_rows = [(i, j, int(j == (i + 1) % 3)) for i in range(3) for j in range(3)
+                  if i != j]
+    scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+    _write_pairs(scores, [(i, j, 0.5 * lab) for i, j, lab in truth_rows], "score")
+    _write_pairs(truth, truth_rows, "edge")
+    out = tmp_path / "auc.json"
+    argv = ["auc", "--scores", str(scores), "--truth", str(truth), "--out", str(out)]
     code = ("import sys, usable_info.cli; "
+            f"assert usable_info.cli.main({argv!r}) == 0; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    assert json.loads(out.read_text())["results"]["auc"] == 1.0
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from usable_info.estimation import empirical_information
 from usable_info.families import (
     FamilyConfig,
     FitMode,
@@ -345,6 +346,27 @@ def test_categorical_softmax_marginal_is_shannon_entropy():
     assert h == pytest.approx(_shannon(np.bincount(ys)), abs=1e-9)
 
 
+def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
+    # One-hot x plus a bias is a saturated model: with every (x, y) cell
+    # observed, the fit converges to the empirical conditional pmf.
+    rng = np.random.default_rng(14)
+    xs = rng.integers(0, 3, 300)
+    ys = (xs + (rng.random(300) < 0.35) * rng.integers(1, 3, 300)) % 3
+    counts = np.zeros((3, 3))
+    np.add.at(counts, (xs, ys), 1)
+    assert counts.min() > 0
+    spec = VariableSpec.categorical(3)
+    softmax = FamilyConfig("categorical_softmax", x_spec=spec, y_spec=spec)
+    tabular = FamilyConfig("tabular", x_spec=spec, y_spec=spec)
+    assert (empirical_information(softmax, xs, ys).point_estimate
+            == pytest.approx(empirical_information(tabular, xs, ys).point_estimate,
+                             abs=FitMode().tolerance))
+    pred = fit_conditional(softmax, xs, ys)
+    assert pred.diagnostics["converged"]
+    for x in range(3):
+        assert np.allclose(pred.at(x).pmf, counts[x] / counts[x].sum(), atol=1e-6)
+
+
 def test_least_squares_fit_is_locally_optimal():
     rng = np.random.default_rng(9)
     xs = rng.normal(size=(80, 3))
@@ -380,6 +402,23 @@ def test_geometric_median_on_data_point():
 def test_geometric_median_all_identical_points():
     pts = np.tile([2.0, -1.0], (7, 1))
     assert np.allclose(geometric_median(pts), [2.0, -1.0])
+
+
+def test_geometric_median_of_one_point_is_that_point():
+    assert np.array_equal(geometric_median([[3.0, -2.0]]), [3.0, -2.0])
+
+
+def test_geometric_median_moves_off_a_data_point_that_is_not_the_median():
+    # The mean 0 is a data point, but the other points pull harder than its
+    # own weight, so the tie-fix step leaves it for the 1-D median 1.
+    pts = np.array([[-6.0], [0.0], [1.0], [2.0], [3.0]])
+    assert geometric_median(pts) == pytest.approx([1.0], abs=1e-8)
+
+
+def test_geometric_median_warns_when_out_of_iterations():
+    pts = np.random.default_rng(15).normal(size=(20, 2))
+    with pytest.warns(FitWarning, match="stopped after 1 iterations"):
+        geometric_median(pts, max_iters=1)
 
 
 def test_constrained_linear_fit_projects_into_ball():
