@@ -100,12 +100,6 @@ class Critic:
             self.theta = None
         self.metadata = metadata or {}
 
-    def features(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Feature matrix for aligned (x, y) rows; shape (n, n_features)."""
-        if self.kind == "fixed":
-            raise ValueError("fixed critics have no feature map")
-        return _features(self.kind, xs, ys)
-
     def score(self, xs, ys) -> np.ndarray:
         """Scores of aligned pairs; shape (n,)."""
         xs = _as_matrix(xs, self.x_dim)
@@ -115,7 +109,7 @@ class Critic:
         if self.kind == "fixed":
             out = np.asarray(self._score_fn(xs, ys), dtype=float).reshape(-1)
         else:
-            out = self.features(xs, ys) @ self.theta
+            out = _features(self.kind, xs, ys) @ self.theta
         return _finite(out)
 
     def score_matrix(self, xs, ys) -> np.ndarray:

@@ -565,6 +565,9 @@ def _read_pair_csv(path, value_column: str) -> dict[tuple[int, int], float]:
 
 def ranked_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """ROC AUC from the rank statistic, ties averaged."""
+    scores = np.asarray(scores, dtype=float)
+    if np.any(np.isnan(scores)):
+        raise DataError("scores must not contain nan")
     labels = np.asarray(labels)
     n_pos = int(labels.sum())
     n_neg = labels.shape[0] - n_pos

@@ -30,7 +30,7 @@ All values are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -109,19 +109,9 @@ class InfoEstimate:
     clamped_nonnegative: bool = False
 
     def to_dict(self) -> dict:
-        out = {
-            "point_estimate": self.point_estimate,
-            "h_marginal": self.h_marginal,
-            "h_conditional": self.h_conditional,
-            "sample_count": self.sample_count,
-            "clamped_nonnegative": self.clamped_nonnegative,
-        }
-        if self.pac is not None:
-            out["pac"] = {
-                "delta": self.pac.delta,
-                "half_width": self.pac.half_width,
-                "bound_kind": self.pac.bound_kind,
-            }
+        out = asdict(self)
+        if self.pac is None:
+            del out["pac"]
         return out
 
 

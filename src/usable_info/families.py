@@ -29,7 +29,9 @@ families solve exactly (sample mean, empirical pmf, ordinary least
 squares); ``laplace_mean`` runs Weiszfeld iteration for the geometric
 median; ``categorical_softmax`` and norm-constrained linear maps use
 gradient descent and report a diagnostic when they stop on the iteration
-cap rather than the tolerance.
+cap rather than the tolerance.  A ``categorical_softmax`` class that never
+occurs in the fitted sample gets probability 0, the limit of its logits,
+and the descent runs over the classes that do occur.
 """
 
 from __future__ import annotations
@@ -221,12 +223,19 @@ def _symbol_vector(samples, name: str, cardinality: int | None = None) -> np.nda
     return ints
 
 
-def _cardinality(config_spec: VariableSpec | None, symbols: np.ndarray) -> int:
-    if config_spec is not None:
-        if config_spec.kind != "categorical":
-            raise ValueError("categorical family needs a categorical variable spec")
-        return config_spec.cardinality
-    return max(int(symbols.max()) + 1, 2)
+def _categorical_symbols(samples, name: str, spec: VariableSpec | None):
+    """Symbols of a categorical sample and their cardinality: the spec's, or
+    without a spec the largest symbol plus one, and at least 2."""
+    symbols = _symbol_vector(samples, name, None if spec is None else spec.cardinality)
+    if spec is None:
+        return symbols, max(int(symbols.max()) + 1, 2)
+    if spec.kind != "categorical":
+        raise ValueError("categorical family needs a categorical variable spec")
+    return symbols, spec.cardinality
+
+
+def _clipped(vals: np.ndarray, clip: float | None) -> np.ndarray:
+    return vals if clip is None else np.clip(vals, -clip, clip)
 
 
 # --------------------------------------------------------------------- #
@@ -237,17 +246,13 @@ def _cardinality(config_spec: VariableSpec | None, symbols: np.ndarray) -> int:
 class MarginalPredictor:
     """A single distribution over the target; evaluates log-densities."""
 
-    family: str
     clip: float | None
 
     def _raw_log_densities(self, ys) -> np.ndarray:
         raise NotImplementedError
 
     def log_densities(self, ys) -> np.ndarray:
-        vals = self._raw_log_densities(ys)
-        if self.clip is not None:
-            vals = np.clip(vals, -self.clip, self.clip)
-        return vals
+        return _clipped(self._raw_log_densities(ys), self.clip)
 
     def log_density(self, y) -> float:
         return float(self.log_densities([y])[0])
@@ -256,17 +261,13 @@ class MarginalPredictor:
 class ConditionalPredictor:
     """A map from side information to distributions over the target."""
 
-    family: str
     clip: float | None
 
     def _raw_log_densities(self, xs, ys) -> np.ndarray:
         raise NotImplementedError
 
     def log_densities(self, xs, ys) -> np.ndarray:
-        vals = self._raw_log_densities(xs, ys)
-        if self.clip is not None:
-            vals = np.clip(vals, -self.clip, self.clip)
-        return vals
+        return _clipped(self._raw_log_densities(xs, ys), self.clip)
 
     def log_density(self, x, y) -> float:
         return float(self.log_densities([x], [y])[0])
@@ -283,13 +284,12 @@ class ConditionalPredictor:
 class TabularPmf(MarginalPredictor):
     """Explicit pmf over a finite symbol set."""
 
-    def __init__(self, pmf, family: str = "tabular", clip: float | None = None):
+    def __init__(self, pmf, clip: float | None = None):
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.shape[0] < 2:
             raise ValueError("pmf must be a vector over >= 2 symbols")
         if np.any(pmf < 0) or abs(pmf.sum() - 1.0) > _PMF_TOL:
             raise ValueError("pmf entries must be non-negative and sum to 1")
-        self.family = family
         self.clip = clip
         self.pmf = pmf
         with np.errstate(divide="ignore"):
@@ -303,8 +303,7 @@ class TabularPmf(MarginalPredictor):
 class GaussianMean(MarginalPredictor):
     """Gaussian with covariance I/2; density y -> pi^{-d/2} exp(-||y - mu||^2)."""
 
-    def __init__(self, mu, family: str = "gaussian_mean", clip: float | None = None):
-        self.family = family
+    def __init__(self, mu, clip: float | None = None):
         self.clip = clip
         self.mu = np.asarray(mu, dtype=float).reshape(-1)
 
@@ -318,7 +317,6 @@ class LaplaceMean(MarginalPredictor):
     """Spherical Laplace: density y -> exp(-||y - mu||_2) / Z(d)."""
 
     def __init__(self, mu, clip: float | None = None):
-        self.family = "laplace_mean"
         self.clip = clip
         self.mu = np.asarray(mu, dtype=float).reshape(-1)
         self.log_normalizer = laplace_log_normalizer(self.mu.shape[0])
@@ -337,9 +335,7 @@ class LinearGaussianMap(ConditionalPredictor):
     """
 
     def __init__(self, weight, bias, x_dim: int, exponents=None,
-                 family: str = "linear_gaussian", clip: float | None = None,
-                 diagnostics: dict | None = None):
-        self.family = family
+                 clip: float | None = None, diagnostics: dict | None = None):
         self.clip = clip
         self.weight = np.asarray(weight, dtype=float)
         self.bias = np.asarray(bias, dtype=float).reshape(-1)
@@ -364,17 +360,21 @@ class LinearGaussianMap(ConditionalPredictor):
 
     def at(self, x) -> GaussianMean:
         mu = self.predict_mean([x])[0]
-        return GaussianMean(mu, family=self.family, clip=self.clip)
+        return GaussianMean(mu, clip=self.clip)
 
 
 class SoftmaxMap(ConditionalPredictor):
-    """Multinomial logistic conditional over a finite symbol set."""
+    """Multinomial logistic conditional over a finite symbol set.
 
-    def __init__(self, theta, x_dim: int, x_cardinality: int | None = None,
+    ``classes`` marks which of the C symbols the rows of ``theta`` score,
+    in order; every other symbol has probability 0.
+    """
+
+    def __init__(self, theta, classes, x_dim: int, x_cardinality: int | None = None,
                  clip: float | None = None, diagnostics: dict | None = None):
-        self.family = "categorical_softmax"
         self.clip = clip
-        self.theta = np.asarray(theta, dtype=float)  # (C, q + 1), last col bias
+        self.theta = np.asarray(theta, dtype=float)  # (k, q + 1), last col bias
+        self.classes = np.asarray(classes, dtype=bool)  # (C,), k entries set
         self.x_dim = x_dim
         self.x_cardinality = x_cardinality
         self.diagnostics = diagnostics
@@ -387,11 +387,13 @@ class SoftmaxMap(ConditionalPredictor):
         logits = self._features(xs) @ self.theta.T
         logits -= logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        return logits - log_norm
+        log_probs = np.full((logits.shape[0], self.classes.shape[0]), -np.inf)
+        log_probs[:, self.classes] = logits - log_norm
+        return log_probs
 
     def _raw_log_densities(self, xs, ys) -> np.ndarray:
         log_probs = self._log_probs(xs)
-        idx = _symbol_vector(ys, "y", cardinality=self.theta.shape[0])
+        idx = _symbol_vector(ys, "y", cardinality=self.classes.shape[0])
         if idx.shape[0] != log_probs.shape[0]:
             raise ValueError("xs and ys have different lengths")
         return log_probs[np.arange(idx.shape[0]), idx]
@@ -399,7 +401,7 @@ class SoftmaxMap(ConditionalPredictor):
     def at(self, x) -> TabularPmf:
         pmf = np.exp(self._log_probs([x])[0])
         pmf = pmf / pmf.sum()
-        return TabularPmf(pmf, family=self.family, clip=self.clip)
+        return TabularPmf(pmf, clip=self.clip)
 
 
 class TabularConditional(ConditionalPredictor):
@@ -409,12 +411,9 @@ class TabularConditional(ConditionalPredictor):
     pmf so their log-densities stay finite.
     """
 
-    def __init__(self, table, seen, marginal_pmf, clip: float | None = None):
-        self.family = "tabular"
+    def __init__(self, table, clip: float | None = None):
         self.clip = clip
         self.table = np.asarray(table, dtype=float)  # (Cx, Cy)
-        self.seen = np.asarray(seen, dtype=bool)
-        self.marginal_pmf = np.asarray(marginal_pmf, dtype=float)
         row_sums = self.table.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > _PMF_TOL):
             raise ValueError("conditional pmf rows must sum to 1")
@@ -430,7 +429,7 @@ class TabularConditional(ConditionalPredictor):
 
     def at(self, x) -> TabularPmf:
         xi = int(_symbol_vector([x], "x", cardinality=self.table.shape[0])[0])
-        return TabularPmf(self.table[xi], family=self.family, clip=self.clip)
+        return TabularPmf(self.table[xi], clip=self.clip)
 
 
 class ConstantConditional(ConditionalPredictor):
@@ -443,7 +442,6 @@ class ConstantConditional(ConditionalPredictor):
 
     def __init__(self, base: MarginalPredictor, clip: float | None = None):
         self.base = base
-        self.family = base.family
         self.clip = clip
 
     def _raw_log_densities(self, xs, ys) -> np.ndarray:
@@ -473,12 +471,9 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
     constant sub-family: a Gaussian centred on the sample mean.
     """
     if config.kind in _CATEGORICAL_KINDS:
-        symbols = _symbol_vector(ys, "ys")
-        card = _cardinality(config.y_spec, symbols)
-        if np.any(symbols >= card):
-            raise ValueError(f"ys: categorical symbol out of range (cardinality {card})")
+        symbols, card = _categorical_symbols(ys, "ys", config.y_spec)
         pmf = np.bincount(symbols, minlength=card) / symbols.shape[0]
-        return TabularPmf(pmf, family=config.kind, clip=config.clip_b)
+        return TabularPmf(pmf, clip=config.clip_b)
 
     y = _real_matrix(ys, "ys", config.y_spec)
     if config.kind == "laplace_mean":
@@ -487,7 +482,7 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
               else geometric_median(y, tol=fit.tolerance, max_iters=fit.max_iters))
         return LaplaceMean(mu, clip=config.clip_b)
     # gaussian_mean, linear_gaussian, polynomial_gaussian
-    return GaussianMean(y.mean(axis=0), family=config.kind, clip=config.clip_b)
+    return GaussianMean(y.mean(axis=0), clip=config.clip_b)
 
 
 def fit_conditional(config: FamilyConfig, xs, ys) -> ConditionalPredictor:
@@ -536,14 +531,10 @@ def log_density(predictor, y, *, x=None) -> float:
 
 
 def _fit_tabular_conditional(config: FamilyConfig, xs, ys) -> TabularConditional:
-    xi = _symbol_vector(xs, "xs")
-    yi = _symbol_vector(ys, "ys")
+    xi, cx = _categorical_symbols(xs, "xs", config.x_spec)
+    yi, cy = _categorical_symbols(ys, "ys", config.y_spec)
     if xi.shape[0] != yi.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    cx = _cardinality(config.x_spec, xi)
-    cy = _cardinality(config.y_spec, yi)
-    if np.any(xi >= cx) or np.any(yi >= cy):
-        raise ValueError("categorical symbol out of range")
     counts = np.zeros((cx, cy))
     np.add.at(counts, (xi, yi), 1.0)
     row_totals = counts.sum(axis=1)
@@ -551,7 +542,7 @@ def _fit_tabular_conditional(config: FamilyConfig, xs, ys) -> TabularConditional
     marginal = np.bincount(yi, minlength=cy) / yi.shape[0]
     table = np.where(seen[:, None], counts / np.where(seen, row_totals, 1.0)[:, None],
                      marginal[None, :])
-    return TabularConditional(table, seen, marginal, clip=config.clip_b)
+    return TabularConditional(table, clip=config.clip_b)
 
 
 def _poly_exponents(x_dim: int, order: int) -> tuple:
@@ -597,7 +588,7 @@ def _fit_linear_conditional(config: FamilyConfig, xs, ys) -> LinearGaussianMap:
         )
     return LinearGaussianMap(
         weight, bias, x_dim=x.shape[1], exponents=exponents,
-        family=config.kind, clip=config.clip_b, diagnostics=diagnostics,
+        clip=config.clip_b, diagnostics=diagnostics,
     )
 
 
@@ -647,17 +638,11 @@ def _encode_softmax_inputs(xs, x_dim: int, x_cardinality: int | None) -> np.ndar
 
 
 def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
-    yi = _symbol_vector(ys, "ys")
-    cy = _cardinality(config.y_spec, yi)
-    if np.any(yi >= cy):
-        raise ValueError("ys: categorical symbol out of range")
-    x_card = None
-    if config.x_spec is not None and config.x_spec.kind == "categorical":
-        x_card = config.x_spec.cardinality
-    if x_card is not None:
-        x = _encode_softmax_inputs(xs, x_dim=x_card, x_cardinality=x_card)
-    else:
-        x = _real_matrix(xs, "xs", config.x_spec)
+    yi, cy = _categorical_symbols(ys, "ys", config.y_spec)
+    # A real spec has no cardinality, so x_card is set only for categorical x.
+    x_card = None if config.x_spec is None else config.x_spec.cardinality
+    x = (_encode_softmax_inputs(xs, x_dim=x_card, x_cardinality=x_card)
+         if x_card is not None else _real_matrix(xs, "xs", config.x_spec))
     if x.shape[0] != yi.shape[0]:
         raise ValueError("xs and ys have different lengths")
     mode = config.fit or FitMode()
@@ -667,9 +652,11 @@ def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
     gram = feats.T @ feats / n
     lam = float(np.linalg.eigvalsh(gram)[-1])
     step = mode.step_size if mode.step_size is not None else 1.0 / (lam + 1e-12)
-    onehot = np.zeros((n, cy))
-    onehot[np.arange(n), yi] = 1.0
-    theta = np.zeros((cy, feats.shape[1]))
+    # An absent class's maximum-likelihood logit is -inf: fit only those present.
+    classes = np.bincount(yi, minlength=cy) > 0
+    onehot = np.zeros((n, int(classes.sum())))
+    onehot[np.arange(n), (np.cumsum(classes) - 1)[yi]] = 1.0
+    theta = np.zeros((onehot.shape[1], feats.shape[1]))
     converged = False
     it = 0
     grad_norm = math.inf
@@ -692,7 +679,7 @@ def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
             f"(gradient norm {grad_norm:.3e} > tolerance {mode.tolerance:.3e})",
             FitWarning,
         )
-    return SoftmaxMap(theta, x_dim=x.shape[1], x_cardinality=x_card,
+    return SoftmaxMap(theta, classes, x_dim=x.shape[1], x_cardinality=x_card,
                       clip=config.clip_b, diagnostics=diagnostics)
 
 
@@ -723,8 +710,6 @@ def geometric_median(points, tol: float = 1e-9, max_iters: int = 10_000) -> np.n
     if not _positive_finite(tol):
         raise ValueError("tol must be positive and finite")
     pts = _real_matrix(points, "points")
-    if pts.shape[0] == 1:
-        return pts[0].copy()
     mu = pts.mean(axis=0)
     eps = 1e-12
     for it in range(1, max_iters + 1):

@@ -119,10 +119,9 @@ class Arborescence:
     def undirected_edges(self) -> set[frozenset]:
         return {frozenset(e) for e in self.edges()}
 
-    def parent_vector(self, sentinel: int = -1) -> tuple[int, ...]:
-        return tuple(
-            self.parent[i] if i != self.root else sentinel for i in range(self.m)
-        )
+    def parent_vector(self) -> tuple[int, ...]:
+        """Parent of each node in order, with -1 for the root."""
+        return tuple(self.parent[i] if i != self.root else -1 for i in range(self.m))
 
     def to_dict(self) -> dict:
         parents = [None if i == self.root else int(self.parent[i])

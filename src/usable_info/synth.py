@@ -115,7 +115,6 @@ class GroundTruth:
     tree: Arborescence
     orthogonal_maps: dict[int, np.ndarray] = field(default_factory=dict)
     noise_vars: dict[int, float] = field(default_factory=dict)
-    scenario: str = ""
 
 
 def gaussian_pair_information(rho: float, var_y: float) -> float:
@@ -231,8 +230,7 @@ def simulate(config: SimulationConfig) -> tuple[Dataset, GroundTruth]:
     variables = [values[i] for i in range(m)]
     specs = [VariableSpec.real(d) for _ in range(m)]
     dataset = Dataset(variables=variables, specs=specs)
-    truth = GroundTruth(tree=tree, orthogonal_maps=maps,
-                        noise_vars=noise_vars, scenario=config.scenario)
+    truth = GroundTruth(tree=tree, orthogonal_maps=maps, noise_vars=noise_vars)
     return dataset, truth
 
 
@@ -245,5 +243,5 @@ def _simulate_gaussian_pair(config, rng):
     tree = Arborescence(root=0, parent={1: 0})
     dataset = Dataset(variables=[x, y],
                       specs=[VariableSpec.real(d), VariableSpec.real(d)])
-    truth = GroundTruth(tree=tree, scenario="gaussian_pair")
+    truth = GroundTruth(tree=tree)
     return dataset, truth

@@ -214,6 +214,26 @@ def test_estimate_categorical_keeps_the_header_cardinality(tmp_path, monkeypatch
     assert family.y_spec == VariableSpec.categorical(3)
 
 
+def test_estimate_softmax_with_a_declared_class_that_never_occurs(tmp_path):
+    # y is declared cat6 but holds only 0..3, with every (x, y) cell observed.
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 3, 300)
+    y = (x + rng.choice(4, 300, p=[0.55, 0.25, 0.12, 0.08])) % 4
+    counts = np.zeros((3, 4))
+    np.add.at(counts, (x, y), 1)
+    assert counts.min() > 0
+    path = tmp_path / "cat.csv"
+    path.write_text("var0_0:cat3,var1_0:cat6\n"
+                    + "".join(f"{a},{b}\n" for a, b in zip(x, y)))
+    values = {}
+    for family in ("tabular", "categorical_softmax"):
+        out = tmp_path / f"{family}.json"
+        assert main(["estimate", "--data", str(path), "--x-cols", "var0",
+                     "--y-cols", "var1", "--family", family, "--out", str(out)]) == 0
+        values[family] = json.loads(out.read_text())["results"]["point_estimate"]
+    assert values["categorical_softmax"] == pytest.approx(values["tabular"], abs=1e-9)
+
+
 @pytest.mark.parametrize("x_cols,y_cols,message", [
     ("var7", "var1", "x-cols: no variable var7"),
     ("var0", "var1,var9", "y-cols: no variable var9"),
@@ -673,6 +693,11 @@ def test_auc_nan_score_is_data_error_naming_line(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == f"data error: {scores}:5: score is nan\n"
     assert not out.exists()
+
+
+def test_ranked_auc_rejects_nan_scores():
+    with pytest.raises(DataError, match="nan"):
+        ranked_auc(np.array([math.nan, 0.0, 1.0, 2.0]), np.array([0, 1, 1, 0]))
 
 
 def test_ranked_auc_matches_scipy_rankdata_bitwise():

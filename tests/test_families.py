@@ -367,6 +367,68 @@ def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
         assert np.allclose(pred.at(x).pmf, counts[x] / counts[x].sum(), atol=1e-6)
 
 
+def test_softmax_gives_a_class_that_never_occurs_probability_zero():
+    rng = np.random.default_rng(15)
+    xs = rng.integers(0, 3, 300)
+    ys = (xs + rng.choice(3, 300, p=[0.6, 0.25, 0.15])) % 3
+    counts = np.zeros((3, 5))
+    np.add.at(counts, (xs, ys), 1)
+    assert counts[:, :3].min() > 0
+    softmax = FamilyConfig("categorical_softmax", x_spec=VariableSpec.categorical(3),
+                           y_spec=VariableSpec.categorical(5))
+    pred = fit_conditional(softmax, xs, ys)
+    assert pred.diagnostics["converged"]
+    for x in range(3):
+        pmf = pred.at(x).pmf
+        assert np.array_equal(pmf[3:], [0.0, 0.0])
+        assert np.allclose(pmf, counts[x] / counts[x].sum(), atol=1e-6)
+    assert pred.log_density(0, 4) == -math.inf
+
+
+# Each categorical fit, the argument that carries its symbols, and how to
+# read the cardinality the fitted predictor ranges over.
+_CATEGORICAL_FITS = {
+    "marginal": (
+        "ys",
+        lambda spec, s: fit_marginal(FamilyConfig("tabular", y_spec=spec), s),
+        lambda pred: pred.pmf.shape[0],
+    ),
+    "tabular x": (
+        "xs",
+        lambda spec, s: fit_conditional(FamilyConfig("tabular", x_spec=spec),
+                                        s, np.arange(s.size) % 2),
+        lambda pred: pred.table.shape[0],
+    ),
+    "tabular y": (
+        "ys",
+        lambda spec, s: fit_conditional(FamilyConfig("tabular", y_spec=spec),
+                                        np.arange(s.size) % 2, s),
+        lambda pred: pred.table.shape[1],
+    ),
+    "softmax y": (
+        "ys",
+        lambda spec, s: fit_conditional(
+            FamilyConfig("categorical_softmax", y_spec=spec, fit=FitMode(max_iters=1)),
+            np.zeros((s.size, 1)), s),
+        lambda pred: pred.classes.shape[0],
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore::usable_info.families.FitWarning")
+@pytest.mark.parametrize("case", sorted(_CATEGORICAL_FITS))
+def test_categorical_fits_share_one_symbol_rule(case):
+    name, fit, cardinality = _CATEGORICAL_FITS[case]
+    with pytest.raises(ValueError,
+                       match=rf"^{name}: categorical symbol out of range \(cardinality 3\)$"):
+        fit(VariableSpec.categorical(3), np.array([0, 1, 3]))
+    with pytest.raises(ValueError, match="needs a categorical variable spec"):
+        fit(VariableSpec.real(1), np.array([0, 1, 1]))
+    assert cardinality(fit(VariableSpec.categorical(4), np.array([0, 1, 1]))) == 4
+    assert cardinality(fit(None, np.array([0, 4, 1]))) == 5
+    assert cardinality(fit(None, np.array([0, 0, 0]))) == 2
+
+
 def test_least_squares_fit_is_locally_optimal():
     rng = np.random.default_rng(9)
     xs = rng.normal(size=(80, 3))

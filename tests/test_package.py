@@ -2,6 +2,9 @@
 
 import importlib
 import pkgutil
+from pathlib import Path
+
+import pytest
 
 import usable_info
 
@@ -28,3 +31,12 @@ def test_each_public_name_is_the_object_of_its_defining_module():
         assert name in module.__all__, name
         assert getattr(module, name) is obj, name
 
+
+def test_pyproject_reads_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert (pyproject["tool"]["setuptools"]["dynamic"]["version"]
+            == {"attr": "usable_info.__version__"})
