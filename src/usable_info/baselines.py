@@ -19,10 +19,15 @@ before exponentiation to avoid overflow.  An NWJ fit step draws
 ``min(n, 256)`` joint pairs and as many product pairs.
 
 Every fit runs through one gradient ascent over a stack of same-shape
-problems: a lone :func:`fit_critic` is a stack of one, and
+problems, and every fitted estimate through :func:`fit_and_estimate_stack`,
+which fits a stack, checks it and evaluates it in chunks.  A lone
+:func:`fit_critic` is a stack of one, as is :func:`fit_and_estimate`;
 :func:`baseline_edge_weights` stacks every ordered pair of the same
-dimensions.  Each problem keeps its own random stream and sees exactly the
-floating-point operations of a lone fit, so stacking changes no bit.
+dimensions, and ``usable-info baselines`` every ``(rho, seed)`` row of an
+objective.  Each problem sees exactly the floating-point operations of a
+lone fit and the batches its own seed draws, so stacking changes no bit.
+Problems that share a seed draw the same batches, so each step draws once
+per distinct seed and gathers the draws into the stack.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ __all__ = [
     "nwj_estimate",
     "fit_critic",
     "fit_and_estimate",
+    "fit_and_estimate_stack",
     "baseline_edge_weights",
     "gaussian_oracle_critic",
 ]
@@ -55,9 +61,12 @@ DEFAULT_SCORE_CAP = 50.0
 # Critic-fit iterations per ordered pair in baseline_edge_weights: fewer
 # than BatchSpec's default, since an m-node tree fits m(m-1) critics.
 EDGE_WEIGHT_ITERATIONS = 200
-# baseline_edge_weights fits its pairs in chunks, so that one stacked
-# (pairs, rows, features) block holds at most this many floats.
+# fit_and_estimate_stack fits its problems in chunks, so that one stacked
+# (problems, rows, features) block holds at most this many floats.
 _STACK_FLOATS = 1 << 22
+# Why a stacked problem failed, as fit_and_estimate_stack reports it.
+DIVERGED = "critic fit diverged to non-finite parameters"
+NON_FINITE_SCORES = "critic produced non-finite scores"
 
 
 @dataclass(frozen=True)
@@ -169,7 +178,7 @@ def _matvec(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
 
 def _finite(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
-        raise NumericalError("critic produced non-finite scores")
+        raise NumericalError(NON_FINITE_SCORES)
     return scores
 
 
@@ -287,7 +296,7 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
         "score_cap": DEFAULT_SCORE_CAP,
     })
     if not np.all(np.isfinite(theta)):
-        warnings.warn("critic fit diverged to non-finite parameters", FitWarning)
+        warnings.warn(DIVERGED, FitWarning)
     return fitted
 
 
@@ -312,31 +321,39 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     n_problems, n = xs.shape[:2]
     if n < spec.batch_size:
         raise ValueError("not enough samples for one batch")
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    # Problems that share a seed draw the same rows: one stream per distinct
+    # seed, its draws gathered into every problem that uses it.
+    streams: dict = {}
+    for seed in seeds:
+        streams.setdefault(seed, len(streams))
+    rngs = [np.random.default_rng(seed) for seed in streams]
+    gather = None if len(rngs) == n_problems else np.array([streams[s] for s in seeds])
     # Draws index each problem's own rows of the flattened (P*n, d) stacks.
     offsets = np.arange(n_problems)[:, None] * n
     flat_xs = xs.reshape(-1, xs.shape[2])
     flat_ys = ys.reshape(-1, ys.shape[2])
     theta = np.zeros((n_problems, _feature_count(kind, xs.shape[2], ys.shape[2])))
     if objective == "cpc":
-        draws = np.empty((n_problems, spec.batch_size), dtype=np.int64)
+        draws = np.empty((len(rngs), spec.batch_size), dtype=np.int64)
     else:
         n_draw = min(n, 256)  # joint pairs, and product pairs, per step
         joint_feats = _features(kind, flat_xs, flat_ys)
-        draws = np.empty((n_problems, 3 * n_draw), dtype=np.int64)
+        draws = np.empty((len(rngs), 3 * n_draw), dtype=np.int64)
     for _ in range(spec.iterations):
         if objective == "cpc":
-            for p, rng in enumerate(rngs):
-                draws[p] = rng.choice(n, size=spec.batch_size, replace=False)
-            flat = draws + offsets
+            for k, rng in enumerate(rngs):
+                draws[k] = rng.choice(n, size=spec.batch_size, replace=False)
+        else:
+            for k, rng in enumerate(rngs):
+                draws[k, :n_draw] = rng.choice(n, size=n_draw, replace=False)
+                # One call draws both product index sets, x's then y's.
+                draws[k, n_draw:] = rng.integers(0, n, 2 * n_draw)
+        flat = (draws if gather is None else draws[gather]) + offsets
+        if objective == "cpc":
             value, grad = _cpc_value_grad(kind, theta, np.take(flat_xs, flat, axis=0),
                                           np.take(flat_ys, flat, axis=0))
         else:
-            for p, rng in enumerate(rngs):
-                draws[p, :n_draw] = rng.choice(n, size=n_draw, replace=False)
-                # One call draws both product index sets, x's then y's.
-                draws[p, n_draw:] = rng.integers(0, n, 2 * n_draw)
-            joint, px, py = np.split(draws + offsets, 3, axis=1)
+            joint, px, py = np.split(flat, 3, axis=1)
             p_feats = _features(kind, np.take(flat_xs, px, axis=0),
                                 np.take(flat_ys, py, axis=0))
             value, grad = _nwj_value_grad(theta, np.take(joint_feats, joint, axis=0),
@@ -380,43 +397,99 @@ def fit_and_estimate(objective: str, fit_xs, fit_ys, eval_xs, eval_ys,
     ``"cpc"`` averages :func:`cpc_estimate` over consecutive full batches
     of ``spec.batch_size`` eval pairs, so it never exceeds the log batch
     size.  ``"nwj"`` takes product pairs ``(eval_xs, eval_ys[perm])``;
-    ``perm`` defaults to a permutation drawn from ``spec.seed``.
+    ``perm`` defaults to a permutation drawn from ``spec.seed``.  A fit that
+    diverges warns; a critic that scores an eval pair non-finitely raises
+    :class:`NumericalError`.
     """
-    critic = fit_critic("bilinear", objective, fit_xs, fit_ys, spec=spec)
-    eval_xs = _as_matrix(eval_xs, critic.x_dim)
-    eval_ys = _as_matrix(eval_ys, critic.y_dim)
-    n = eval_xs.shape[0]
-    if eval_ys.shape[0] != n:
+    _check_objective(objective)
+    fit_xs, fit_ys = _as_columns(fit_xs), _as_columns(fit_ys)
+    if fit_ys.shape[0] != fit_xs.shape[0]:
+        raise ValueError("xs and ys have different lengths")
+    eval_xs = _as_matrix(eval_xs, fit_xs.shape[1])
+    eval_ys = _as_matrix(eval_ys, fit_ys.shape[1])
+    if eval_ys.shape[0] != eval_xs.shape[0]:
         raise ValueError("eval xs and ys have different lengths")
-    if objective == "cpc" and n < spec.batch_size:
-        raise ValueError("not enough eval samples for one batch")
-    if objective == "nwj" and perm is None:
-        perm = np.random.default_rng(spec.seed).permutation(n)
     perms = None if perm is None else np.asarray(perm)[None]
-    return float(_estimates(objective, critic.theta[None], eval_xs[None], eval_ys[None],
-                            perms, spec.batch_size)[0])
+    values, failures = fit_and_estimate_stack(
+        objective, fit_xs[None], fit_ys[None], eval_xs[None], eval_ys[None], [spec.seed],
+        spec, perms=perms)
+    if failures[0] == DIVERGED:
+        warnings.warn(DIVERGED, FitWarning)
+    if failures[0] is not None:
+        raise NumericalError(NON_FINITE_SCORES)
+    return float(values[0])
 
 
-def _estimates(objective, theta, xs, ys, perms, batch_size: int) -> np.ndarray:
-    """What :func:`fit_and_estimate` returns, for each stacked bilinear critic.
+def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, seeds,
+                           spec: BatchSpec, perms=None):
+    """:func:`fit_and_estimate` for each of a stack of P problems.
+
+    Problem p fits on ``fit_xs[p]`` (n, dx) and ``fit_ys[p]`` (n, dy) with
+    ``seeds[p]`` in place of ``spec.seed``, then estimates on ``eval_xs[p]``
+    (k, dx) and ``eval_ys[p]`` (k, dy); NWJ product pairs take
+    ``eval_ys[p, perms[p]]``, with ``perms`` drawn from each seed when
+    omitted.  The problems are fitted and evaluated in chunks of at most
+    ``_STACK_FLOATS`` floats, each chunk one stacked ascent.
+
+    Returns the values (P,) and, for each problem, ``None`` or why it
+    failed: :data:`DIVERGED` when its critic fit left non-finite
+    parameters, else :data:`NON_FINITE_SCORES` when its critic scored an
+    eval pair non-finitely.  A failed problem's value is NaN.
+    """
+    _check_objective(objective)
+    n_problems, n_fit, dx = fit_xs.shape
+    dy = fit_ys.shape[2]
+    n_eval = eval_xs.shape[1]
+    if (fit_ys.shape[:2] != (n_problems, n_fit) or eval_xs.shape != (n_problems, n_eval, dx)
+            or eval_ys.shape != (n_problems, n_eval, dy) or len(seeds) != n_problems):
+        raise ValueError("fit and eval stacks do not match")
+    if n_fit < spec.batch_size:
+        raise ValueError("not enough samples for one batch")
+    if objective == "cpc" and n_eval < spec.batch_size:
+        raise ValueError("not enough eval samples for one batch")
+    if objective == "nwj" and perms is None:
+        perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
+    rows = max(n_fit, n_eval, spec.batch_size ** 2) * _feature_count("bilinear", dx, dy)
+    size = max(1, _STACK_FLOATS // rows)
+    values = np.empty(n_problems)
+    failures = []
+    for k in range(0, n_problems, size):
+        chunk = slice(k, k + size)
+        theta = _ascend("bilinear", objective, fit_xs[chunk], fit_ys[chunk],
+                        seeds[chunk], spec)[0]
+        diverged = ~np.all(np.isfinite(theta), axis=1)
+        values[chunk], non_finite = _estimates(
+            objective, theta, eval_xs[chunk], eval_ys[chunk],
+            None if perms is None else perms[chunk], spec.batch_size)
+        failures += [DIVERGED if d else NON_FINITE_SCORES if f else None
+                     for d, f in zip(diverged, non_finite)]
+    values[[why is not None for why in failures]] = np.nan
+    return values, failures
+
+
+def _estimates(objective, theta, xs, ys, perms, batch_size: int):
+    """What :func:`fit_and_estimate` returns, for each stacked bilinear critic,
+    and whether any of its scores was non-finite: two (P,) arrays.
 
     ``theta`` is (P, q); problem p evaluates on ``xs[p]``, ``ys[p]`` and,
     for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
     """
+    n_problems, n = xs.shape[:2]
     if objective == "cpc":
-        n_problems, n = xs.shape[:2]
         b = batch_size
         values = np.empty((n_problems, n // b))
+        non_finite = np.zeros(n_problems, dtype=bool)
         for t, k in enumerate(range(0, n - b + 1, b)):
             feats = _grid_features("bilinear", xs[:, k:k + b], ys[:, k:k + b])
-            scores = _finite(_matvec(feats, theta)).reshape(n_problems, b, b)
+            scores = _matvec(feats, theta).reshape(n_problems, b, b)
+            non_finite |= ~np.all(np.isfinite(scores), axis=(1, 2))
             values[:, t] = _contrastive(_capped(scores))[0]
-        return values.mean(axis=1)
-    joint = _capped(_finite(_matvec(_features("bilinear", xs, ys), theta)))
-    rows = np.arange(xs.shape[0])[:, None]
-    prod_feats = _features("bilinear", xs, ys[rows, perms])
-    prod = _capped(_finite(_matvec(prod_feats, theta)))
-    return _nwj_value(joint, np.exp(prod))
+        return values.mean(axis=1), non_finite
+    joint = _matvec(_features("bilinear", xs, ys), theta)
+    rows = np.arange(n_problems)[:, None]
+    prod = _matvec(_features("bilinear", xs, ys[rows, perms]), theta)
+    non_finite = ~(np.all(np.isfinite(joint), axis=1) & np.all(np.isfinite(prod), axis=1))
+    return _nwj_value(_capped(joint), np.exp(_capped(prod))), non_finite
 
 
 def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix:
@@ -425,39 +498,30 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
     Pair ``(i, j)`` fits and evaluates on all its samples as
     :func:`fit_and_estimate` does, seeded from ``(seed, i, j)`` so that each
     weight is reproducible on its own.  Pairs of the same dimensions share
-    one stacked ascent; a fit that diverges warns once, naming its pairs.
+    one :func:`fit_and_estimate_stack` call; fits that diverge warn once,
+    naming their pairs, before a non-finite score raises.
     """
     m = _check_aligned(variables)
     _check_objective(method)
     variables = [_as_columns(v) for v in variables]
-    n = variables[0].shape[0]
     spec = BatchSpec(iterations=EDGE_WEIGHT_ITERATIONS)
     seeds = {(i, j): int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
              for i in range(m) for j in range(m) if i != j}
     groups: dict = {}
     for i, j in seeds:
         groups.setdefault((variables[i].shape[1], variables[j].shape[1]), []).append((i, j))
-    chunks = []
-    for (dx, dy), pairs in groups.items():
-        rows = max(n, spec.batch_size ** 2) * _feature_count("bilinear", dx, dy)
-        size = max(1, _STACK_FLOATS // rows)
-        chunks += [pairs[k:k + size] for k in range(0, len(pairs), size)]
-
-    def stack(pairs):
-        return (np.stack([variables[i] for i, _ in pairs]),
-                np.stack([variables[j] for _, j in pairs]))
-
-    thetas = [_ascend("bilinear", method, *stack(pairs), [seeds[p] for p in pairs],
-                      spec)[0] for pairs in chunks]
-    diverged = sorted(pair for pairs, theta in zip(chunks, thetas)
-                      for pair, row in zip(pairs, theta) if not np.all(np.isfinite(row)))
-    if diverged:
-        warnings.warn(f"{method} critic fit diverged to non-finite parameters for pairs "
-                      + ", ".join(map(str, diverged)), FitWarning)
     w = np.zeros((m, m))
-    for pairs, theta in zip(chunks, thetas):
-        perms = None if method == "cpc" else np.stack(
-            [np.random.default_rng(seeds[p]).permutation(n) for p in pairs])
-        w[tuple(zip(*pairs))] = _estimates(method, theta, *stack(pairs), perms,
-                                           spec.batch_size)
+    failures = {}
+    for pairs in groups.values():
+        xs = np.stack([variables[i] for i, _ in pairs])
+        ys = np.stack([variables[j] for _, j in pairs])
+        w[tuple(zip(*pairs))], why = fit_and_estimate_stack(
+            method, xs, ys, xs, ys, [seeds[p] for p in pairs], spec)
+        failures.update(zip(pairs, why))
+    diverged = sorted(pair for pair, why in failures.items() if why == DIVERGED)
+    if diverged:
+        warnings.warn(f"{method} {DIVERGED} for pairs " + ", ".join(map(str, diverged)),
+                      FitWarning)
+    if any(why is not None for why in failures.values()):
+        raise NumericalError(NON_FINITE_SCORES)
     return EdgeWeightMatrix(w)

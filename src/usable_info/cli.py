@@ -47,7 +47,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (BatchSpec, baseline_edge_weights, fit_and_estimate,
+from .baselines import (BatchSpec, baseline_edge_weights, fit_and_estimate_stack,
                         gaussian_oracle_critic, nwj_estimate)
 from .data import read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
 from .errors import DataError, NumericalError
@@ -138,7 +138,7 @@ def _fill_from_config(args, flags: dict, path):
             text = value if isinstance(value, str) else json.dumps(value)
             try:
                 value = (action.type or str)(text)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}: {key}: {exc}") from None
         if getattr(args, key) is None:
             setattr(args, key, value)
@@ -156,6 +156,17 @@ def _required(args, name: str):
     if not value:
         raise ValueError(f"missing required setting: {name.replace('_', '-')}")
     return value
+
+
+def _seed(text) -> int:
+    """Type of a seed flag: a non-negative integer, as numpy's generators take."""
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
 
 
 class _ListOf:
@@ -204,7 +215,10 @@ def _simulation_config(args) -> SimulationConfig:
                 "seed required: pass --seed, put \"seed\" in the config file, "
                 "or set USABLE_INFO_SEED"
             )
-        settings["seed"] = int(env)
+        try:
+            settings["seed"] = _seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"USABLE_INFO_SEED: {exc}") from None
     _required(args, "scenario")
     _required(args, "n")
     return SimulationConfig(**settings)
@@ -498,28 +512,43 @@ def _cmd_baselines(args) -> int:
     seeds = _required(args, "seeds")
     n = 2048 if args.n is None else args.n
     spec = BatchSpec(**_fields_set(BatchSpec, args))
+    for rho in rhos:
+        if not -1.0 < rho < 1.0:
+            raise ValueError(f"--rhos: {rho} is not in (-1, 1)")
+    half = n // 2
+    if half < spec.batch_size:
+        raise ValueError(f"--n: {n} leaves {half} fit pairs, fewer than "
+                         f"--batch-size {spec.batch_size}")
+
+    # Every (rho, seed) row is one problem of a stacked fit per objective.
+    grid = [(rho, seed) for rho in rhos for seed in seeds]
+    xs, ys, perms = [], [], []
+    for rho, seed in grid:
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        xs.append(x)
+        ys.append(rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n))
+        perms.append(rng.permutation(n - half))
+    xs, ys, perms = np.stack(xs)[..., None], np.stack(ys)[..., None], np.stack(perms)
+    pairs = (xs[:, :half], ys[:, :half], xs[:, half:], ys[:, half:])
+    row_seeds = [seed for _, seed in grid]
+    fits = {"cpc": fit_and_estimate_stack("cpc", *pairs, row_seeds, spec),
+            "nwj": fit_and_estimate_stack("nwj", *pairs, row_seeds, spec, perms=perms)}
 
     rows = []
-    for rho in rhos:
+    for k, (rho, seed) in enumerate(grid):
+        values = {}
+        for estimator, (stack_values, failures) in fits.items():
+            if failures[k] is not None:
+                raise NumericalError(f"baselines rho={rho} seed={seed} "
+                                     f"estimator={estimator}: {failures[k]}")
+            values[estimator] = float(stack_values[k])
+        eval_x, eval_y = xs[k, half:, 0], ys[k, half:, 0]
+        values["nwj_oracle"] = nwj_estimate(gaussian_oracle_critic(rho), eval_x, eval_y,
+                                            eval_x, eval_y[perms[k]])
         true_info = -0.5 * math.log(1.0 - rho * rho)
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            x = rng.standard_normal(n)
-            y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
-            half = n // 2
-            perm = rng.permutation(n - half)
-            pairs = (x[:half], y[:half], x[half:], y[half:])
-            seeded = replace(spec, seed=seed)
-            with _fit_warnings_fail(f"baselines rho={rho} seed={seed} estimator=cpc"):
-                cpc_val = fit_and_estimate("cpc", *pairs, seeded)
-            with _fit_warnings_fail(f"baselines rho={rho} seed={seed} estimator=nwj"):
-                nwj_val = fit_and_estimate("nwj", *pairs, seeded, perm=perm)
-            oracle_val = nwj_estimate(gaussian_oracle_critic(rho), x[half:], y[half:],
-                                      x[half:], y[half:][perm])
-            for estimator, value in (("cpc", cpc_val), ("nwj", nwj_val),
-                                     ("nwj_oracle", oracle_val)):
-                rows.append((rho, seed, n, spec.batch_size, estimator, value,
-                             true_info))
+        rows += [(rho, seed, n, spec.batch_size, estimator, value, true_info)
+                 for estimator, value in values.items()]
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
     effective = {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": spec.batch_size,
                  "iterations": spec.iterations, "step_size": spec.step_size}
@@ -632,7 +661,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--rho", type=float)
     p.add_argument("--var-y", type=float, dest="var_y")
     p.add_argument("--noise-var", type=float, dest="noise_var")
@@ -664,7 +693,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data")
     p.add_argument("--sim-config", dest="sim_config")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--truth", help="ground-truth JSON for scoring")
     p.add_argument("--directed", action="store_true", default=None)
     _family_flags(p)
@@ -675,7 +704,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--scenario")
     p.add_argument("--sizes", type=_ListOf(int))
-    p.add_argument("--seeds", type=_ListOf(int))
+    p.add_argument("--seeds", type=_ListOf(_seed))
     p.add_argument("--families", type=_ListOf(str))
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
@@ -686,7 +715,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baselines", help="benchmark CPC/NWJ on Gaussian pairs")
     common(p)
     p.add_argument("--rhos", type=_ListOf(float))
-    p.add_argument("--seeds", type=_ListOf(int))
+    p.add_argument("--seeds", type=_ListOf(_seed))
     p.add_argument("--n", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--iterations", type=int)

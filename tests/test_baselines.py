@@ -12,6 +12,7 @@ from usable_info.baselines import (
     baseline_edge_weights,
     cpc_estimate,
     fit_and_estimate,
+    fit_and_estimate_stack,
     fit_critic,
     gaussian_oracle_critic,
     nwj_estimate,
@@ -532,3 +533,87 @@ def test_baseline_edge_weights_do_not_depend_on_stack_chunks(method, monkeypatch
     whole = baseline_edge_weights(variables, method, seed=2).w
     monkeypatch.setattr(baselines, "_STACK_FLOATS", 1)
     assert baseline_edge_weights(variables, method, seed=2).w.tobytes() == whole.tobytes()
+
+
+def _stack_problems(n, dims=(1, 1)):
+    """Three differently scaled aligned problems, stacked: (3, n, d) each."""
+    rng = np.random.default_rng(n)
+    xs = np.stack([scale * rng.normal(size=(n, dims[0])) for scale in (1.0, 2.0, 0.5)])
+    ys = xs[..., :1] + rng.normal(size=(3, n, dims[1]))
+    return xs, ys
+
+
+@pytest.mark.parametrize("n", [37, 300])
+@pytest.mark.parametrize("objective", ["cpc", "nwj"])
+def test_ascent_with_a_shared_seed_equals_lone_fits(objective, n):
+    # Problems 0 and 1 share a seed, so they draw their batches once.
+    xs, ys = _stack_problems(n, dims=(2, 1))
+    seeds = [4, 4, 9]
+    spec = BatchSpec(iterations=30, step_size=0.1)
+    theta = baselines._ascend("bilinear", objective, xs, ys, seeds, spec)[0]
+    for p, seed in enumerate(seeds):
+        lone = fit_critic("bilinear", objective, xs[p], ys[p], spec=BatchSpec(
+            iterations=30, step_size=0.1, seed=seed))
+        assert theta[p].tobytes() == lone.theta.tobytes()
+
+
+@pytest.mark.parametrize("objective", ["cpc", "nwj"])
+def test_stacked_estimates_equal_lone_fit_and_estimate(objective):
+    xs, ys = _stack_problems(200)
+    seeds = [3, 8, 3]
+    spec = BatchSpec(iterations=40, batch_size=6)
+    perms = np.stack([np.random.default_rng(p).permutation(100) for p in range(3)])
+    values, failures = fit_and_estimate_stack(objective, xs[:, :100], ys[:, :100],
+                                              xs[:, 100:], ys[:, 100:], seeds, spec,
+                                              perms=perms)
+    assert failures == [None, None, None]
+    for p, seed in enumerate(seeds):
+        want = fit_and_estimate(objective, xs[p, :100], ys[p, :100], xs[p, 100:],
+                                ys[p, 100:], BatchSpec(iterations=40, batch_size=6, seed=seed),
+                                perm=perms[p])
+        assert values[p] == want
+
+
+@pytest.mark.parametrize("objective", ["cpc", "nwj"])
+def test_stacked_estimates_do_not_depend_on_chunk_size(objective, monkeypatch):
+    xs, ys = _stack_problems(64, dims=(2, 2))
+    xs[1] *= 1e200  # one problem diverges; its report must not move either
+    spec = BatchSpec(iterations=20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        whole = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
+        monkeypatch.setattr(baselines, "_STACK_FLOATS", 1)
+        chunked = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
+    assert whole[1] == chunked[1] == [None, baselines.DIVERGED, None]
+    assert whole[0].tobytes() == chunked[0].tobytes()
+    assert math.isnan(whole[0][1])
+
+
+def test_stacked_estimates_report_non_finite_scores_per_problem():
+    # A finite critic overflows on eval rows far outside the fit rows.
+    xs, ys = _stack_problems(64)
+    eval_xs = xs.copy()
+    eval_xs[2, 5] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        values, failures = fit_and_estimate_stack("nwj", xs, ys, eval_xs, ys, [1, 2, 3],
+                                                  BatchSpec(iterations=20))
+    assert failures == [None, None, baselines.NON_FINITE_SCORES]
+    assert np.isfinite(values[:2]).all() and math.isnan(values[2])
+
+
+def test_stacked_estimates_validate_their_stacks():
+    xs, ys = _stack_problems(32)
+    spec = BatchSpec(iterations=2)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_and_estimate_stack("cpc", xs, ys, xs, ys, [0, 1], spec)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_and_estimate_stack("cpc", xs, ys[:2], xs, ys, [0, 1, 2], spec)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_and_estimate_stack("nwj", xs, ys, xs, ys[:, :-1], [0, 1, 2], spec)
+    with pytest.raises(ValueError, match="not enough eval samples for one batch"):
+        fit_and_estimate_stack("cpc", xs, ys, xs[:, :7], ys[:, :7], [0, 1, 2], spec)
+    # Too few fit rows is reported first, as the ascent would.
+    with pytest.raises(ValueError, match="not enough samples for one batch"):
+        fit_and_estimate_stack("cpc", xs[:, :7], ys[:, :7], xs[:, :7], ys[:, :7], [0, 1, 2],
+                               spec)

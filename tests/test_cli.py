@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,10 @@ import pytest
 
 import usable_info
 from usable_info import cli
+from usable_info.baselines import (BatchSpec, fit_and_estimate, gaussian_oracle_critic,
+                                   nwj_estimate)
 from usable_info.cli import main, ranked_auc
-from usable_info.data import Dataset, read_dataset_csv, write_dataset_csv
+from usable_info.data import Dataset, read_dataset_csv, write_dataset_csv, write_rows_csv
 from usable_info.errors import DataError
 from usable_info.estimation import linear_pac_half_width
 from usable_info.families import FitWarning, VariableSpec
@@ -611,6 +614,119 @@ def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
         "critic produced non-finite scores\n")
+    assert not out.exists()
+
+
+def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys):
+    # At this step rho=0.5 fails only in NWJ and rho=0.1 only in CPC.  The
+    # fits are stacked per objective, yet the failure named is the first
+    # in rho, seed, estimator order.
+    argv = ["--seeds", "0", "--n", "256", "--step-size", "1e308", "--iterations", "1"]
+    out = tmp_path / "bench.csv"
+    for rhos, failing in (("0.1", "rho=0.1 seed=0 estimator=cpc"),
+                          ("0.5", "rho=0.5 seed=0 estimator=nwj"),
+                          ("0.5,0.1", "rho=0.5 seed=0 estimator=nwj"),
+                          ("0.1,0.5", "rho=0.1 seed=0 estimator=cpc")):
+        assert main(["baselines", "--rhos", rhos, *argv, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == (
+            f"numerical failure: baselines {failing}: critic produced non-finite scores\n")
+        assert not out.exists()
+
+
+def _baselines_by_row(rhos, seeds, n, spec):
+    """The baselines table as one fit_and_estimate per row and objective:
+    the oracle of the stacked command."""
+    rows = []
+    for rho in rhos:
+        true_info = -0.5 * math.log(1.0 - rho * rho)
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(n)
+            y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
+            half = n // 2
+            perm = rng.permutation(n - half)
+            pairs = (x[:half], y[:half], x[half:], y[half:])
+            seeded = replace(spec, seed=seed)
+            values = {"cpc": fit_and_estimate("cpc", *pairs, seeded),
+                      "nwj": fit_and_estimate("nwj", *pairs, seeded, perm=perm),
+                      "nwj_oracle": nwj_estimate(gaussian_oracle_critic(rho), x[half:],
+                                                 y[half:], x[half:], y[half:][perm])}
+            rows += [(rho, seed, n, spec.batch_size, estimator, value, true_info)
+                     for estimator, value in values.items()]
+    rows.sort(key=lambda r: (r[0], r[1], r[4]))
+    return rows
+
+
+@pytest.mark.parametrize("batch_size", [8, 5])
+def test_baselines_table_matches_per_row_fits(tmp_path, batch_size):
+    rhos, seeds, n = [0.5, 0.99, 0.3], [2, 0, 2, 1], 301
+    spec = BatchSpec(batch_size=batch_size, iterations=40, step_size=0.1)
+    got = tmp_path / "bench.csv"
+    assert main(["baselines", "--rhos", "0.5,0.99,0.3", "--seeds", "2,0,2,1",
+                 "--n", str(n), "--batch-size", str(batch_size), "--iterations", "40",
+                 "--step-size", "0.1", "--out", str(got)]) == 0
+    want = tmp_path / "want.csv"
+    write_rows_csv(want, {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": batch_size,
+                          "iterations": 40, "step_size": 0.1},
+                   ["rho", "seed", "n", "batch_size", "estimator", "value",
+                    "true_information"], _baselines_by_row(rhos, seeds, n, spec))
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_baselines_at_the_benchmark_grid_writes_nothing_to_stderr(tmp_path, capsys):
+    rc = main(["baselines", "--rhos", "0.5,0.9,0.99,0.999", "--seeds", "0,1,2",
+               "--n", "2048", "--out", str(tmp_path / "bench.csv")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--rhos", "1.0"], "--rhos: 1.0 is not in (-1, 1)"),
+    (["--rhos", "0.5,1.5"], "--rhos: 1.5 is not in (-1, 1)"),
+    (["--rhos", "-1"], "--rhos: -1.0 is not in (-1, 1)"),
+    (["--rhos", "nan"], "--rhos: nan is not in (-1, 1)"),
+    (["--rhos", "inf"], "--rhos: inf is not in (-1, 1)"),
+    (["--rhos", "0.5", "--n", "10"], "--n: 10 leaves 5 fit pairs, fewer than --batch-size 8"),
+    (["--rhos", "0.5", "--n", "63", "--batch-size", "32"],
+     "--n: 63 leaves 31 fit pairs, fewer than --batch-size 32"),
+])
+def test_baselines_rejects_bad_inputs_before_any_fit(tmp_path, capsys, monkeypatch, flags,
+                                                     message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before validating")
+
+    monkeypatch.setattr(cli, "fit_and_estimate_stack", no_fit)
+    out = tmp_path / "bench.csv"
+    assert main(["baselines", *flags, "--seeds", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--seed", "-1"), ("tree", "--seed", "-1"), ("sweep", "--seeds", "0,-1"),
+    ("baselines", "--seeds", "-1"), ("simulate", "--seed", "x"),
+])
+def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value):
+    out = tmp_path / "out"
+    assert main([command, flag, value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    bad = value.split(",")[-1]
+    assert err.endswith(f"error: argument {flag}: expected a non-negative integer seed, "
+                        f"got {bad!r}\n")
+    assert not out.exists()
+
+
+def test_negative_seed_from_config_or_environment_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"seeds": [0, -3]}))
+    out = tmp_path / "out.csv"
+    assert main(["baselines", "--config", str(cfg), "--rhos", "0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: seeds: expected a non-negative integer seed, got '-3'\n")
+    monkeypatch.setenv("USABLE_INFO_SEED", "-2")
+    assert main(["simulate", "--scenario", "sim1", "--n", "5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: USABLE_INFO_SEED: expected a non-negative integer seed, got '-2'\n")
     assert not out.exists()
 
 
