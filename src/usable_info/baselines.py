@@ -327,7 +327,7 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     for seed in seeds:
         streams.setdefault(seed, len(streams))
     rngs = [np.random.default_rng(seed) for seed in streams]
-    gather = None if len(rngs) == n_problems else np.array([streams[s] for s in seeds])
+    gather = np.array([streams[s] for s in seeds])
     # Draws index each problem's own rows of the flattened (P*n, d) stacks.
     offsets = np.arange(n_problems)[:, None] * n
     flat_xs = xs.reshape(-1, xs.shape[2])
@@ -348,7 +348,7 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
                 draws[k, :n_draw] = rng.choice(n, size=n_draw, replace=False)
                 # One call draws both product index sets, x's then y's.
                 draws[k, n_draw:] = rng.integers(0, n, 2 * n_draw)
-        flat = (draws if gather is None else draws[gather]) + offsets
+        flat = draws[gather] + offsets
         if objective == "cpc":
             value, grad = _cpc_value_grad(kind, theta, np.take(flat_xs, flat, axis=0),
                                           np.take(flat_ys, flat, axis=0))
@@ -441,7 +441,8 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     dy = fit_ys.shape[2]
     n_eval = eval_xs.shape[1]
     if (fit_ys.shape[:2] != (n_problems, n_fit) or eval_xs.shape != (n_problems, n_eval, dx)
-            or eval_ys.shape != (n_problems, n_eval, dy) or len(seeds) != n_problems):
+            or eval_ys.shape != (n_problems, n_eval, dy) or len(seeds) != n_problems
+            or (perms is not None and np.shape(perms) != (n_problems, n_eval))):
         raise ValueError("fit and eval stacks do not match")
     if n_fit < spec.batch_size:
         raise ValueError("not enough samples for one batch")

@@ -611,6 +611,9 @@ def test_stacked_estimates_validate_their_stacks():
         fit_and_estimate_stack("cpc", xs, ys[:2], xs, ys, [0, 1, 2], spec)
     with pytest.raises(ValueError, match="do not match"):
         fit_and_estimate_stack("nwj", xs, ys, xs, ys[:, :-1], [0, 1, 2], spec)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_and_estimate_stack("nwj", xs, ys, xs, ys, [0, 1, 2], spec,
+                               perms=np.tile(np.arange(31), (3, 1)))
     with pytest.raises(ValueError, match="not enough eval samples for one batch"):
         fit_and_estimate_stack("cpc", xs, ys, xs[:, :7], ys[:, :7], [0, 1, 2], spec)
     # Too few fit rows is reported first, as the ascent would.
