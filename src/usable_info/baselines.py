@@ -5,33 +5,39 @@ demonstrations of their known failure modes — the CPC estimate can never
 exceed ``log(batch size)`` no matter the critic, and the NWJ estimator's
 variance at the optimal critic grows at least like ``(e^I - 1) / N``.
 
-Critics here are linear in their parameters: a feature map ``psi(x, y)``
-dotted with a weight vector.  ``bilinear`` uses x (x) y outer products
-plus linear terms; ``quadratic`` uses all degree-<=2 monomials of the
-concatenated pair.  A ``fixed`` critic wraps an arbitrary score function
-and cannot be fitted; :func:`gaussian_oracle_critic` builds the optimal
-NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` for a correlated Gaussian
-pair.
+A fitted critic scores in matrix form, ``phi(x)^T Theta psi(y)``, so a
+batch's scores are one ``(Phi Theta) Psi^T`` and a gradient one
+``Phi^T W Psi``.  ``bilinear`` takes ``phi(x) = [x, 1]`` and
+``psi(y) = [y, 1]``; ``quadratic`` adds each side's degree-2 monomials, and
+a fixed zero pattern on Theta leaves exactly the degree-<=2 monomials of
+z = [x, y].  ``Critic.theta`` lists Theta's free entries: x (x) y, x, y and 1
+for ``bilinear``; z, the z_i z_j with i <= j, and 1 for ``quadratic``.  A
+``fixed`` critic wraps an arbitrary score function and cannot be fitted;
+:func:`gaussian_oracle_critic` builds the optimal NWJ critic
+``1 + log[p(x,y) / (p(x)p(y))]`` for a correlated Gaussian pair.  Both
+estimators cap scores at ``+-DEFAULT_SCORE_CAP`` before exponentiation.
 
-CPC exponentiates critic scores internally (the contrastive ratio needs a
-positive function); both estimators cap scores at ``+-DEFAULT_SCORE_CAP``
-before exponentiation to avoid overflow.  An NWJ fit step draws
-``min(n, 256)`` joint pairs and as many product pairs.
+Fits draw batches in mini-batch epochs: each epoch is one permutation of
+the n fit rows, cut into ``n // size`` disjoint batches of distinct rows.
+A CPC step takes a batch of ``spec.batch_size`` rows, an NWJ step a batch
+of ``min(n, 256)`` joint pairs and as many product pairs of independently
+drawn x and y rows.  A seed draws a block of steps in two generator calls;
+the block's length depends on the problem's shape alone.
 
-Every fit runs through one gradient ascent over a stack of same-shape
-problems, and every fitted estimate through :func:`fit_and_estimate_stack`,
-which fits a stack, checks it and evaluates it in chunks.  A lone
-:func:`fit_critic` is a stack of one, as is :func:`fit_and_estimate`;
-:func:`baseline_edge_weights` stacks every ordered pair of the same
-dimensions, and ``usable-info baselines`` every ``(rho, seed)`` row of an
-objective.  Each problem sees exactly the floating-point operations of a
-lone fit and the batches its own seed draws, so stacking changes no bit.
-Problems that share a seed draw the same batches, so each step draws once
-per distinct seed and gathers the draws into the stack.
+Every fit is one gradient ascent over a stack of same-shape problems, and
+every fitted estimate goes through :func:`fit_and_estimate_stack`.
+:func:`fit_critic` and :func:`fit_and_estimate` are stacks of one;
+:func:`baseline_edge_weights` stacks the ordered pairs of the same
+dimensions, and ``usable-info baselines`` the ``(rho, seed)`` rows of an
+objective.  Each problem sees the floating-point operations of a lone fit
+and the batches of its own seed, so a stacked fit equals a lone fit bit for
+bit; problems that share a seed draw their batches once.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 import warnings
@@ -61,8 +67,13 @@ DEFAULT_SCORE_CAP = 50.0
 # Critic-fit iterations per ordered pair in baseline_edge_weights: fewer
 # than BatchSpec's default, since an m-node tree fits m(m-1) critics.
 EDGE_WEIGHT_ITERATIONS = 200
-# fit_and_estimate_stack fits its problems in chunks, so that one stacked
-# (problems, rows, features) block holds at most this many floats.
+# Joint pairs, and product pairs, per NWJ step at most.
+_NWJ_PAIRS = 256
+# A seed draws its batches a block of steps at a time; one block holds at
+# most this many row indices, and at least one step.
+_BLOCK_FLOATS = 1 << 12
+# fit_and_estimate_stack fits its problems in chunks, so that the arrays of
+# one stacked chunk hold at most this many floats.
 _STACK_FLOATS = 1 << 22
 # Why a stacked problem failed, as fit_and_estimate_stack reports it.
 DIVERGED = "critic fit diverged to non-finite parameters"
@@ -101,7 +112,7 @@ class Critic:
         self.y_dim = y_dim
         self._score_fn = score_fn
         if kind != "fixed":
-            n_feat = _feature_count(kind, x_dim, y_dim)
+            n_feat = len(_layout(kind, x_dim, y_dim)[2])
             self.theta = np.zeros(n_feat) if theta is None else np.asarray(theta, float)
             if self.theta.shape != (n_feat,):
                 raise ValueError("theta has the wrong length")
@@ -116,19 +127,22 @@ class Critic:
         if xs.shape[0] != ys.shape[0]:
             raise ValueError("xs and ys have different lengths")
         if self.kind == "fixed":
-            out = np.asarray(self._score_fn(xs, ys), dtype=float).reshape(-1)
+            out = np.array(self._score_fn(xs, ys), dtype=float).reshape(-1)
         else:
-            out = _features(self.kind, xs, ys) @ self.theta
+            out = _row_scores(_side(self.kind, xs) @ self._matrix(), _side(self.kind, ys))
         return _finite(out)
 
     def score_matrix(self, xs, ys) -> np.ndarray:
         """All-pairs scores; entry (i, j) scores (x_i, y_j)."""
         xs = _as_matrix(xs, self.x_dim)
         ys = _as_matrix(ys, self.y_dim)
+        if self.kind != "fixed":
+            return _finite(_side(self.kind, xs) @ self._matrix() @ _side(self.kind, ys).T)
         n, k = xs.shape[0], ys.shape[0]
-        xx = np.repeat(xs, k, axis=0)
-        yy = np.tile(ys, (n, 1))
-        return self.score(xx, yy).reshape(n, k)
+        return self.score(np.repeat(xs, k, axis=0), np.tile(ys, (n, 1))).reshape(n, k)
+
+    def _matrix(self) -> np.ndarray:
+        return _theta_matrix(self.kind, self.x_dim, self.y_dim, self.theta[None])[0]
 
 
 def _as_matrix(a, dim: int) -> np.ndarray:
@@ -140,40 +154,50 @@ def _as_matrix(a, dim: int) -> np.ndarray:
     return arr
 
 
-def _feature_count(kind: str, x_dim: int, y_dim: int) -> int:
-    if kind == "bilinear":
-        return x_dim * y_dim + x_dim + y_dim + 1
-    z = x_dim + y_dim
-    return z + z * (z + 1) // 2 + 1
+@functools.cache
+def _layout(kind: str, x_dim: int, y_dim: int):
+    """Theta's shape (px, py), and where each theta entry sits in flat Theta.
 
-
-def _features(kind: str, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Feature rows of aligned (x, y) rows: (..., n, n_features).
-
-    Leading axes of ``xs`` and ``ys`` stack independent problems.
+    phi and psi entries are named by the coordinates of z = [x, y] they
+    multiply; a cell of Theta weighs the monomial its two names join to.
     """
-    ones = np.ones(xs.shape[:-1] + (1,))
+    def side(dim, offset):
+        quad = zip(*np.triu_indices(dim)) if kind == "quadratic" else ()
+        return ([(offset + a,) for a in range(dim)]
+                + [(offset + int(i), offset + int(j)) for i, j in quad] + [()])
+
+    rows, cols = side(x_dim, 0), side(y_dim, x_dim)
+    cell = {u + v: k for k, (u, v) in enumerate(itertools.product(rows, cols))}
     if kind == "bilinear":
-        outer = (xs[..., :, None] * ys[..., None, :]).reshape(xs.shape[:-1] + (-1,))
-        return np.concatenate([outer, xs, ys, ones], axis=-1)
-    z = np.concatenate([xs, ys], axis=-1)
-    iu = np.triu_indices(z.shape[-1])
-    quad = (z[..., :, None] * z[..., None, :])[..., iu[0], iu[1]]
-    return np.concatenate([z, quad, ones], axis=-1)
+        names = [(a, x_dim + b) for a in range(x_dim) for b in range(y_dim)] + rows[:-1] + cols
+    else:
+        names = side(x_dim + y_dim, 0)
+    index = np.array([cell[name] for name in names])
+    index.flags.writeable = False  # the cache hands this array to every caller
+    return len(rows), len(cols), index
 
 
-def _grid_features(kind: str, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """Features of every (x_i, y_j) of stacked batches (P, b, d): (P, b*b, q).
+def _side(kind: str, a: np.ndarray) -> np.ndarray:
+    """phi or psi of rows ``a`` (..., d): [a, 1], with the upper-triangle
+    products a_i a_j before the 1 for ``quadratic``."""
+    parts = [a]
+    if kind == "quadratic":
+        iu = np.triu_indices(a.shape[-1])
+        parts.append((a[..., :, None] * a[..., None, :])[..., iu[0], iu[1]])
+    return np.concatenate(parts + [np.ones(a.shape[:-1] + (1,))], axis=-1)
 
-    Row ``i*b + j`` pairs ``x_i`` with ``y_j``.
-    """
-    b = bx.shape[1]
-    return _features(kind, np.repeat(bx, b, axis=1), np.tile(by, (1, b, 1)))
+
+def _theta_matrix(kind: str, x_dim: int, y_dim: int, theta: np.ndarray) -> np.ndarray:
+    """Theta (P, px, py) of stacked theta rows (P, q); cells off the pattern are 0."""
+    px, py, index = _layout(kind, x_dim, y_dim)
+    mat = np.zeros((theta.shape[0], px * py))
+    mat[:, index] = theta
+    return mat.reshape(-1, px, py)
 
 
-def _matvec(feats: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Scores ``feats[p] @ theta[p]`` for every stacked problem p: (P, n)."""
-    return (feats @ theta[..., None])[..., 0]
+def _row_scores(phi_theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Scores of aligned rows from ``phi @ Theta`` and psi, each (..., n, py): (..., n)."""
+    return (phi_theta * psi) @ np.ones(psi.shape[-1])
 
 
 def _finite(scores: np.ndarray) -> np.ndarray:
@@ -217,12 +241,12 @@ def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys) -> 
 
 
 def _contrastive(scores: np.ndarray):
-    """CPC values of capped (P, b, b) score matrices, and exp(scores - row max)."""
+    """CPC values of capped (P, b, b) score matrices, and exp(scores - row max)
+    written over ``scores``."""
     row_max = scores.max(axis=2, keepdims=True)
-    exp = np.exp(scores - row_max)
-    log_mean = row_max[..., 0] + np.log(exp.mean(axis=2))
-    diag = np.diagonal(scores, axis1=1, axis2=2)
-    return (diag - log_mean).mean(axis=1), exp
+    diag = np.diagonal(scores, axis1=1, axis2=2) - row_max[..., 0]
+    exp = np.exp(np.subtract(scores, row_max, out=scores), out=scores)
+    return (diag - np.log(exp.mean(axis=2))).mean(axis=1), exp
 
 
 def _nwj_value(joint: np.ndarray, exp_prod: np.ndarray) -> np.ndarray:
@@ -231,12 +255,14 @@ def _nwj_value(joint: np.ndarray, exp_prod: np.ndarray) -> np.ndarray:
 
 
 def _capped(scores: np.ndarray) -> np.ndarray:
-    """Scores clipped to the cap; one log record per stacked problem that hit it."""
+    """Scores clipped to the cap in place; one log record per stacked problem
+    that hit it."""
     cap = DEFAULT_SCORE_CAP
-    clipped = np.count_nonzero(np.abs(scores) > cap, axis=tuple(range(1, scores.ndim)))
+    clipped = np.count_nonzero((scores > cap) | (scores < -cap),
+                               axis=tuple(range(1, scores.ndim)))
     for count in clipped[clipped > 0]:
         logger.info("capped %d critic scores at +-%g", count, cap)
-    return np.clip(scores, -cap, cap)
+    return np.clip(scores, -cap, cap, out=scores)
 
 
 def gaussian_oracle_critic(rho: float) -> Critic:
@@ -314,75 +340,87 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     """Gradient ascent on a stack of P same-shape critic problems.
 
     Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
-    and draws its batches from its own ``default_rng(seeds[p])``, in the
-    order a lone fit draws them.  Returns theta (P, q) and the last step's
-    objective values (P,) and gradients (P, q).
+    on the draws of ``default_rng(seeds[p])``.  Returns theta (P, q) and the
+    last step's objective values (P,) and gradients (P, q).
     """
-    n_problems, n = xs.shape[:2]
+    n_problems, n, dx = xs.shape
+    dy = ys.shape[2]
     if n < spec.batch_size:
         raise ValueError("not enough samples for one batch")
-    # Problems that share a seed draw the same rows: one stream per distinct
-    # seed, its draws gathered into every problem that uses it.
-    streams: dict = {}
-    for seed in seeds:
-        streams.setdefault(seed, len(streams))
-    rngs = [np.random.default_rng(seed) for seed in streams]
-    gather = np.array([streams[s] for s in seeds])
-    # Draws index each problem's own rows of the flattened (P*n, d) stacks.
+    # Draws index each problem's own rows of the flattened (P*n, .) maps.
     offsets = np.arange(n_problems)[:, None] * n
-    flat_xs = xs.reshape(-1, xs.shape[2])
-    flat_ys = ys.reshape(-1, ys.shape[2])
-    theta = np.zeros((n_problems, _feature_count(kind, xs.shape[2], ys.shape[2])))
-    if objective == "cpc":
-        draws = np.empty((len(rngs), spec.batch_size), dtype=np.int64)
-    else:
-        n_draw = min(n, 256)  # joint pairs, and product pairs, per step
-        joint_feats = _features(kind, flat_xs, flat_ys)
-        draws = np.empty((len(rngs), 3 * n_draw), dtype=np.int64)
-    for _ in range(spec.iterations):
+    phi = _side(kind, xs).reshape(n_problems * n, -1)
+    psi = _side(kind, ys).reshape(n_problems * n, -1)
+    # Problems that share a seed take the same rows: one stream per distinct
+    # seed, its draws gathered into every problem that uses it.
+    streams = {seed: k for k, seed in enumerate(dict.fromkeys(seeds))}
+    gather = np.array([streams[seed] for seed in seeds])
+    width = spec.batch_size if objective == "cpc" else 3 * min(n, _NWJ_PAIRS)
+    steps = max(1, min(spec.iterations, _BLOCK_FLOATS // width))
+    draws = [_draws(np.random.default_rng(seed), objective, n, spec.batch_size, steps)
+             for seed in streams]
+    block = np.empty((len(draws), steps, width), dtype=np.int64)
+    index = _layout(kind, dx, dy)[2]
+    theta = np.zeros((n_problems, len(index)))
+    for step in range(spec.iterations):
+        if step % steps == 0:
+            for k, stream in enumerate(draws):
+                block[k] = next(stream)
+        rows = block[:, step % steps][gather] + offsets
+        mat = _theta_matrix(kind, dx, dy, theta)
         if objective == "cpc":
-            for k, rng in enumerate(rngs):
-                draws[k] = rng.choice(n, size=spec.batch_size, replace=False)
+            value, grad = _cpc_value_grad(mat, phi.take(rows, axis=0), psi.take(rows, axis=0))
         else:
-            for k, rng in enumerate(rngs):
-                draws[k, :n_draw] = rng.choice(n, size=n_draw, replace=False)
-                # One call draws both product index sets, x's then y's.
-                draws[k, n_draw:] = rng.integers(0, n, 2 * n_draw)
-        flat = draws[gather] + offsets
-        if objective == "cpc":
-            value, grad = _cpc_value_grad(kind, theta, np.take(flat_xs, flat, axis=0),
-                                          np.take(flat_ys, flat, axis=0))
-        else:
-            joint, px, py = np.split(flat, 3, axis=1)
-            p_feats = _features(kind, np.take(flat_xs, px, axis=0),
-                                np.take(flat_ys, py, axis=0))
-            value, grad = _nwj_value_grad(theta, np.take(joint_feats, joint, axis=0),
-                                          p_feats)
+            joint, px, py = np.split(rows, 3, axis=1)
+            value, grad = _nwj_value_grad(mat, phi.take(joint, axis=0), psi.take(joint, axis=0),
+                                          phi.take(px, axis=0), psi.take(py, axis=0))
+        grad = grad.reshape(n_problems, -1)[:, index]
         theta = theta + spec.step_size * grad
     return theta, value, grad
 
 
-def _cpc_value_grad(kind, theta, bx, by):
-    n_problems, b = bx.shape[:2]
-    feats = _grid_features(kind, bx, by)
-    cap = DEFAULT_SCORE_CAP
-    scores = np.clip(_matvec(feats, theta).reshape(n_problems, b, b), -cap, cap)
-    value, exp = _contrastive(scores)
-    softmax = exp / exp.sum(axis=2, keepdims=True)
-    feats = feats.reshape(n_problems, b, b, -1)
-    diag = feats[:, np.arange(b), np.arange(b)]
-    weighted = np.einsum("pij,pijq->piq", softmax, feats)
-    return value, (diag - weighted).mean(axis=1)
+def _draws(rng, objective, n: int, batch_size: int, steps: int):
+    """Yield one seed's row draws, ``steps`` steps at a time: (steps, width).
+
+    A CPC step draws a batch of ``batch_size`` rows; an NWJ step a batch of
+    ``size = min(n, 256)`` joint rows, then the x and the y rows of ``size``
+    product pairs.  An epoch is drawn only once the last is used up, so a
+    step costs O(size) draws however large n is.
+    """
+    size = batch_size if objective == "cpc" else min(n, _NWJ_PAIRS)
+    batches = np.empty((0, size), dtype=np.int64)
+    while True:
+        if len(batches) < steps:
+            epochs = -(-(steps - len(batches)) // (n // size))
+            perms = rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
+            batches = np.concatenate([batches, perms[:, :n - n % size].reshape(-1, size)])
+            del perms  # not held while the generator waits
+        joint, batches = batches[:steps], batches[steps:]
+        if objective == "cpc":
+            yield joint
+        else:
+            yield np.concatenate([joint, rng.integers(0, n, (steps, 2 * size))], axis=1)
 
 
-def _nwj_value_grad(theta, j_feats, p_feats):
+def _cpc_value_grad(mat, phi, psi):
+    """CPC values (P,) and gradients in Theta's shape on batches ``phi`` (P, b, px)
+    and ``psi`` (P, b, py); the gradient passes the score cap unchanged."""
+    b = phi.shape[1]
     cap = DEFAULT_SCORE_CAP
-    j_scores = np.clip(_matvec(j_feats, theta), -cap, cap)
-    exp_p = np.exp(np.clip(_matvec(p_feats, theta), -cap, cap))
-    value = _nwj_value(j_scores, exp_p)
-    grad = (j_feats.mean(axis=1)
-            - math.exp(-1.0) * (exp_p[..., None] * p_feats).mean(axis=1))
-    return value, grad
+    value, exp = _contrastive(np.clip(phi @ mat @ psi.transpose(0, 2, 1), -cap, cap))
+    weights = (np.eye(b) - exp / exp.sum(axis=2, keepdims=True)) / b
+    return value, phi.transpose(0, 2, 1) @ weights @ psi
+
+
+def _nwj_value_grad(mat, phi_joint, psi_joint, phi_prod, psi_prod):
+    """NWJ values (P,) and gradients in Theta's shape on k joint pairs and k
+    product pairs, each side (P, k, p); the gradient passes the cap unchanged."""
+    cap = DEFAULT_SCORE_CAP
+    joint = np.clip(_row_scores(phi_joint @ mat, psi_joint), -cap, cap)
+    exp_p = np.exp(np.clip(_row_scores(phi_prod @ mat, psi_prod), -cap, cap))
+    grad = (phi_joint.transpose(0, 2, 1) @ psi_joint
+            - math.exp(-1.0) * (phi_prod * exp_p[..., None]).transpose(0, 2, 1) @ psi_prod)
+    return _nwj_value(joint, exp_p), grad / joint.shape[1]
 
 
 # --------------------------------------------------------------------- #
@@ -450,8 +488,11 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
         raise ValueError("not enough eval samples for one batch")
     if objective == "nwj" and perms is None:
         perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
-    rows = max(n_fit, n_eval, spec.batch_size ** 2) * _feature_count("bilinear", dx, dy)
-    size = max(1, _STACK_FLOATS // rows)
+    # Floats one problem holds at once, at most: its fit and eval maps and
+    # their products, a step's rows, a block of draws, and CPC score grids.
+    floats = ((2 * (n_fit + n_eval) + 6 * _NWJ_PAIRS) * (dx + dy + 2) + _BLOCK_FLOATS
+              + 3 * (n_eval + spec.batch_size) * spec.batch_size)
+    size = max(1, _STACK_FLOATS // floats)
     values = np.empty(n_problems)
     failures = []
     for k in range(0, n_problems, size):
@@ -473,22 +514,23 @@ def _estimates(objective, theta, xs, ys, perms, batch_size: int):
     and whether any of its scores was non-finite: two (P,) arrays.
 
     ``theta`` is (P, q); problem p evaluates on ``xs[p]``, ``ys[p]`` and,
-    for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
+    for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.  All CPC
+    batches are scored at once.
     """
-    n_problems, n = xs.shape[:2]
+    n_problems, n, dx = xs.shape
+    mat = _theta_matrix("bilinear", dx, ys.shape[2], theta)
     if objective == "cpc":
-        b = batch_size
-        values = np.empty((n_problems, n // b))
-        non_finite = np.zeros(n_problems, dtype=bool)
-        for t, k in enumerate(range(0, n - b + 1, b)):
-            feats = _grid_features("bilinear", xs[:, k:k + b], ys[:, k:k + b])
-            scores = _matvec(feats, theta).reshape(n_problems, b, b)
-            non_finite |= ~np.all(np.isfinite(scores), axis=(1, 2))
-            values[:, t] = _contrastive(_capped(scores))[0]
+        # Score grids of every full batch, (P * n // b, b, b).
+        used, batches = n - n % batch_size, (-1, batch_size, mat.shape[2])
+        scores = ((_side("bilinear", xs[:, :used]) @ mat).reshape(batches)
+                  @ _side("bilinear", ys[:, :used]).reshape(batches).transpose(0, 2, 1))
+        non_finite = ~np.all(np.isfinite(scores.reshape(n_problems, -1)), axis=1)
+        values = _contrastive(_capped(scores))[0].reshape(n_problems, -1)
         return values.mean(axis=1), non_finite
-    joint = _matvec(_features("bilinear", xs, ys), theta)
-    rows = np.arange(n_problems)[:, None]
-    prod = _matvec(_features("bilinear", xs, ys[rows, perms]), theta)
+    x_theta = _side("bilinear", xs) @ mat
+    psi = _side("bilinear", ys)
+    joint = _row_scores(x_theta, psi)
+    prod = _row_scores(x_theta, psi[np.arange(n_problems)[:, None], perms])
     non_finite = ~(np.all(np.isfinite(joint), axis=1) & np.all(np.isfinite(prod), axis=1))
     return _nwj_value(_capped(joint), np.exp(_capped(prod))), non_finite
 

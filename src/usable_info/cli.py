@@ -21,7 +21,8 @@ and the list keys (``sizes``, ``seeds``, ``families``, ``rhos``, ``x_cols``,
 ``y_cols``) also take a JSON array, meaning its comma-joined items.
 null leaves a setting unset, and an unknown key is a usage error.  The
 default seed comes from the ``USABLE_INFO_SEED`` environment variable when
-neither a flag nor a config supplies one.
+neither a flag nor a config supplies one.  A list flag's value may start
+with a negative item, as in ``--rhos -0.5,0.5``.
 
 Outputs embed their generating configuration: JSON results carry a full
 run record (command, config, seed, duration, version); CSVs start with a
@@ -169,6 +170,15 @@ def _seed(text) -> int:
     raise argparse.ArgumentTypeError(f"expected a non-negative integer seed, got {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts like a negative number (``-0.5,0.5``,
+    ``-1,2``) as a value, not a flag, as newer Pythons' argparse does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 class _ListOf:
     """Type of a comma-separated flag; blank items are skipped."""
 
@@ -233,13 +243,16 @@ def _family_config(args) -> FamilyConfig:
 
 @contextmanager
 def _fit_warnings_fail(where: str):
-    """Re-raise a ``FitWarning`` or ``NumericalError`` as a ``NumericalError`` naming ``where``."""
+    """Re-raise a ``FitWarning`` or ``NumericalError`` as a ``NumericalError``,
+    and a ``ValueError`` as a ``ValueError``, naming ``where``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", FitWarning)
         try:
             yield
         except (FitWarning, NumericalError) as exc:
             raise NumericalError(f"{where}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def _parse_family_token(token: str):
@@ -644,7 +657,7 @@ def _cmd_auc(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="usable-info",
         description="Predictive information estimation and tree structure "
                     "learning.",

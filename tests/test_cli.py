@@ -563,6 +563,17 @@ def test_sweep_unknown_scenario_and_family_fail(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_names_the_cell_whose_baseline_lacks_samples(tmp_path, capsys, jobs):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", "sim1", "--sizes", "5", "--seeds", "0",
+                 "--families", "cpc", "--m", "3", "--d", "1", "--jobs", jobs,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: sweep cell scenario=sim1 family=cpc n=5 seed=0: "
+                                       "not enough samples for one batch\n")
+    assert not out.exists()
+
+
 def test_sweep_with_baseline_families(tmp_path):
     out = tmp_path / "bl.csv"
     rc = main(["sweep", "--scenario", "sim1", "--sizes", "64", "--seeds", "0",
@@ -608,7 +619,7 @@ def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys):
 
 def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256",
+    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "384", "--batch-size", "4",
                "--step-size", "1e308", "--iterations", "1", "--out", str(out)])
     assert rc == 4
     assert capsys.readouterr().err == (
@@ -621,7 +632,8 @@ def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys):
     # At this step rho=0.5 fails only in NWJ and rho=0.1 only in CPC.  The
     # fits are stacked per objective, yet the failure named is the first
     # in rho, seed, estimator order.
-    argv = ["--seeds", "0", "--n", "256", "--step-size", "1e308", "--iterations", "1"]
+    argv = ["--seeds", "0", "--n", "384", "--batch-size", "4", "--step-size", "1e308",
+            "--iterations", "1"]
     out = tmp_path / "bench.csv"
     for rhos, failing in (("0.1", "rho=0.1 seed=0 estimator=cpc"),
                           ("0.5", "rho=0.5 seed=0 estimator=nwj"),
@@ -714,6 +726,27 @@ def test_negative_seed_exits_2_naming_the_flag(tmp_path, capsys, command, flag, 
     assert err.endswith(f"error: argument {flag}: expected a non-negative integer seed, "
                         f"got {bad!r}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "baselines"])
+def test_a_leading_negative_list_item_reaches_the_seed_check(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main([command, "--seeds", "-1,2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seeds: expected a non-negative integer seed, got '-1'\n")
+    assert not out.exists()
+
+
+def test_baselines_rhos_take_a_leading_negative_item(tmp_path):
+    # ``--rhos -0.5,0.5`` is read as the value, as ``--rhos=-0.5,0.5`` is.
+    tables = []
+    for rhos in (["--rhos", "-0.5,0.5"], ["--rhos=-0.5,0.5"]):
+        out = tmp_path / f"bench{len(tables)}.csv"
+        assert main(["baselines", *rhos, "--seeds", "0", "--n", "64", "--iterations", "5",
+                     "--out", str(out)]) == 0
+        tables.append(out.read_text())
+    assert tables[0] == tables[1]
+    assert {line.split(",")[0] for line in tables[0].splitlines()[2:]} == {"-0.5", "0.5"}
 
 
 def test_negative_seed_from_config_or_environment_exits_2(tmp_path, capsys, monkeypatch):
