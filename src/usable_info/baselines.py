@@ -5,17 +5,17 @@ demonstrations of their known failure modes — the CPC estimate can never
 exceed ``log(batch size)`` no matter the critic, and the NWJ estimator's
 variance at the optimal critic grows at least like ``(e^I - 1) / N``.
 
-A fitted critic scores in matrix form, ``phi(x)^T Theta psi(y)``, so a
+Every critic scores in matrix form, ``phi(x)^T Theta psi(y)``, so a
 batch's scores are one ``(Phi Theta) Psi^T`` and a gradient one
 ``Phi^T W Psi``.  ``bilinear`` takes ``phi(x) = [x, 1]`` and
-``psi(y) = [y, 1]``; ``quadratic`` adds each side's degree-2 monomials, and
-a fixed zero pattern on Theta leaves exactly the degree-<=2 monomials of
-z = [x, y].  ``Critic.theta`` lists Theta's free entries: x (x) y, x, y and 1
-for ``bilinear``; z, the z_i z_j with i <= j, and 1 for ``quadratic``.  A
-``fixed`` critic wraps an arbitrary score function and cannot be fitted;
-:func:`gaussian_oracle_critic` builds the optimal NWJ critic
-``1 + log[p(x,y) / (p(x)p(y))]`` for a correlated Gaussian pair.  Both
-estimators cap scores at ``+-DEFAULT_SCORE_CAP`` before exponentiation.
+``psi(y) = [y, 1]``; ``quadratic`` puts each side's degree-2 monomials
+before the 1.  A cell of Theta is free when the degrees of its phi and psi
+entries sum to at most 2, so the free cells weigh each degree-<=2 monomial
+of z = [x, y] once; the other cells stay 0.  ``Critic.theta`` lists the
+free cells in Theta's row-major order.  :func:`gaussian_oracle_critic`
+builds the optimal NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` of a
+correlated Gaussian pair, a quadratic in (x, y), as a ``quadratic`` Theta.
+Both estimators cap scores at ``+-DEFAULT_SCORE_CAP`` before exponentiation.
 
 Fits draw batches in mini-batch epochs: each epoch is one permutation of
 the n fit rows, cut into ``n // size`` disjoint batches of distinct rows.
@@ -37,7 +37,6 @@ bit; problems that share a seed draw their batches once.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 import warnings
@@ -98,26 +97,19 @@ class BatchSpec:
 
 
 class Critic:
-    """Score function f(x, y), linear in its parameters unless fixed."""
+    """Score function f(x, y) = phi(x)^T Theta psi(y), linear in theta."""
 
     def __init__(self, kind: str, x_dim: int, y_dim: int,
-                 theta: np.ndarray | None = None, score_fn=None,
-                 metadata: dict | None = None):
-        if kind not in ("bilinear", "quadratic", "fixed"):
+                 theta: np.ndarray | None = None, metadata: dict | None = None):
+        if kind not in ("bilinear", "quadratic"):
             raise ValueError(f"unknown critic kind {kind!r}")
-        if kind == "fixed" and score_fn is None:
-            raise ValueError("fixed critic needs a score function")
         self.kind = kind
         self.x_dim = x_dim
         self.y_dim = y_dim
-        self._score_fn = score_fn
-        if kind != "fixed":
-            n_feat = len(_layout(kind, x_dim, y_dim)[2])
-            self.theta = np.zeros(n_feat) if theta is None else np.asarray(theta, float)
-            if self.theta.shape != (n_feat,):
-                raise ValueError("theta has the wrong length")
-        else:
-            self.theta = None
+        n_feat = int(_mask(kind, x_dim, y_dim).sum())
+        self.theta = np.zeros(n_feat) if theta is None else np.asarray(theta, float)
+        if self.theta.shape != (n_feat,):
+            raise ValueError("theta has the wrong length")
         self.metadata = metadata or {}
 
     def score(self, xs, ys) -> np.ndarray:
@@ -126,23 +118,19 @@ class Critic:
         ys = _as_matrix(ys, self.y_dim)
         if xs.shape[0] != ys.shape[0]:
             raise ValueError("xs and ys have different lengths")
-        if self.kind == "fixed":
-            out = np.array(self._score_fn(xs, ys), dtype=float).reshape(-1)
-        else:
-            out = _row_scores(_side(self.kind, xs) @ self._matrix(), _side(self.kind, ys))
-        return _finite(out)
+        return _finite(_row_scores(_side(self.kind, xs) @ self._matrix(), _side(self.kind, ys)))
 
     def score_matrix(self, xs, ys) -> np.ndarray:
         """All-pairs scores; entry (i, j) scores (x_i, y_j)."""
         xs = _as_matrix(xs, self.x_dim)
         ys = _as_matrix(ys, self.y_dim)
-        if self.kind != "fixed":
-            return _finite(_side(self.kind, xs) @ self._matrix() @ _side(self.kind, ys).T)
-        n, k = xs.shape[0], ys.shape[0]
-        return self.score(np.repeat(xs, k, axis=0), np.tile(ys, (n, 1))).reshape(n, k)
+        return _finite(_side(self.kind, xs) @ self._matrix() @ _side(self.kind, ys).T)
 
     def _matrix(self) -> np.ndarray:
-        return _theta_matrix(self.kind, self.x_dim, self.y_dim, self.theta[None])[0]
+        mask = _mask(self.kind, self.x_dim, self.y_dim)
+        mat = np.zeros(mask.shape)
+        mat[mask] = self.theta
+        return mat
 
 
 def _as_matrix(a, dim: int) -> np.ndarray:
@@ -155,26 +143,13 @@ def _as_matrix(a, dim: int) -> np.ndarray:
 
 
 @functools.cache
-def _layout(kind: str, x_dim: int, y_dim: int):
-    """Theta's shape (px, py), and where each theta entry sits in flat Theta.
-
-    phi and psi entries are named by the coordinates of z = [x, y] they
-    multiply; a cell of Theta weighs the monomial its two names join to.
-    """
-    def side(dim, offset):
-        quad = zip(*np.triu_indices(dim)) if kind == "quadratic" else ()
-        return ([(offset + a,) for a in range(dim)]
-                + [(offset + int(i), offset + int(j)) for i, j in quad] + [()])
-
-    rows, cols = side(x_dim, 0), side(y_dim, x_dim)
-    cell = {u + v: k for k, (u, v) in enumerate(itertools.product(rows, cols))}
-    if kind == "bilinear":
-        names = [(a, x_dim + b) for a in range(x_dim) for b in range(y_dim)] + rows[:-1] + cols
-    else:
-        names = side(x_dim + y_dim, 0)
-    index = np.array([cell[name] for name in names])
-    index.flags.writeable = False  # the cache hands this array to every caller
-    return len(rows), len(cols), index
+def _mask(kind: str, x_dim: int, y_dim: int) -> np.ndarray:
+    """Theta's free cells (px, py): those whose phi and psi entries' degrees
+    sum to at most 2, one cell for each degree-<=2 monomial of z = [x, y]."""
+    # Each entry of phi(2, ..., 2) is 2 to the power of its degree.
+    mask = np.outer(_side(kind, np.full(x_dim, 2.0)), _side(kind, np.full(y_dim, 2.0))) <= 4
+    mask.flags.writeable = False  # the cache hands this array to every caller
+    return mask
 
 
 def _side(kind: str, a: np.ndarray) -> np.ndarray:
@@ -185,14 +160,6 @@ def _side(kind: str, a: np.ndarray) -> np.ndarray:
         iu = np.triu_indices(a.shape[-1])
         parts.append((a[..., :, None] * a[..., None, :])[..., iu[0], iu[1]])
     return np.concatenate(parts + [np.ones(a.shape[:-1] + (1,))], axis=-1)
-
-
-def _theta_matrix(kind: str, x_dim: int, y_dim: int, theta: np.ndarray) -> np.ndarray:
-    """Theta (P, px, py) of stacked theta rows (P, q); cells off the pattern are 0."""
-    px, py, index = _layout(kind, x_dim, y_dim)
-    mat = np.zeros((theta.shape[0], px * py))
-    mat[:, index] = theta
-    return mat.reshape(-1, px, py)
 
 
 def _row_scores(phi_theta: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -269,21 +236,17 @@ def gaussian_oracle_critic(rho: float) -> Critic:
     """Optimal NWJ critic for a standard bivariate Gaussian pair.
 
     Scores 1 + log of the density ratio between the joint and the product
-    of marginals for scalar (x, y) with correlation ``rho``.
+    of marginals for scalar (x, y) with correlation ``rho``, which is the
+    quadratic ``1 - log(1 - rho^2)/2 + (2 rho xy - rho^2 (x^2 + y^2)) /
+    (2 (1 - rho^2))``.
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
-    denom = 2.0 * (1.0 - rho * rho)
-
-    def score_fn(xs, ys):
-        x = xs[:, 0]
-        y = ys[:, 0]
-        log_ratio = (-0.5 * math.log(1.0 - rho * rho)
-                     - (rho * rho * (x * x + y * y) - 2.0 * rho * x * y) / denom)
-        return 1.0 + log_ratio
-
-    return Critic("fixed", 1, 1, score_fn=score_fn,
-                  metadata={"rho": rho, "oracle": True})
+    var = 1.0 - rho * rho
+    square = -rho * rho / (2.0 * var)
+    # Theta's free cells in row-major order weigh xy, x, x^2, y, y^2 and 1.
+    theta = [rho / var, 0.0, square, 0.0, square, 1.0 - 0.5 * math.log(var)]
+    return Critic("quadratic", 1, 1, theta=theta, metadata={"rho": rho, "oracle": True})
 
 
 # --------------------------------------------------------------------- #
@@ -301,8 +264,6 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
     in the critic's metadata.
     """
     _check_objective(objective)
-    if kind == "fixed":
-        raise ValueError("fixed critics cannot be fitted")
     if kind not in ("bilinear", "quadratic"):
         raise ValueError(f"unknown critic kind {kind!r}")
     spec = spec or BatchSpec()
@@ -310,11 +271,13 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
     ys = _as_columns(ys)
     if ys.shape[0] != xs.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    theta, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed], spec)
-    fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta[0], metadata={
+    mat, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed], spec)
+    mask = _mask(kind, xs.shape[1], ys.shape[1])
+    theta = mat[0][mask]
+    fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta, metadata={
         "objective": objective,
         "final_value": float(value[0]),
-        "final_grad_norm": float(np.linalg.norm(grad[0])),
+        "final_grad_norm": float(np.linalg.norm(grad[0][mask])),
         "iterations": spec.iterations,
         "step_size": spec.step_size,
         "batch_size": spec.batch_size,
@@ -340,8 +303,9 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     """Gradient ascent on a stack of P same-shape critic problems.
 
     Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
-    on the draws of ``default_rng(seeds[p])``.  Returns theta (P, q) and the
-    last step's objective values (P,) and gradients (P, q).
+    on the draws of ``default_rng(seeds[p])``.  Each step moves Theta's free
+    cells only.  Returns Theta (P, px, py) and the last step's objective
+    values (P,) and gradients (P, px, py).
     """
     n_problems, n, dx = xs.shape
     dy = ys.shape[2]
@@ -360,23 +324,22 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     draws = [_draws(np.random.default_rng(seed), objective, n, spec.batch_size, steps)
              for seed in streams]
     block = np.empty((len(draws), steps, width), dtype=np.int64)
-    index = _layout(kind, dx, dy)[2]
-    theta = np.zeros((n_problems, len(index)))
+    mask = _mask(kind, dx, dy)
+    mat = np.zeros((n_problems,) + mask.shape)
     for step in range(spec.iterations):
         if step % steps == 0:
             for k, stream in enumerate(draws):
                 block[k] = next(stream)
         rows = block[:, step % steps][gather] + offsets
-        mat = _theta_matrix(kind, dx, dy, theta)
         if objective == "cpc":
             value, grad = _cpc_value_grad(mat, phi.take(rows, axis=0), psi.take(rows, axis=0))
         else:
             joint, px, py = np.split(rows, 3, axis=1)
             value, grad = _nwj_value_grad(mat, phi.take(joint, axis=0), psi.take(joint, axis=0),
                                           phi.take(px, axis=0), psi.take(py, axis=0))
-        grad = grad.reshape(n_problems, -1)[:, index]
-        theta = theta + spec.step_size * grad
-    return theta, value, grad
+        # Indexed, not multiplied by the mask: 0 * inf would be NaN.
+        mat[:, mask] += spec.step_size * grad[:, mask]
+    return mat, value, grad
 
 
 def _draws(rng, objective, n: int, batch_size: int, steps: int):
@@ -497,11 +460,11 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     failures = []
     for k in range(0, n_problems, size):
         chunk = slice(k, k + size)
-        theta = _ascend("bilinear", objective, fit_xs[chunk], fit_ys[chunk],
-                        seeds[chunk], spec)[0]
-        diverged = ~np.all(np.isfinite(theta), axis=1)
+        mat = _ascend("bilinear", objective, fit_xs[chunk], fit_ys[chunk],
+                      seeds[chunk], spec)[0]
+        diverged = ~np.all(np.isfinite(mat), axis=(1, 2))
         values[chunk], non_finite = _estimates(
-            objective, theta, eval_xs[chunk], eval_ys[chunk],
+            objective, mat, eval_xs[chunk], eval_ys[chunk],
             None if perms is None else perms[chunk], spec.batch_size)
         failures += [DIVERGED if d else NON_FINITE_SCORES if f else None
                      for d, f in zip(diverged, non_finite)]
@@ -509,16 +472,15 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     return values, failures
 
 
-def _estimates(objective, theta, xs, ys, perms, batch_size: int):
+def _estimates(objective, mat, xs, ys, perms, batch_size: int):
     """What :func:`fit_and_estimate` returns, for each stacked bilinear critic,
     and whether any of its scores was non-finite: two (P,) arrays.
 
-    ``theta`` is (P, q); problem p evaluates on ``xs[p]``, ``ys[p]`` and,
-    for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.  All CPC
-    batches are scored at once.
+    ``mat`` is Theta (P, px, py); problem p evaluates on ``xs[p]``,
+    ``ys[p]`` and, for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
+    All CPC batches are scored at once.
     """
-    n_problems, n, dx = xs.shape
-    mat = _theta_matrix("bilinear", dx, ys.shape[2], theta)
+    n_problems, n = xs.shape[:2]
     if objective == "cpc":
         # Score grids of every full batch, (P * n // b, b, b).
         used, batches = n - n % batch_size, (-1, batch_size, mat.shape[2])

@@ -490,8 +490,13 @@ def _cmd_sweep(args) -> int:
     m = args.m
     d = SimulationConfig.d if args.d is None else args.d
     jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ValueError(f"--jobs: expected a positive number of worker processes, got {jobs}")
     for token in families:
-        _parse_family_token(token)  # validate early
+        try:
+            _parse_family_token(token)  # validate early
+        except ValueError as exc:
+            raise ValueError(f"--families: {token!r}: {exc}") from None
 
     tasks = [(scenario, fam, n, seed, m, d)
              for fam in families for n in sizes for seed in seeds]

@@ -7,9 +7,7 @@ log-likelihood when predictors may read x:
     I_hat = [min over marginal members of mean -log f(y_i)]
           - [min over conditional members of mean -log f(y_i | x_i)]
 
-Both infima are taken over the same dataset the predictors are fitted on;
-``holdout_information`` is the out-of-sample diagnostic variant and may
-come out negative.
+Both infima are taken over the same dataset the predictors are fitted on.
 
 When a :class:`PacConfig` is supplied, the estimate carries a half-width
 such that the population quantity lies within ``point +/- half_width``
@@ -44,7 +42,6 @@ __all__ = [
     "empirical_entropy",
     "empirical_conditional_entropy",
     "empirical_information",
-    "holdout_information",
     "linear_pac_half_width",
 ]
 
@@ -164,26 +161,6 @@ def empirical_information(
         clamped = True
     bound = _pac_bound(pac, config, n) if pac is not None else None
     return InfoEstimate(point, h_marginal, h_conditional, n, bound, clamped)
-
-
-def holdout_information(
-    config: FamilyConfig, train_xs, train_ys, test_xs, test_ys
-) -> InfoEstimate:
-    """Out-of-sample diagnostic: fit on the train split, score the test split.
-
-    Unlike the in-sample estimate this one carries no non-negativity
-    guarantee and is reported unclamped.
-    """
-    n_test = np.atleast_1d(np.asarray(test_xs)).shape[0]
-    if n_test != np.atleast_1d(np.asarray(test_ys)).shape[0]:
-        raise ValueError("test xs and ys have different lengths")
-    marginal = fit_marginal(config, train_ys)
-    conditional = fit_conditional(config, train_xs, train_ys)
-    h_marginal = _mean_negative(marginal.log_densities(test_ys))
-    h_conditional = _mean_negative(conditional.log_densities(test_xs, test_ys))
-    return InfoEstimate(
-        h_marginal - h_conditional, h_marginal, h_conditional, n_test
-    )
 
 
 def linear_pac_half_width(k_x: float, k_y: float, delta: float, n: int) -> float:

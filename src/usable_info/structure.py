@@ -19,7 +19,7 @@ ordered pair on its own; that per-pair path is the closed form's oracle.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
 the correctness oracle for the fast arborescence.  Weights may be negative
-(e.g. holdout estimates); nothing here assumes otherwise.
+(e.g. NWJ baseline estimates); nothing here assumes otherwise.
 
 Tie-breaking is deterministic everywhere: among equal-weight optima the
 smallest ``(root, parent vector)`` wins lexicographically, so rerunning on

@@ -30,8 +30,8 @@ def _pair(rho, n, seed):
 
 
 def _constant_critic(value):
-    return Critic("fixed", 1, 1,
-                  score_fn=lambda xs, ys: np.full(xs.shape[0], value))
+    # Bilinear Theta on (x, y) scalars: free cells xy, x, y and 1, in that order.
+    return Critic("bilinear", 1, 1, theta=[0.0, 0.0, 0.0, value])
 
 
 # ------------------------------------------------------------------ #
@@ -46,11 +46,9 @@ def test_cpc_constant_critic_is_zero():
 
 def test_cpc_two_by_two_hand_value():
     # scores: diagonal 1, off-diagonal 0; exponentiated ratio argument
-    # becomes e vs 1, giving log(2e / (e + 1)).
-    def score_fn(xs, ys):
-        return (np.abs(xs[:, 0] - ys[:, 0]) < 1e-9).astype(float)
-
-    critic = Critic("fixed", 1, 1, score_fn=score_fn)
+    # becomes e vs 1, giving log(2e / (e + 1)).  Theta = [[2, -1], [-1, 1]]
+    # scores 2xy - x - y + 1, which is 1 when x = y and 0 otherwise on {0, 1}.
+    critic = Critic("bilinear", 1, 1, theta=[2.0, -1.0, -1.0, 1.0])
     batch = np.array([[0.0], [1.0]])
     want = math.log(2.0 * math.e / (math.e + 1.0))
     assert cpc_estimate(critic, batch, batch) == pytest.approx(want, abs=1e-12)
@@ -105,6 +103,19 @@ def test_nwj_oracle_critic_is_unbiased():
     assert abs(vals.mean() - true_info) <= 3.0 * se + 1e-3
 
 
+@pytest.mark.parametrize("rho", [-0.5, 0.5, 0.9, 0.99, 0.999])
+def test_gaussian_oracle_critic_matches_density_ratio(rho):
+    # The quadratic Theta scores 1 + log[p(x, y) / (p(x) p(y))] of the standard
+    # bivariate Gaussian, on joint pairs and on pairs of independent rows.
+    x, y = _pair(rho, 500, 0)
+    x, y = np.vstack([x, x]), np.vstack([y, y[::-1]])
+    critic = gaussian_oracle_critic(rho)
+    log_ratio = (-0.5 * math.log(1.0 - rho * rho)
+                 - (rho * rho * (x * x + y * y) - 2.0 * rho * x * y) / (2.0 * (1.0 - rho * rho)))
+    np.testing.assert_allclose(critic.score(x, y), 1.0 + log_ratio[:, 0], rtol=0, atol=1e-10)
+    assert critic.metadata == {"rho": rho, "oracle": True}
+
+
 def test_score_cap_prevents_overflow():
     critic = _constant_critic(1e4)
     x, y = _pair(0.1, 8, 4)
@@ -122,7 +133,7 @@ def test_critic_validation():
     with pytest.raises(ValueError):
         Critic("mystery", 1, 1)
     with pytest.raises(ValueError):
-        Critic("fixed", 1, 1)  # needs a score function
+        Critic("fixed", 1, 1)
     with pytest.raises(ValueError):
         Critic("bilinear", 2, 2, theta=np.zeros(3))
 
@@ -146,8 +157,7 @@ def _n_feats(kind, dx, dy):
 
 
 def test_nonfinite_critic_output_rejected():
-    critic = Critic("fixed", 1, 1,
-                    score_fn=lambda xs, ys: np.full(xs.shape[0], np.nan))
+    critic = Critic("bilinear", 1, 1, theta=np.full(4, np.nan))
     with pytest.raises(NumericalError):
         critic.score(np.zeros((3, 1)), np.zeros((3, 1)))
 
@@ -275,17 +285,19 @@ def _assert_close(got, want, rtol=REFERENCE_RTOL):
     np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
 
+def _products(a):
+    """The products a_i a_j with i <= j of rows ``a`` (n, d), in row-major order."""
+    iu = np.triu_indices(a.shape[1])
+    return (a[:, :, None] * a[:, None, :])[:, iu[0], iu[1]]
+
+
 def _reference_features(kind, xs, ys):
-    n = xs.shape[0]
-    ones = np.ones((n, 1))
-    if kind == "bilinear":
-        outer = (xs[:, :, None] * ys[:, None, :]).reshape(n, -1)
-        return np.hstack([outer, xs, ys, ones])
-    z = np.hstack([xs, ys])
-    d = z.shape[1]
-    iu = np.triu_indices(d)
-    quad = (z[:, :, None] * z[:, None, :])[:, iu[0], iu[1]]
-    return np.hstack([z, quad, ones])
+    """The monomials that Theta's free cells weigh, in Theta's row-major order:
+    for each x_a, every x_a y_b and then x_a; for ``quadratic`` the x_i x_j;
+    then every y_b, for ``quadratic`` the y_i y_j, and 1."""
+    rows = [np.hstack([xs[:, [a]] * ys, xs[:, [a]]]) for a in range(xs.shape[1])]
+    x_quad, y_quad = ([_products(xs)], [_products(ys)]) if kind == "quadratic" else ([], [])
+    return np.hstack(rows + x_quad + [ys] + y_quad + [np.ones((xs.shape[0], 1))])
 
 
 def _reference_draws(objective, n, spec):
@@ -519,20 +531,21 @@ def test_matrix_form_equals_feature_form(kind, dims):
     _assert_close(critic.score(xs, ys), _reference_features(kind, xs, ys) @ theta, rtol=1e-12)
     grid = _reference_features(kind, np.repeat(xs, 8, axis=0), np.tile(ys, (8, 1))) @ theta
     _assert_close(critic.score_matrix(xs, ys), grid.reshape(8, 8), rtol=1e-12)
-    mat = baselines._theta_matrix(kind, dx, dy, theta[None])
-    index = baselines._layout(kind, dx, dy)[2]
+    mask = baselines._mask(kind, dx, dy)
+    mat = np.zeros((1,) + mask.shape)
+    mat[:, mask] = theta
     phi, psi = baselines._side(kind, xs[None]), baselines._side(kind, ys[None])
     value, grad = baselines._cpc_value_grad(mat, phi, psi)
     want_value, want_grad = _reference_cpc_value_grad(kind, theta, xs, ys, cap=50.0)
     _assert_close(value[0], want_value, rtol=1e-12)
-    _assert_close(grad.reshape(-1)[index], want_grad, rtol=1e-12)
+    _assert_close(grad[0][mask], want_grad, rtol=1e-12)
     prod_x, prod_y = rng.normal(size=(8, dx)), rng.normal(size=(8, dy))
     value, grad = baselines._nwj_value_grad(mat, phi, psi, baselines._side(kind, prod_x[None]),
                                             baselines._side(kind, prod_y[None]))
     want_value, want_grad = _reference_nwj_value_grad(kind, theta, xs, ys, prod_x, prod_y,
                                                       cap=50.0)
     _assert_close(value[0], want_value, rtol=1e-12)
-    _assert_close(grad.reshape(-1)[index], want_grad, rtol=1e-12)
+    _assert_close(grad[0][mask], want_grad, rtol=1e-12)
 
 
 @pytest.mark.parametrize("n, size", [(8, 8), (37, 8), (37, 5), (300, 2), (1000, 7)])

@@ -563,6 +563,30 @@ def test_sweep_unknown_scenario_and_family_fail(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_non_positive_jobs(tmp_path, capsys, jobs):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--scenario", "sim1", "--sizes", "30", "--seeds", "0",
+                 "--families", "linear_gaussian", "--m", "3", "--d", "1", "--jobs", jobs,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: --jobs: expected a positive number of "
+                                       f"worker processes, got {jobs}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token, why", [
+    ("polynomial_gaussian:x", "invalid literal for int() with base 10: 'x'"),
+    ("polynomial_gaussian:0", "polynomial_gaussian needs order >= 1"),
+])
+def test_sweep_family_errors_name_the_flag_and_token(tmp_path, capsys, token, why):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--scenario", "sim1", "--sizes", "30", "--seeds", "0",
+                 "--families", f"linear_gaussian,{token}", "--m", "3", "--d", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --families: {token!r}: {why}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_names_the_cell_whose_baseline_lacks_samples(tmp_path, capsys, jobs):
     out = tmp_path / "sweep.csv"
