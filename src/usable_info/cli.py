@@ -241,6 +241,13 @@ def _family_config(args) -> FamilyConfig:
                         **_fields_set(FamilyConfig, args))
 
 
+def _family_record(family: FamilyConfig, args) -> dict:
+    """A run record's family settings; a fit setting left unset is null."""
+    return {"family": family.kind, "order": family.order, "clip_b": family.clip_b,
+            "norm_radius": family.norm_radius,
+            **{f.name: getattr(args, f.name) for f in fields(FitMode)}}
+
+
 @contextmanager
 def _fit_warnings_fail(where: str):
     """Re-raise a ``FitWarning`` or ``NumericalError`` as a ``NumericalError``,
@@ -387,8 +394,7 @@ def _cmd_estimate(args) -> int:
         estimate = empirical_information(family, xs, ys, pac=pac, clamp=clamp)
     effective = {
         "data": data_path, "x_cols": x_tokens, "y_cols": y_tokens,
-        "family": family.kind, "order": family.order, "clip_b": family.clip_b,
-        "norm_radius": family.norm_radius, "clamp": clamp,
+        **_family_record(family, args), "clamp": clamp,
         "pac": None if pac is None else asdict(pac),
     }
     _emit_json(args.out, "estimate", effective, None, t0,
@@ -443,8 +449,7 @@ def _cmd_tree(args) -> int:
         mode = "directed" if args.directed else "undirected"
         results["wrong_edges_ratio"] = wrong_edges_ratio(tree, truth, mode=mode)
         results["ratio_mode"] = mode
-    effective = {**source, "family": family.kind, "order": family.order,
-                 "clip_b": family.clip_b, "norm_radius": family.norm_radius}
+    effective = {**source, "truth": args.truth, **_family_record(family, args)}
     _emit_json(args.out, "tree", effective, seed, t0, results)
     return EXIT_OK
 

@@ -71,6 +71,7 @@ FAMILY_KINDS = (
     "categorical_softmax",
 )
 _CATEGORICAL_KINDS = ("tabular", "categorical_softmax")
+_CONSTANT_KINDS = ("gaussian_mean", "laplace_mean")  # members cannot read x
 _PMF_TOL = 1e-12
 
 
@@ -309,7 +310,8 @@ class GaussianMean(MarginalPredictor):
 
     def _raw_log_densities(self, ys) -> np.ndarray:
         y = _real_matrix(ys, "y", VariableSpec.real(self.mu.shape[0]))
-        sq = np.sum((y - self.mu) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # an infinite square is a zero density
+            sq = np.sum((y - self.mu) ** 2, axis=1)
         return -0.5 * self.mu.shape[0] * LOG_PI - sq
 
 
@@ -355,7 +357,8 @@ class LinearGaussianMap(ConditionalPredictor):
         y = _real_matrix(ys, "y", VariableSpec.real(self.bias.shape[0]))
         if y.shape[0] != mean.shape[0]:
             raise ValueError("xs and ys have different lengths")
-        sq = np.sum((y - mean) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # an infinite square is a zero density
+            sq = np.sum((y - mean) ** 2, axis=1)
         return -0.5 * self.bias.shape[0] * LOG_PI - sq
 
     def at(self, x) -> GaussianMean:
@@ -490,14 +493,11 @@ def fit_conditional(config: FamilyConfig, xs, ys) -> ConditionalPredictor:
 
     Least-squares kinds solve exactly (minimum-norm solution when the
     design is rank-deficient); ``categorical_softmax`` and norm-constrained
-    linear maps run gradient descent.  ``gaussian_mean`` and
-    ``laplace_mean`` contain only constant maps, so their conditional fit
-    is the marginal fit wrapped to ignore x.
+    linear maps run gradient descent.  A constant-map kind's conditional fit
+    is its marginal fit wrapped to ignore x.
     """
-    if config.kind in ("gaussian_mean", "laplace_mean"):
-        n_x = np.asarray(xs).shape[0]
-        n_y = np.asarray(ys).shape[0]
-        if n_x != n_y:
+    if config.kind in _CONSTANT_KINDS:
+        if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:
             raise ValueError("xs and ys have different lengths")
         return ConstantConditional(fit_marginal(config, ys), clip=config.clip_b)
 

@@ -8,14 +8,14 @@ trees.  One Chu-Liu/Edmonds run solves it exactly for every root at once:
 a virtual root points at each node, and exact lexicographic edge keys
 make the tree it finds hang from a single virtual edge.
 
-Edge weights score every ordered pair with one family config, by one of
-two paths.  A ``linear_gaussian`` or ``polynomial_gaussian`` config with
+Edge weights score every ordered pair with one family config, in one of
+three ways.  A ``linear_gaussian`` or ``polynomial_gaussian`` config with
 no ``clip_b`` and no ``norm_radius`` uses the closed form ``w[i, j] =
-||P_i Yc_j||_F^2 / n``: ``P_i`` projects onto the span of source i's
-centred features and ``Yc_j`` is the centred target, so one thin SVD per
-source scores every target.  Every other config (a clip bound or a norm
-radius, and the categorical, laplace and gaussian_mean kinds) fits each
-ordered pair on its own; that per-pair path is the closed form's oracle.
+||P_i Yc_j||_F^2 / n`` (``P_i`` projects onto source i's centred features,
+``Yc_j`` is the centred target): one thin SVD per source scores every
+target.  ``gaussian_mean`` and ``laplace_mean`` cannot read x, so every
+weight is 0 by definition.  Any other config fits each ordered pair on its
+own, the closed form's oracle.  All check each variable as ``ys`` first.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
 the correctness oracle for the fast arborescence.  Weights may be negative
@@ -34,12 +34,13 @@ import warnings
 from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
 from .estimation import empirical_conditional_entropy, empirical_entropy
-from .families import FamilyConfig, _expand, _poly_exponents, _real_matrix
+from .families import (_CONSTANT_KINDS, FamilyConfig, _expand, _poly_exponents,
+                       _real_matrix)
 
 __all__ = [
     "EdgeWeightMatrix",
@@ -163,10 +164,10 @@ def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
     """Estimate the information weight of every ordered variable pair.
 
     ``variables`` holds one aligned sample array per variable, and every
-    directed pair is scored with the family ``config``.  A linear or
-    polynomial config with no clip bound and no norm radius takes the
-    closed form (see the module docstring); the rest fit pair by pair.
-    Either way the result is deterministic given the data and config.
+    directed pair is scored with the family ``config``: by the closed form,
+    as 0 for a constant-map kind once every marginal is fitted, or pair by
+    pair (see the module docstring).  The result is deterministic given the
+    data and config.
     """
     if (config.kind in _CLOSED_FORM_KINDS and config.norm_radius is None
             and config.clip_b is None):
@@ -177,16 +178,12 @@ def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
 
 
 def _pair_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
-    """Fit every ordered pair on its own; each target's marginal fits once."""
+    """Fit every marginal in index order, then every ordered pair's conditional."""
     m = _check_aligned(variables)
-    marginal: dict = {}
+    marginal = [empirical_entropy(config, v) for v in variables]
     w = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i == j:
-                continue
-            if j not in marginal:
-                marginal[j] = empirical_entropy(config, variables[j])
+    if config.kind not in _CONSTANT_KINDS:
+        for i, j in permutations(range(m), 2):
             w[i, j] = marginal[j] - empirical_conditional_entropy(config, variables[i],
                                                                   variables[j])
     return EdgeWeightMatrix(w)
@@ -198,16 +195,13 @@ def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | N
     With the covariance fixed at I/2 the pair information is
     ``(TSS - RSS) / n = ||U_i^T Yc_j||_F^2 / n``, where ``U_i`` spans source
     i's centred features (singular values above ``s_max max(n, p) eps``,
-    the ``lstsq`` rank rule) and ``Yc_j`` is the centred target.  Returns
-    None when a variable fails the per-pair input checks or a weight is
-    not finite, so that the per-pair path raises its own error.
+    the ``lstsq`` rank rule) and ``Yc_j`` is the centred target.  Inputs are
+    checked as the per-pair path checks them, so they raise its errors; a
+    non-finite feature or weight returns None, for that path to raise.
     """
     m = _check_aligned(variables)
-    try:
-        targets = [_real_matrix(v, "ys", config.y_spec) for v in variables]
-        sources = [_real_matrix(v, "xs", config.x_spec) for v in variables]
-    except ValueError:
-        return None
+    targets = [_real_matrix(v, "ys", config.y_spec) for v in variables]
+    sources = [_real_matrix(v, "xs", config.x_spec) for v in variables]
     n = targets[0].shape[0]
     starts = np.cumsum([0] + [t.shape[1] for t in targets[:-1]])
     w = np.zeros((m, m))

@@ -406,6 +406,35 @@ def test_tree_config_file_keys_match_flags(tmp_path):
     assert records[0]["config"]["data"] == str(data)
 
 
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_run_records_carry_the_fit_settings(correlated_csv, tmp_path, form):
+    path, _ = correlated_csv
+    truth = tmp_path / "t.json"
+    truth.write_text(json.dumps({"root": 0, "parents": [None, 0]}))
+    family = {"family": "linear_gaussian", "norm_radius": 1.0, "max_iters": 3000,
+              "tolerance": 1e-4}
+    inputs = {"tree": {"data": str(path), "truth": str(truth)},
+              "estimate": {"data": str(path), "x_cols": "var0", "y_cols": "var1"}}
+    records = {}
+    for command, own in inputs.items():
+        settings = {**own, **family}
+        if form == "flag":
+            argv = [a for k, v in settings.items()
+                    for a in (f"--{k.replace('_', '-')}", str(v))]
+        else:
+            cfg = tmp_path / f"{command}.json"
+            cfg.write_text(json.dumps(settings))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / f"{command}_record.json"
+        assert main([command, *argv, "--out", str(out)]) == 0
+        records[command] = json.loads(out.read_text())["config"]
+    for config in records.values():
+        assert (config["max_iters"], config["step_size"], config["tolerance"]) == (
+            3000, None, 1e-4)
+    assert records["tree"] == {"data": str(path), "truth": str(truth), "clip_b": None,
+                               "order": None, **family, "step_size": None}
+
+
 def test_tree_sim_config_from_config_file(tmp_path):
     sim = tmp_path / "sim.json"
     sim.write_text(json.dumps({"scenario": "sim1", "m": 4, "d": 2, "n": 300, "seed": 5}))

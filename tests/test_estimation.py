@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,17 @@ def test_infinite_log_density_instructs_clip():
         with pytest.raises(InfiniteLogDensityError, match="clip"):
             empirical_entropy(FamilyConfig("gaussian_mean"), ys)
         assert np.isfinite(empirical_entropy(FamilyConfig("gaussian_mean", clip_b=5.0), ys))
+
+
+def test_overflowing_squares_raise_only_the_infinite_density_error():
+    # numpy's overflow warning must not come ahead of the error that explains it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfiniteLogDensityError):
+            empirical_entropy(FamilyConfig("gaussian_mean"), [1e200, -1e200])
+        with pytest.raises(InfiniteLogDensityError):
+            empirical_conditional_entropy(FamilyConfig("linear_gaussian"), [0.0, 1.0, 2.0],
+                                          [1e200, -1e200, 1e200])
 
 
 # ------------------------------------------------------------------ #

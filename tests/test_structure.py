@@ -1,10 +1,12 @@
 import json
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from usable_info import structure
+from usable_info.estimation import empirical_conditional_entropy, empirical_entropy
 from usable_info.families import FamilyConfig, FitMode, FitWarning, VariableSpec
 from usable_info.structure import (
     Arborescence,
@@ -267,15 +269,15 @@ def test_closed_form_matches_per_pair_on_degenerate_data():
     assert edge_weights(wide, FamilyConfig("linear_gaussian")).w[0, 1] == pytest.approx(tss)
 
 
-def _count_conditional_fits(monkeypatch):
+def _count_calls(monkeypatch, name="empirical_conditional_entropy"):
     calls = []
-    real = structure.empirical_conditional_entropy
+    real = getattr(structure, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(structure, "empirical_conditional_entropy", counted)
+    monkeypatch.setattr(structure, name, counted)
     return calls
 
 
@@ -291,12 +293,60 @@ def test_only_plain_linear_and_polynomial_configs_skip_the_pair_loop(monkeypatch
         (real, FamilyConfig("linear_gaussian", norm_radius=1.0,
                             fit=FitMode(max_iters=50)), 6),
         (symbols, FamilyConfig("tabular"), 6),
-        (real, FamilyConfig("gaussian_mean"), 6),
+        (real, FamilyConfig("gaussian_mean"), 0),
+        (real, FamilyConfig("laplace_mean"), 0),
     ]
     for variables, family, expected in cases:
-        calls = _count_conditional_fits(monkeypatch)
+        calls = _count_calls(monkeypatch)
         edge_weights(variables, family)
         assert len(calls) == expected, family
+
+
+@pytest.mark.parametrize("kind", ["gaussian_mean", "laplace_mean"])
+def test_constant_map_kinds_fit_each_marginal_once_and_no_conditional(monkeypatch, kind):
+    variables = _correlated(np.random.default_rng(14), [2, 1, 2, 3], 60)
+    marginals = _count_calls(monkeypatch, "empirical_entropy")
+    conditionals = _count_calls(monkeypatch)
+    assert not edge_weights(variables, FamilyConfig(kind)).w.any()
+    assert (len(marginals), len(conditionals)) == (4, 0)
+
+
+@pytest.mark.parametrize("n", [30, 300])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_constant_map_weights_equal_the_per_pair_definition_bitwise(n, seed):
+    # The cells of the sweep_fits benchmark: sim2, m=7, d=2.
+    from usable_info.synth import SimulationConfig, simulate
+
+    dataset, _ = simulate(SimulationConfig(scenario="sim2", n=n, seed=seed, m=7, d=2))
+    v = dataset.variables
+    for kind in ("gaussian_mean", "laplace_mean"):
+        config = FamilyConfig(kind)
+        expected = np.zeros((7, 7))
+        for i, j in permutations(range(7), 2):
+            expected[i, j] = (empirical_entropy(config, v[j])
+                              - empirical_conditional_entropy(config, v[i], v[j]))
+        assert edge_weights(v, config).w.tobytes() == expected.tobytes(), kind
+
+
+def test_non_converging_constant_map_marginal_still_warns():
+    variables = _correlated(np.random.default_rng(15), [2, 2, 2], 50)
+    config = FamilyConfig("laplace_mean", fit=FitMode(max_iters=1))
+    with pytest.warns(FitWarning, match="geometric median"):
+        edge_weights(variables, config)
+
+
+@pytest.mark.parametrize("config,bad,message", [
+    (FamilyConfig("linear_gaussian"), [np.nan, 1.0, 2.0], "ys contains non-finite"),
+    (FamilyConfig("linear_gaussian", clip_b=50.0), [np.nan, 1.0, 2.0],
+     "ys contains non-finite"),
+    (FamilyConfig("gaussian_mean"), [np.nan, 1.0, 2.0], "ys contains non-finite"),
+    (FamilyConfig("laplace_mean"), [np.nan, 1.0, 2.0], "ys contains non-finite"),
+    (FamilyConfig("tabular"), [-1, 0, 1], "ys: categorical symbol out of range"),
+])
+def test_a_bad_first_variable_fails_as_a_target_on_every_path(config, bad, message):
+    good = np.array([0, 1, 2])
+    with pytest.raises(ValueError, match=f"^{message}"):
+        edge_weights([np.array(bad), good, good], config)
 
 
 @pytest.mark.parametrize("config,bad,message", [
