@@ -26,12 +26,20 @@ the block's length depends on the problem's shape alone.
 
 Every fit is one gradient ascent over a stack of same-shape problems, and
 every fitted estimate goes through :func:`fit_and_estimate_stack`.
-:func:`fit_critic` and :func:`fit_and_estimate` are stacks of one;
-:func:`baseline_edge_weights` stacks the ordered pairs of the same
-dimensions, and ``usable-info baselines`` the ``(rho, seed)`` rows of an
-objective.  Each problem sees the floating-point operations of a lone fit
-and the batches of its own seed, so a stacked fit equals a lone fit bit for
-bit; problems that share a seed draw their batches once.
+:func:`fit_critic` is a stack of one; :func:`baseline_edge_weights` stacks
+the ordered pairs of the same dimensions, and ``usable-info baselines`` the
+``(rho, seed)`` rows of an objective.  Each problem sees the floating-point
+operations of a lone fit and the batches of its own seed, so a stacked fit
+equals a lone fit bit for bit; problems that share a seed draw their
+batches once.
+
+Samples are checked as the families check them (``families._real_matrix``):
+every entry point, and every problem of a stack, raises ``ValueError`` on
+an empty, mis-shaped or non-finite sample.  A numerical failure has one
+report: :func:`fit_and_estimate_stack` says for each problem whether its
+fit diverged (:data:`DIVERGED`) or its critic scored an eval pair
+non-finitely (:data:`NON_FINITE_SCORES`), and :func:`baseline_edge_weights`
+raises one :class:`NumericalError` that names every failed pair and why.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .families import FitWarning
+from .families import FitWarning, VariableSpec, _real_matrix
 from .structure import EdgeWeightMatrix, _check_aligned
 
 __all__ = [
@@ -54,7 +62,6 @@ __all__ = [
     "cpc_estimate",
     "nwj_estimate",
     "fit_critic",
-    "fit_and_estimate",
     "fit_and_estimate_stack",
     "baseline_edge_weights",
     "gaussian_oracle_critic",
@@ -114,16 +121,16 @@ class Critic:
 
     def score(self, xs, ys) -> np.ndarray:
         """Scores of aligned pairs; shape (n,)."""
-        xs = _as_matrix(xs, self.x_dim)
-        ys = _as_matrix(ys, self.y_dim)
+        xs = _real_matrix(xs, "xs", VariableSpec.real(self.x_dim))
+        ys = _real_matrix(ys, "ys", VariableSpec.real(self.y_dim))
         if xs.shape[0] != ys.shape[0]:
             raise ValueError("xs and ys have different lengths")
         return _finite(_row_scores(_side(self.kind, xs) @ self._matrix(), _side(self.kind, ys)))
 
     def score_matrix(self, xs, ys) -> np.ndarray:
         """All-pairs scores; entry (i, j) scores (x_i, y_j)."""
-        xs = _as_matrix(xs, self.x_dim)
-        ys = _as_matrix(ys, self.y_dim)
+        xs = _real_matrix(xs, "xs", VariableSpec.real(self.x_dim))
+        ys = _real_matrix(ys, "ys", VariableSpec.real(self.y_dim))
         return _finite(_side(self.kind, xs) @ self._matrix() @ _side(self.kind, ys).T)
 
     def _matrix(self) -> np.ndarray:
@@ -131,15 +138,6 @@ class Critic:
         mat = np.zeros(mask.shape)
         mat[mask] = self.theta
         return mat
-
-
-def _as_matrix(a, dim: int) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(f"expected rows of dimension {dim}")
-    return arr
 
 
 @functools.cache
@@ -267,8 +265,8 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
     if kind not in ("bilinear", "quadratic"):
         raise ValueError(f"unknown critic kind {kind!r}")
     spec = spec or BatchSpec()
-    xs = _as_columns(xs)
-    ys = _as_columns(ys)
+    xs = _real_matrix(xs, "xs")
+    ys = _real_matrix(ys, "ys")
     if ys.shape[0] != xs.shape[0]:
         raise ValueError("xs and ys have different lengths")
     mat, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed], spec)
@@ -292,11 +290,6 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
 def _check_objective(objective: str) -> None:
     if objective not in ("cpc", "nwj"):
         raise ValueError(f"unknown objective {objective!r}")
-
-
-def _as_columns(a) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
-    return arr.reshape(-1, 1) if arr.ndim == 1 else arr
 
 
 def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
@@ -391,46 +384,20 @@ def _nwj_value_grad(mat, phi_joint, psi_joint, phi_prod, psi_prod):
 # --------------------------------------------------------------------- #
 
 
-def fit_and_estimate(objective: str, fit_xs, fit_ys, eval_xs, eval_ys,
-                     spec: BatchSpec, perm=None) -> float:
-    """Fit a bilinear critic on the fit pairs, then estimate on the eval pairs.
-
-    ``"cpc"`` averages :func:`cpc_estimate` over consecutive full batches
-    of ``spec.batch_size`` eval pairs, so it never exceeds the log batch
-    size.  ``"nwj"`` takes product pairs ``(eval_xs, eval_ys[perm])``;
-    ``perm`` defaults to a permutation drawn from ``spec.seed``.  A fit that
-    diverges warns; a critic that scores an eval pair non-finitely raises
-    :class:`NumericalError`.
-    """
-    _check_objective(objective)
-    fit_xs, fit_ys = _as_columns(fit_xs), _as_columns(fit_ys)
-    if fit_ys.shape[0] != fit_xs.shape[0]:
-        raise ValueError("xs and ys have different lengths")
-    eval_xs = _as_matrix(eval_xs, fit_xs.shape[1])
-    eval_ys = _as_matrix(eval_ys, fit_ys.shape[1])
-    if eval_ys.shape[0] != eval_xs.shape[0]:
-        raise ValueError("eval xs and ys have different lengths")
-    perms = None if perm is None else np.asarray(perm)[None]
-    values, failures = fit_and_estimate_stack(
-        objective, fit_xs[None], fit_ys[None], eval_xs[None], eval_ys[None], [spec.seed],
-        spec, perms=perms)
-    if failures[0] == DIVERGED:
-        warnings.warn(DIVERGED, FitWarning)
-    if failures[0] is not None:
-        raise NumericalError(NON_FINITE_SCORES)
-    return float(values[0])
-
-
 def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, seeds,
                            spec: BatchSpec, perms=None):
-    """:func:`fit_and_estimate` for each of a stack of P problems.
+    """Fit a bilinear critic per problem of a stack of P, then estimate on its eval pairs.
 
     Problem p fits on ``fit_xs[p]`` (n, dx) and ``fit_ys[p]`` (n, dy) with
     ``seeds[p]`` in place of ``spec.seed``, then estimates on ``eval_xs[p]``
-    (k, dx) and ``eval_ys[p]`` (k, dy); NWJ product pairs take
-    ``eval_ys[p, perms[p]]``, with ``perms`` drawn from each seed when
-    omitted.  The problems are fitted and evaluated in chunks of at most
-    ``_STACK_FLOATS`` floats, each chunk one stacked ascent.
+    (k, dx) and ``eval_ys[p]`` (k, dy).  ``"cpc"`` averages
+    :func:`cpc_estimate` over consecutive full batches of
+    ``spec.batch_size`` eval pairs, so it never exceeds the log batch size.
+    ``"nwj"`` takes product pairs ``(eval_xs[p], eval_ys[p, perms[p]])``,
+    with ``perms[p]`` drawn from ``seeds[p]`` when ``perms`` is omitted.  A
+    lone problem is a stack of one.  The problems are fitted and evaluated
+    in chunks of at most ``_STACK_FLOATS`` floats, each chunk one stacked
+    ascent.
 
     Returns the values (P,) and, for each problem, ``None`` or why it
     failed: :data:`DIVERGED` when its critic fit left non-finite
@@ -438,6 +405,8 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     eval pair non-finitely.  A failed problem's value is NaN.
     """
     _check_objective(objective)
+    fit_xs, fit_ys = _real_stack(fit_xs, "fit_xs"), _real_stack(fit_ys, "fit_ys")
+    eval_xs, eval_ys = _real_stack(eval_xs, "eval_xs"), _real_stack(eval_ys, "eval_ys")
     n_problems, n_fit, dx = fit_xs.shape
     dy = fit_ys.shape[2]
     n_eval = eval_xs.shape[1]
@@ -472,9 +441,19 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     return values, failures
 
 
+def _real_stack(stack, name: str) -> np.ndarray:
+    """A (P, n, d) stack whose every problem passes the families' sample check."""
+    arr = np.asarray(stack, dtype=float)
+    if arr.ndim != 3:
+        raise ValueError(f"{name} must be a stack of (n, d) sample matrices")
+    for p, problem in enumerate(arr):
+        _real_matrix(problem, f"{name}[{p}]")
+    return arr
+
+
 def _estimates(objective, mat, xs, ys, perms, batch_size: int):
-    """What :func:`fit_and_estimate` returns, for each stacked bilinear critic,
-    and whether any of its scores was non-finite: two (P,) arrays.
+    """The estimates of :func:`fit_and_estimate_stack` from fitted Thetas,
+    and whether any of a problem's scores was non-finite: two (P,) arrays.
 
     ``mat`` is Theta (P, px, py); problem p evaluates on ``xs[p]``,
     ``ys[p]`` and, for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
@@ -501,14 +480,15 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
     """CPC or NWJ estimate for every ordered variable pair.
 
     Pair ``(i, j)`` fits and evaluates on all its samples as
-    :func:`fit_and_estimate` does, seeded from ``(seed, i, j)`` so that each
-    weight is reproducible on its own.  Pairs of the same dimensions share
-    one :func:`fit_and_estimate_stack` call; fits that diverge warn once,
-    naming their pairs, before a non-finite score raises.
+    :func:`fit_and_estimate_stack` does, seeded from ``(seed, i, j)`` so
+    that each weight is reproducible on its own.  Pairs of the same
+    dimensions share one stack.  Each variable is checked as ``ys``, in
+    index order, as :func:`structure.edge_weights` checks it; failed pairs
+    raise one :class:`NumericalError` that names each with its reason.
     """
     m = _check_aligned(variables)
     _check_objective(method)
-    variables = [_as_columns(v) for v in variables]
+    variables = [_real_matrix(v, "ys") for v in variables]
     spec = BatchSpec(iterations=EDGE_WEIGHT_ITERATIONS)
     seeds = {(i, j): int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
              for i in range(m) for j in range(m) if i != j}
@@ -516,17 +496,17 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
     for i, j in seeds:
         groups.setdefault((variables[i].shape[1], variables[j].shape[1]), []).append((i, j))
     w = np.zeros((m, m))
-    failures = {}
+    failed: dict = {}
     for pairs in groups.values():
         xs = np.stack([variables[i] for i, _ in pairs])
         ys = np.stack([variables[j] for _, j in pairs])
-        w[tuple(zip(*pairs))], why = fit_and_estimate_stack(
+        w[tuple(zip(*pairs))], failures = fit_and_estimate_stack(
             method, xs, ys, xs, ys, [seeds[p] for p in pairs], spec)
-        failures.update(zip(pairs, why))
-    diverged = sorted(pair for pair, why in failures.items() if why == DIVERGED)
-    if diverged:
-        warnings.warn(f"{method} {DIVERGED} for pairs " + ", ".join(map(str, diverged)),
-                      FitWarning)
-    if any(why is not None for why in failures.values()):
-        raise NumericalError(NON_FINITE_SCORES)
+        for pair, why in zip(pairs, failures):
+            if why is not None:
+                failed.setdefault(why, []).append(pair)
+    if failed:
+        raise NumericalError(f"{method} " + "; ".join(
+            f"{why} for pairs " + ", ".join(map(str, sorted(failed[why])))
+            for why in (DIVERGED, NON_FINITE_SCORES) if why in failed))
     return EdgeWeightMatrix(w)

@@ -8,6 +8,11 @@ log-likelihood when predictors may read x:
           - [min over conditional members of mean -log f(y_i | x_i)]
 
 Both infima are taken over the same dataset the predictors are fitted on.
+The marginal infimum runs over the family's constant members, so a
+``norm_radius`` family's marginal is a constant mean inside its ball.  The
+estimate is then non-negative up to the accuracy of an iterative
+conditional fit, and up to the clipping of a ``clip_b`` bound, which is
+applied at evaluation only.
 
 When a :class:`PacConfig` is supplied, the estimate carries a half-width
 such that the population quantity lies within ``point +/- half_width``

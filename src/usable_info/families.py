@@ -471,7 +471,9 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
 
     Exact for every kind except ``laplace_mean``, whose geometric median
     comes from Weiszfeld iteration.  Linear and polynomial kinds fit their
-    constant sub-family: a Gaussian centred on the sample mean.
+    constant sub-family: a Gaussian centred on the sample mean, or with a
+    ``norm_radius`` r, where ``(W, b) = (0, b)`` needs ``||b|| <= r``, on
+    the sample mean pulled into that ball.
     """
     if config.kind in _CATEGORICAL_KINDS:
         symbols, card = _categorical_symbols(ys, "ys", config.y_spec)
@@ -485,7 +487,12 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
               else geometric_median(y, tol=fit.tolerance, max_iters=fit.max_iters))
         return LaplaceMean(mu, clip=config.clip_b)
     # gaussian_mean, linear_gaussian, polynomial_gaussian
-    return GaussianMean(y.mean(axis=0), clip=config.clip_b)
+    mu = y.mean(axis=0)
+    if config.norm_radius is not None:
+        norm = float(np.linalg.norm(mu))
+        if norm > config.norm_radius:
+            mu = mu * (config.norm_radius / norm)
+    return GaussianMean(mu, clip=config.clip_b)
 
 
 def fit_conditional(config: FamilyConfig, xs, ys) -> ConditionalPredictor:
@@ -703,14 +710,18 @@ def geometric_median(points, tol: float = 1e-9, max_iters: int = 10_000) -> np.n
 
     Weiszfeld iteration with the Vardi-Zhang correction when an iterate
     coincides with a data point; stops when the iterate moves less than
-    ``tol``.
+    ``tol``.  Raises :class:`NumericalError` as soon as the start point
+    (the mean) or an iterate is not finite.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if not _positive_finite(tol):
         raise ValueError("tol must be positive and finite")
     pts = _real_matrix(points, "points")
-    mu = pts.mean(axis=0)
+    with np.errstate(over="ignore"):
+        mu = pts.mean(axis=0)
+    if not np.all(np.isfinite(mu)):
+        raise NumericalError("geometric median: the mean of the points overflows float64")
     eps = 1e-12
     for it in range(1, max_iters + 1):
         diff = pts - mu
@@ -733,6 +744,8 @@ def geometric_median(points, tol: float = 1e-9, max_iters: int = 10_000) -> np.n
             gamma = min(1.0, n_hit / r)
             new = (1.0 - gamma) * tilde + gamma * mu
         move = float(np.linalg.norm(new - mu))
+        if not math.isfinite(move):
+            raise NumericalError(f"geometric median: Weiszfeld step {it} overflows float64")
         mu = new
         if move <= tol:
             return mu

@@ -39,8 +39,8 @@ from itertools import permutations, product
 import numpy as np
 
 from .estimation import empirical_conditional_entropy, empirical_entropy
-from .families import (_CONSTANT_KINDS, FamilyConfig, _expand, _poly_exponents,
-                       _real_matrix)
+from .families import (_CONSTANT_KINDS, FamilyConfig, FitWarning, _expand,
+                       _poly_exponents, _real_matrix)
 
 __all__ = [
     "EdgeWeightMatrix",
@@ -178,15 +178,40 @@ def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
 
 
 def _pair_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
-    """Fit every marginal in index order, then every ordered pair's conditional."""
+    """Fit every marginal in index order, then every ordered pair's conditional.
+
+    A ``FitWarning`` is re-sent naming the family kind and the variable or
+    the ``(i, j)`` pair whose fit raised it.
+    """
     m = _check_aligned(variables)
-    marginal = [empirical_entropy(config, v) for v in variables]
+    marginal = [_naming_fit_warnings(f"{config.kind} marginal of variable {j}",
+                                     empirical_entropy, config, v)
+                for j, v in enumerate(variables)]
     w = np.zeros((m, m))
     if config.kind not in _CONSTANT_KINDS:
         for i, j in permutations(range(m), 2):
-            w[i, j] = marginal[j] - empirical_conditional_entropy(config, variables[i],
-                                                                  variables[j])
+            w[i, j] = marginal[j] - _naming_fit_warnings(
+                f"{config.kind} pair ({i}, {j})", empirical_conditional_entropy, config,
+                variables[i], variables[j])
     return EdgeWeightMatrix(w)
+
+
+def _naming_fit_warnings(where: str, fit, *args):
+    """``fit(*args)``, with each ``FitWarning`` it raised re-sent as
+    ``"<where>: <message>"`` once it ends, under the caller's filters.
+
+    Other warnings meet the caller's filters as they happen, so one that is
+    an error still stops the fit; the rest are re-sent unchanged.
+    """
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", FitWarning)
+            return fit(*args)
+    finally:
+        for w in caught:
+            named = issubclass(w.category, FitWarning)
+            warnings.warn_explicit(f"{where}: {w.message}" if named else w.message,
+                                   w.category, w.filename, w.lineno)
 
 
 def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | None:

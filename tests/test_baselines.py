@@ -11,14 +11,14 @@ from usable_info.baselines import (
     Critic,
     baseline_edge_weights,
     cpc_estimate,
-    fit_and_estimate,
     fit_and_estimate_stack,
     fit_critic,
     gaussian_oracle_critic,
     nwj_estimate,
 )
 from usable_info.errors import NumericalError
-from usable_info.families import FitWarning
+from usable_info.families import FamilyConfig, FitWarning
+from usable_info.structure import edge_weights
 from usable_info.synth import SimulationConfig, simulate
 
 
@@ -474,12 +474,59 @@ def test_baseline_edge_weights_need_aligned_variables():
 def test_fit_and_estimate_validates_eval_pairs():
     x, y = _pair(0.5, 64, 0)
     spec = BatchSpec(iterations=5)
-    with pytest.raises(ValueError, match="different lengths"):
-        fit_and_estimate("cpc", x, y, x, y[:-1], spec)
+    with pytest.raises(ValueError, match="do not match"):
+        fit_and_estimate_stack("cpc", x[None], y[None], x[None], y[None, :-1], [0], spec)
     with pytest.raises(ValueError, match="one batch"):
-        fit_and_estimate("cpc", x, y, x[:7], y[:7], spec)
+        fit_and_estimate_stack("cpc", x[None], y[None], x[None, :7], y[None, :7], [0], spec)
     with pytest.raises(ValueError, match="objective"):
-        fit_and_estimate("mine", x, y, x, y, spec)
+        fit_and_estimate_stack("mine", x[None], y[None], x[None], y[None], [0], spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_every_entry_point_rejects_non_finite_samples(bad):
+    # Checked as the families check samples, before any fit: a ValueError
+    # (exit 2), not a diverged fit or non-finite scores (exit 4).
+    x, y = _pair(0.5, 64, 0)
+    x_bad = x.copy()
+    x_bad[3] = bad
+    critic = _constant_critic(1.0)
+    spec = BatchSpec(iterations=5)
+    calls = {
+        "score": lambda: critic.score(x_bad, y),
+        "score_matrix": lambda: critic.score_matrix(x, x_bad),
+        "cpc_estimate": lambda: cpc_estimate(critic, x_bad[:8], y[:8]),
+        "nwj_estimate": lambda: nwj_estimate(critic, x, y, x_bad, y),
+        "fit_critic": lambda: fit_critic("bilinear", "nwj", x, x_bad, spec),
+        "fit_and_estimate_stack": lambda: fit_and_estimate_stack(
+            "cpc", np.stack([x, x]), np.stack([y, y]), np.stack([x, x_bad]), np.stack([y, y]),
+            [0, 1], spec),
+        "baseline_edge_weights": lambda: baseline_edge_weights([y, x_bad], "nwj", 0),
+    }
+    messages = {}
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as raised:
+            call()
+        messages[name] = str(raised.value)
+    assert messages == {
+        "score": "xs contains non-finite values",
+        "score_matrix": "ys contains non-finite values",
+        "cpc_estimate": "xs contains non-finite values",
+        "nwj_estimate": "xs contains non-finite values",
+        "fit_critic": "ys contains non-finite values",
+        "fit_and_estimate_stack": "eval_xs[1] contains non-finite values",
+        "baseline_edge_weights": "ys contains non-finite values",
+    }
+    # The families' edge weights say the same of the same variables.
+    with pytest.raises(ValueError, match="^ys contains non-finite values$"):
+        edge_weights([y, x_bad], FamilyConfig("linear_gaussian"))
+
+
+def test_critic_scores_check_each_side_against_its_dimension():
+    critic = Critic("bilinear", 2, 1)
+    with pytest.raises(ValueError, match="^xs has dimension 1, expected 2$"):
+        critic.score(np.zeros((3, 1)), np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="^ys has dimension 2, expected 1$"):
+        critic.score_matrix(np.zeros((3, 2)), np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("n", [8, 37, 300])
@@ -578,7 +625,11 @@ def test_fit_and_estimate_matches_reference_bitwise(objective, perm, caplog):
     spec = BatchSpec(iterations=60, step_size=0.2, seed=5)
     order = np.random.default_rng(3).permutation(300) if perm else None
     with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
-        got = fit_and_estimate(objective, x[:300], y[:300], x[300:], y[300:], spec, perm=order)
+        values, failures = fit_and_estimate_stack(
+            objective, x[None, :300], y[None, :300], x[None, 300:], y[None, 300:], [spec.seed],
+            spec, perms=None if order is None else order[None])
+        assert failures == [None]
+        got = values[0]
         fast_records = _capped_records(caplog)
         caplog.clear()
         critic = _reference_fit_critic("bilinear", objective, x[:300], y[:300], spec)
@@ -619,27 +670,44 @@ def test_baseline_edge_weights_match_reference_on_sim2(method, caplog):
     _assert_close(got, want)
 
 
+def _raises_one_numerical_error(call) -> str:
+    """The message of the NumericalError ``call`` raises, checking that it
+    sends no FitWarning first."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericalError) as raised:
+            call()
+    assert not [w for w in caught if issubclass(w.category, FitWarning)]
+    return str(raised.value)
+
+
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
 def test_diverged_fits_name_their_pairs(method):
     # Gradients on var0's pairs overflow; var1 x var2 stays finite.
     rng = np.random.default_rng(0)
     variables = [1e300 * rng.normal(size=(40, 1)), 1e10 * rng.normal(size=(40, 1)),
                  1e10 * rng.normal(size=(40, 1))]
-    message = (f"{method} critic fit diverged to non-finite parameters for pairs "
-               "(0, 1), (0, 2), (1, 0), (2, 0)")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        warnings.simplefilter("error", FitWarning)
-        with pytest.raises(FitWarning) as raised:
-            baseline_edge_weights(variables, method, seed=0)
-    assert str(raised.value) == message
-    # Left as a warning, it comes once, before the non-finite scores error.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with pytest.raises(NumericalError, match="non-finite scores"):
-            baseline_edge_weights(variables, method, seed=0)
-    fit_warnings = [w for w in caught if issubclass(w.category, FitWarning)]
-    assert [str(w.message) for w in fit_warnings] == [message]
+    message = _raises_one_numerical_error(
+        lambda: baseline_edge_weights(variables, method, seed=0))
+    assert message == (f"{method} critic fit diverged to non-finite parameters for pairs "
+                       "(0, 1), (0, 2), (1, 0), (2, 0)")
+
+
+@pytest.mark.parametrize("method,scale,message", [
+    # Each fit stays finite, and its scores on var0's largest rows overflow.
+    ("cpc", 1e160, "cpc critic produced non-finite scores for pairs "
+                   "(0, 1), (0, 2), (1, 0), (2, 0)"),
+    # var0 as x diverges; var0 as y leaves finite critics that overflow.
+    ("nwj", 1e150, "nwj critic fit diverged to non-finite parameters for pairs (0, 1), "
+                   "(0, 2); critic produced non-finite scores for pairs (1, 0), (2, 0)"),
+], ids=["cpc-scores", "nwj-both"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_pairs_raise_one_error_naming_each_with_its_reason(method, scale, message):
+    rng = np.random.default_rng(0)
+    variables = [scale * rng.normal(size=(40, 1)), rng.normal(size=(40, 1)),
+                 rng.normal(size=(40, 1))]
+    assert _raises_one_numerical_error(
+        lambda: baseline_edge_weights(variables, method, seed=0)) == message
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
@@ -676,7 +744,7 @@ def test_ascent_with_a_shared_seed_equals_lone_fits(objective, n):
 
 
 @pytest.mark.parametrize("objective", ["cpc", "nwj"])
-def test_stacked_estimates_equal_lone_fit_and_estimate(objective):
+def test_stacked_estimates_equal_stacks_of_one(objective):
     xs, ys = _stack_problems(200)
     seeds = [3, 8, 3]
     spec = BatchSpec(iterations=40, batch_size=6)
@@ -686,10 +754,11 @@ def test_stacked_estimates_equal_lone_fit_and_estimate(objective):
                                               perms=perms)
     assert failures == [None, None, None]
     for p, seed in enumerate(seeds):
-        want = fit_and_estimate(objective, xs[p, :100], ys[p, :100], xs[p, 100:],
-                                ys[p, 100:], BatchSpec(iterations=40, batch_size=6, seed=seed),
-                                perm=perms[p])
-        assert values[p] == want
+        one = slice(p, p + 1)
+        want = fit_and_estimate_stack(objective, xs[one, :100], ys[one, :100],
+                                      xs[one, 100:], ys[one, 100:], [seed], spec,
+                                      perms=perms[one])
+        assert values[p:p + 1].tobytes() == want[0].tobytes() and want[1] == [None]
 
 
 @pytest.mark.parametrize("objective", ["cpc", "nwj"])

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import pytest
 
 import usable_info
 from usable_info import cli
-from usable_info.baselines import (BatchSpec, fit_and_estimate, gaussian_oracle_critic,
+from usable_info.baselines import (BatchSpec, fit_and_estimate_stack, gaussian_oracle_critic,
                                    nwj_estimate)
 from usable_info.cli import main, ranked_auc
 from usable_info.data import Dataset, read_dataset_csv, write_dataset_csv, write_rows_csv
@@ -452,8 +451,10 @@ def test_tree_nonconvergence_exits_4_and_writes_nothing(sim1_inputs, capsys):
     rc = main(["tree", "--data", str(sim1_inputs / "data.csv"), "--family", "linear_gaussian",
                "--norm-radius", "1", "--max-iters", "1", "--out", str(out)])
     assert rc == 4
+    # The message names the family and the pair whose fit did not converge.
     assert capsys.readouterr().err.startswith(
-        "numerical failure: constrained linear fit stopped after 1 iterations")
+        "numerical failure: linear_gaussian pair (0, 1): "
+        "constrained linear fit stopped after 1 iterations")
     assert not out.exists()
 
 
@@ -699,8 +700,8 @@ def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys):
 
 
 def _baselines_by_row(rhos, seeds, n, spec):
-    """The baselines table as one fit_and_estimate per row and objective:
-    the oracle of the stacked command."""
+    """The baselines table as one stack of one per row and objective: the
+    oracle of the stacked command."""
     rows = []
     for rho in rhos:
         true_info = -0.5 * math.log(1.0 - rho * rho)
@@ -710,10 +711,11 @@ def _baselines_by_row(rhos, seeds, n, spec):
             y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n)
             half = n // 2
             perm = rng.permutation(n - half)
-            pairs = (x[:half], y[:half], x[half:], y[half:])
-            seeded = replace(spec, seed=seed)
-            values = {"cpc": fit_and_estimate("cpc", *pairs, seeded),
-                      "nwj": fit_and_estimate("nwj", *pairs, seeded, perm=perm),
+            pairs = (x[None, :half, None], y[None, :half, None], x[None, half:, None],
+                     y[None, half:, None])
+            values = {"cpc": fit_and_estimate_stack("cpc", *pairs, [seed], spec)[0][0],
+                      "nwj": fit_and_estimate_stack("nwj", *pairs, [seed], spec,
+                                                    perms=perm[None])[0][0],
                       "nwj_oracle": nwj_estimate(gaussian_oracle_critic(rho), x[half:],
                                                  y[half:], x[half:], y[half:][perm])}
             rows += [(rho, seed, n, spec.batch_size, estimator, value, true_info)

@@ -233,6 +233,20 @@ def test_insample_nonnegativity_for_exact_families():
             assert est.point_estimate >= -1e-9
 
 
+@pytest.mark.parametrize("offset", [0.0, 5.0])
+@pytest.mark.parametrize("config", [
+    FamilyConfig("linear_gaussian", norm_radius=1.0),
+    FamilyConfig("polynomial_gaussian", order=2, norm_radius=1.0),
+], ids=["linear", "polynomial2"])
+def test_norm_constrained_information_is_nonnegative(config, offset):
+    # With the target mean outside the ball (offset 5), a marginal at the
+    # unconstrained mean made the linear information -15.4 nats.
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=500)
+    ys = offset + 0.1 * xs + rng.normal(size=500)
+    assert empirical_information(config, xs, ys).point_estimate >= -1e-6
+
+
 def test_polynomial_order_monotonicity():
     rng = np.random.default_rng(7)
     for trial in range(20):

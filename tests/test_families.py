@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from usable_info.estimation import empirical_information
+from usable_info.errors import NumericalError
+from usable_info.estimation import empirical_entropy, empirical_information
 from usable_info.families import (
     FamilyConfig,
     FitMode,
@@ -95,6 +97,17 @@ def test_linear_family_marginal_is_constant_gaussian_at_mean():
     ys = rng.normal(size=(40, 3))
     pred = fit_marginal(FamilyConfig("linear_gaussian"), ys)
     assert np.allclose(pred.mu, ys.mean(axis=0))
+
+
+def test_norm_constrained_marginal_mean_is_pulled_into_the_ball():
+    # The constant members (W, b) = (0, b) of a radius-r family have ||b|| <= r.
+    ys = np.random.default_rng(1).normal(size=(40, 3))
+    inside = fit_marginal(FamilyConfig("linear_gaussian", norm_radius=10.0), ys)
+    assert inside.mu.tobytes() == ys.mean(axis=0).tobytes()
+    mean = (ys + 5.0).mean(axis=0)
+    outside = fit_marginal(FamilyConfig("polynomial_gaussian", order=2, norm_radius=1.0),
+                           ys + 5.0)
+    np.testing.assert_allclose(outside.mu, mean / np.linalg.norm(mean), rtol=1e-15)
 
 
 def test_fit_marginal_errors():
@@ -481,6 +494,24 @@ def test_geometric_median_warns_when_out_of_iterations():
     pts = np.random.default_rng(15).normal(size=(20, 2))
     with pytest.warns(FitWarning, match="stopped after 1 iterations"):
         geometric_median(pts, max_iters=1)
+
+
+def test_geometric_median_fails_at_once_when_the_mean_overflows():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^geometric median: the mean of the points "
+                                                 "overflows float64$"):
+            geometric_median([1e308, 1e308, -1e308])
+        with pytest.raises(NumericalError, match="overflows"):
+            empirical_entropy(FamilyConfig("laplace_mean"), [1e308, 1e308, -1e308])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_geometric_median_fails_at_the_first_overflowing_step():
+    # The mean is 0, and every distance to it overflows.
+    with pytest.raises(NumericalError, match="^geometric median: Weiszfeld step 1 "
+                                             "overflows float64$"):
+        geometric_median([1e308, -1e308, 1e308, -1e308])
 
 
 def test_constrained_linear_fit_projects_into_ball():

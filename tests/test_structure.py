@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -331,8 +332,28 @@ def test_constant_map_weights_equal_the_per_pair_definition_bitwise(n, seed):
 def test_non_converging_constant_map_marginal_still_warns():
     variables = _correlated(np.random.default_rng(15), [2, 2, 2], 50)
     config = FamilyConfig("laplace_mean", fit=FitMode(max_iters=1))
-    with pytest.warns(FitWarning, match="geometric median"):
+    with pytest.warns(FitWarning, match=r"^laplace_mean marginal of variable 0: "
+                                        "geometric median stopped after 1 iterations"):
         edge_weights(variables, config)
+
+
+def test_a_per_pair_fit_warning_names_the_family_and_the_pair():
+    # Targets centred at 5 put every pair's least-squares bias outside the ball.
+    variables = list(5.0 + np.random.default_rng(16).normal(size=(3, 40, 1)))
+    config = FamilyConfig("linear_gaussian", norm_radius=1.0, fit=FitMode(max_iters=1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        edge_weights(variables, config)
+    assert [str(w.message).split(": ")[0] for w in caught] == [
+        f"linear_gaussian pair ({i}, {j})" for i, j in permutations(range(3), 2)]
+    assert all(issubclass(w.category, FitWarning) for w in caught)
+    assert all(": constrained linear fit stopped after 1 iterations" in str(w.message)
+               for w in caught)
+    # Where a FitWarning is an error, as in the CLI, the first pair's stops the loop.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        with pytest.raises(FitWarning, match=r"^linear_gaussian pair \(0, 1\): constrained"):
+            edge_weights(variables, config)
 
 
 @pytest.mark.parametrize("config,bad,message", [
