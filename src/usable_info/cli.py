@@ -99,15 +99,15 @@ def main(argv=None) -> int:
 # --------------------------------------------------------------------- #
 
 
-def _load_config(path) -> dict:
+def _load_json_object(path, what: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            obj = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON config ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    return cfg
+        raise DataError(f"{path}: invalid JSON {what} ({exc})") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {what} must be a JSON object")
+    return obj
 
 
 def _command_flags(parser, command: str) -> dict:
@@ -124,7 +124,7 @@ def _fill_from_config(args, flags: dict, path):
     goes through the flag's type as its JSON text."""
     if path is None:
         return args
-    for key, value in _load_config(path).items():
+    for key, value in _load_json_object(path, "config").items():
         action = flags.get(key)
         if action is None:
             raise ValueError(f"{path}: unknown config key {key!r}")
@@ -407,6 +407,25 @@ def _cmd_estimate(args) -> int:
 # --------------------------------------------------------------------- #
 
 
+def _load_truth(path, m: int) -> Arborescence:
+    """The tree in a truth file, a ``simulate --truth-out`` record or a bare
+    ``{"root", "parents"}`` object, checked to have the data's ``m`` nodes."""
+    payload = _load_json_object(path, "truth")
+    node = payload.get("results", payload)
+    if isinstance(node, dict):
+        node = node.get("truth", node)
+    if not isinstance(node, dict) or not {"root", "parents"} <= node.keys():
+        raise DataError(f"{path}: truth needs a root and a parents list")
+    try:
+        truth = Arborescence.from_dict(node)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad truth tree ({exc})") from None
+    if truth.m != m:
+        raise DataError(f"{path}: truth tree has {truth.m} nodes "
+                        f"but the data has {m} variables")
+    return truth
+
+
 def _cmd_tree(args) -> int:
     t0 = time.perf_counter()
     truth = None
@@ -433,11 +452,7 @@ def _cmd_tree(args) -> int:
         raise ValueError("tree needs --data or --sim-config")
 
     if args.truth is not None:
-        with open(args.truth, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        node = payload.get("results", payload)
-        node = node.get("truth", node)
-        truth = Arborescence.from_dict(node)
+        truth = _load_truth(args.truth, len(dataset.variables))
 
     family = _family_config(args)
     with stage_timer(timings, "edge_weights_s"):
@@ -490,6 +505,8 @@ DEFAULT_SWEEP_SIZES = [10, 30, 100, 300, 1000, 5000]
 def _cmd_sweep(args) -> int:
     scenario = _required(args, "scenario")
     sizes = DEFAULT_SWEEP_SIZES if args.sizes is None else args.sizes
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"--sizes: expected positive sample sizes, got {sizes}")
     seeds = _required(args, "seeds")
     families = _required(args, "families")
     m = args.m

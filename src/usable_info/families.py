@@ -27,11 +27,14 @@ determination.  Fitting a covariance would break both identities.
 All fits minimise the empirical negative log-likelihood.  Closed-form
 families solve exactly (sample mean, empirical pmf, ordinary least
 squares); ``laplace_mean`` runs Weiszfeld iteration for the geometric
-median; ``categorical_softmax`` and norm-constrained linear maps use
-gradient descent and report a diagnostic when they stop on the iteration
-cap rather than the tolerance.  A ``categorical_softmax`` class that never
-occurs in the fitted sample gets probability 0, the limit of its logits,
-and the descent runs over the classes that do occur.
+median; norm-constrained linear maps and ``categorical_softmax`` on a
+real x use gradient descent and report a diagnostic when they stop on
+the iteration cap rather than the tolerance.  On a categorical x,
+``categorical_softmax`` one-hot encodes x and adds a bias, which holds
+every conditional pmf, so its fit is the ``tabular`` count; an empty
+(x, y) cell gets probability 0, the limit of its logits.  So does a
+class that never occurs in the fitted sample, and the descent runs over
+the classes that do occur.
 """
 
 from __future__ import annotations
@@ -117,10 +120,10 @@ class VariableSpec:
 class FitMode:
     """Iteration cap, step and stopping tolerance of an iterative fit.
 
-    Gradient descent (``categorical_softmax``, norm-constrained linear
-    maps) and ``laplace_mean``'s Weiszfeld iteration read it; exact fits
-    ignore it.  ``step_size=None`` picks a safe step from the design
-    curvature.
+    Gradient descent (``categorical_softmax`` on a real x, norm-constrained
+    linear maps) and ``laplace_mean``'s Weiszfeld iteration read it; exact
+    fits ignore it, ``categorical_softmax`` on a categorical x among them.
+    ``step_size=None`` picks a safe step from the design curvature.
     """
 
     max_iters: int = 5000
@@ -373,17 +376,16 @@ class SoftmaxMap(ConditionalPredictor):
     in order; every other symbol has probability 0.
     """
 
-    def __init__(self, theta, classes, x_dim: int, x_cardinality: int | None = None,
+    def __init__(self, theta, classes, x_dim: int,
                  clip: float | None = None, diagnostics: dict | None = None):
         self.clip = clip
         self.theta = np.asarray(theta, dtype=float)  # (k, q + 1), last col bias
         self.classes = np.asarray(classes, dtype=bool)  # (C,), k entries set
         self.x_dim = x_dim
-        self.x_cardinality = x_cardinality
         self.diagnostics = diagnostics
 
     def _features(self, xs) -> np.ndarray:
-        x = _encode_softmax_inputs(xs, self.x_dim, self.x_cardinality)
+        x = _real_matrix(xs, "x", VariableSpec.real(self.x_dim))
         return np.hstack([x, np.ones((x.shape[0], 1))])
 
     def _log_probs(self, xs) -> np.ndarray:
@@ -498,20 +500,22 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
 def fit_conditional(config: FamilyConfig, xs, ys) -> ConditionalPredictor:
     """Fit the conditional member minimising empirical negative log-likelihood.
 
-    Least-squares kinds solve exactly (minimum-norm solution when the
-    design is rank-deficient); ``categorical_softmax`` and norm-constrained
-    linear maps run gradient descent.  A constant-map kind's conditional fit
-    is its marginal fit wrapped to ignore x.
+    ``tabular``, and ``categorical_softmax`` on a categorical x, count;
+    least-squares kinds solve exactly (minimum-norm solution when the
+    design is rank-deficient); ``categorical_softmax`` on a real x and
+    norm-constrained linear maps run gradient descent.  A constant-map
+    kind's conditional fit is its marginal fit wrapped to ignore x.
     """
     if config.kind in _CONSTANT_KINDS:
         if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:
             raise ValueError("xs and ys have different lengths")
         return ConstantConditional(fit_marginal(config, ys), clip=config.clip_b)
 
-    if config.kind == "tabular":
-        return _fit_tabular_conditional(config, xs, ys)
-    if config.kind == "categorical_softmax":
+    if config.kind == "categorical_softmax" and (
+            config.x_spec is None or config.x_spec.kind == "real"):
         return _fit_softmax_conditional(config, xs, ys)
+    if config.kind in _CATEGORICAL_KINDS:  # tabular, or softmax on a categorical x
+        return _fit_tabular_conditional(config, xs, ys)
     return _fit_linear_conditional(config, xs, ys)
 
 
@@ -635,21 +639,9 @@ def _project_linear_fit(design, y, weight, bias, radius, mode: FitMode):
     return params[:, :-1], params[:, -1], diagnostics
 
 
-def _encode_softmax_inputs(xs, x_dim: int, x_cardinality: int | None) -> np.ndarray:
-    if x_cardinality is not None:
-        idx = _symbol_vector(xs, "x", cardinality=x_cardinality)
-        onehot = np.zeros((idx.shape[0], x_cardinality))
-        onehot[np.arange(idx.shape[0]), idx] = 1.0
-        return onehot
-    return _real_matrix(xs, "x", VariableSpec.real(x_dim))
-
-
 def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
     yi, cy = _categorical_symbols(ys, "ys", config.y_spec)
-    # A real spec has no cardinality, so x_card is set only for categorical x.
-    x_card = None if config.x_spec is None else config.x_spec.cardinality
-    x = (_encode_softmax_inputs(xs, x_dim=x_card, x_cardinality=x_card)
-         if x_card is not None else _real_matrix(xs, "xs", config.x_spec))
+    x = _real_matrix(xs, "xs", config.x_spec)
     if x.shape[0] != yi.shape[0]:
         raise ValueError("xs and ys have different lengths")
     mode = config.fit or FitMode()
@@ -686,7 +678,7 @@ def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
             f"(gradient norm {grad_norm:.3e} > tolerance {mode.tolerance:.3e})",
             FitWarning,
         )
-    return SoftmaxMap(theta, classes, x_dim=x.shape[1], x_cardinality=x_card,
+    return SoftmaxMap(theta, classes, x_dim=x.shape[1],
                       clip=config.clip_b, diagnostics=diagnostics)
 
 

@@ -236,6 +236,25 @@ def test_estimate_softmax_with_a_declared_class_that_never_occurs(tmp_path):
     assert values["categorical_softmax"] == pytest.approx(values["tabular"], abs=1e-9)
 
 
+def test_estimate_softmax_on_categorical_x_with_an_empty_cell_is_the_tabular_value(tmp_path):
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 4, 2000)
+    y = np.where(rng.random(2000) < 0.9, x, (x + 1) % 4)
+    counts = np.zeros((4, 4))
+    np.add.at(counts, (x, y), 1)
+    assert (counts == 0).any()
+    path = tmp_path / "cat.csv"
+    path.write_text("var0_0:cat4,var1_0:cat4\n"
+                    + "".join(f"{a},{b}\n" for a, b in zip(x, y)))
+    values = {}
+    for family in ("tabular", "categorical_softmax"):
+        out = tmp_path / f"{family}.json"
+        assert main(["estimate", "--data", str(path), "--x-cols", "var0",
+                     "--y-cols", "var1", "--family", family, "--out", str(out)]) == 0
+        values[family] = json.loads(out.read_text())["results"]["point_estimate"]
+    assert values["categorical_softmax"] == values["tabular"]
+
+
 @pytest.mark.parametrize("x_cols,y_cols,message", [
     ("var7", "var1", "x-cols: no variable var7"),
     ("var0", "var1,var9", "y-cols: no variable var9"),
@@ -360,6 +379,25 @@ def test_tree_with_external_truth_file(tmp_path):
     assert rc == 0
     results = json.loads(out.read_text())["results"]
     assert results["wrong_edges_ratio"] == 0.0
+
+
+@pytest.mark.parametrize("content, why", [
+    ("{}", "truth needs a root and a parents list"),
+    ("[1, 2]", "truth must be a JSON object"),
+    ("{oops", "invalid JSON truth ("),
+    ('{"root": 0, "parents": [null, 5]}', "bad truth tree (parent outside node range)"),
+    ('{"root": 0, "parents": [null, 0, 0]}',
+     "truth tree has 3 nodes but the data has 2 variables"),
+])
+def test_tree_bad_truth_file_is_a_data_error(correlated_csv, tmp_path, capsys, content, why):
+    path, _ = correlated_csv
+    truth = tmp_path / "t.json"
+    truth.write_text(content)
+    out = tmp_path / "tree.json"
+    assert main(["tree", "--data", str(path), "--family", "linear_gaussian",
+                 "--truth", str(truth), "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"data error: {truth}: {why}")
+    assert not out.exists()
 
 
 def test_tree_sim_config_matches_simulate_then_tree_data(tmp_path):
@@ -601,6 +639,17 @@ def test_sweep_rejects_non_positive_jobs(tmp_path, capsys, jobs):
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == ("error: --jobs: expected a positive number of "
                                        f"worker processes, got {jobs}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sizes, got", [(",", "[]"), ("30,0", "[30, 0]"), ("-5", "[-5]")])
+def test_sweep_rejects_empty_or_non_positive_sizes(tmp_path, capsys, sizes, got):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--scenario", "sim1", "--sizes", sizes, "--seeds", "0",
+                 "--families", "linear_gaussian", "--m", "3", "--d", "1",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --sizes: expected positive sample sizes, got {got}\n")
     assert not out.exists()
 
 

@@ -6,7 +6,11 @@ import pytest
 from scipy import integrate
 
 from usable_info.errors import NumericalError
-from usable_info.estimation import empirical_entropy, empirical_information
+from usable_info.estimation import (
+    empirical_conditional_entropy,
+    empirical_entropy,
+    empirical_information,
+)
 from usable_info.families import (
     FamilyConfig,
     FitMode,
@@ -359,9 +363,20 @@ def test_categorical_softmax_marginal_is_shannon_entropy():
     assert h == pytest.approx(_shannon(np.bincount(ys)), abs=1e-9)
 
 
+def _onehot_descent(xs, cardinality, ys, y_spec, clip_b=None):
+    """Softmax descent on x's one-hot matrix passed as a real x: the design
+    ``[onehot, 1]`` of softmax on a categorical x, fitted by gradient
+    descent.  The tolerance is tight because a clip bound that bites makes
+    the in-sample mean first order in the residual gradient."""
+    onehot = np.eye(cardinality)[xs]
+    cfg = FamilyConfig("categorical_softmax", y_spec=y_spec, clip_b=clip_b,
+                       fit=FitMode(tolerance=1e-12))
+    return onehot, fit_conditional(cfg, onehot, ys)
+
+
 def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
-    # One-hot x plus a bias is a saturated model: with every (x, y) cell
-    # observed, the fit converges to the empirical conditional pmf.
+    # One-hot x plus a bias is a saturated model, so the fit is the
+    # empirical conditional pmf, counted; the descent converges to it.
     rng = np.random.default_rng(14)
     xs = rng.integers(0, 3, 300)
     ys = (xs + (rng.random(300) < 0.35) * rng.integers(1, 3, 300)) % 3
@@ -372,12 +387,65 @@ def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
     softmax = FamilyConfig("categorical_softmax", x_spec=spec, y_spec=spec)
     tabular = FamilyConfig("tabular", x_spec=spec, y_spec=spec)
     assert (empirical_information(softmax, xs, ys).point_estimate
-            == pytest.approx(empirical_information(tabular, xs, ys).point_estimate,
-                             abs=FitMode().tolerance))
+            == empirical_information(tabular, xs, ys).point_estimate)
     pred = fit_conditional(softmax, xs, ys)
-    assert pred.diagnostics["converged"]
+    _, oracle = _onehot_descent(xs, 3, ys, spec)
+    assert oracle.diagnostics["converged"]
     for x in range(3):
-        assert np.allclose(pred.at(x).pmf, counts[x] / counts[x].sum(), atol=1e-6)
+        assert np.array_equal(pred.at(x).pmf, counts[x] / counts[x].sum())
+        assert np.allclose(oracle.at(np.eye(3)[x]).pmf, counts[x] / counts[x].sum(),
+                           atol=1e-6)
+
+
+@pytest.mark.parametrize("clip_b", [None, 1.0])
+def test_counted_softmax_fit_matches_the_one_hot_descent(clip_b):
+    rng = np.random.default_rng(16)
+    xs = rng.integers(0, 4, 600)
+    ys = (xs + rng.choice(4, 600, p=[0.55, 0.25, 0.12, 0.08])) % 4
+    counts = np.zeros((4, 4))
+    np.add.at(counts, (xs, ys), 1)
+    assert counts.min() > 0
+    spec = VariableSpec.categorical(4)
+    pred = fit_conditional(FamilyConfig("categorical_softmax", x_spec=spec, y_spec=spec,
+                                        clip_b=clip_b), xs, ys)
+    onehot, oracle = _onehot_descent(xs, 4, ys, spec, clip_b=clip_b)
+    assert oracle.diagnostics["converged"]
+    counted = pred.log_densities(xs, ys)
+    if clip_b is not None:
+        assert np.sum(counted == -clip_b) > 100  # the bound bites
+    assert counted.mean() == pytest.approx(oracle.log_densities(onehot, ys).mean(),
+                                           abs=1e-10)
+
+
+def test_softmax_on_categorical_x_with_an_empty_cell_gives_the_plug_in_value():
+    # An empty (x, y) cell has maximum-likelihood logit -inf, which a
+    # descent only approaches; the counted fit reaches it, whatever FitMode.
+    rng = np.random.default_rng(0)
+    xs = rng.integers(0, 4, 2000)
+    ys = np.where(rng.random(2000) < 0.9, xs, (xs + 1) % 4)
+    counts = np.zeros((4, 4))
+    np.add.at(counts, (xs, ys), 1)
+    assert (counts == 0).any()
+    seen = counts > 0
+    plug_in = -float(np.sum(counts[seen] / 2000
+                            * np.log((counts / counts.sum(axis=1, keepdims=True))[seen])))
+    spec = VariableSpec.categorical(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        for fit in (None, FitMode(max_iters=1)):
+            softmax = FamilyConfig("categorical_softmax", fit=fit, x_spec=spec, y_spec=spec)
+            assert empirical_conditional_entropy(softmax, xs, ys) == pytest.approx(
+                plug_in, abs=1e-12)
+
+
+def test_counted_softmax_at_an_unseen_x_symbol_is_the_marginal_pmf():
+    xs, ys = [0, 0, 1, 1, 1], [0, 1, 1, 2, 2]
+    spec = VariableSpec.categorical(3)
+    pred = fit_conditional(FamilyConfig("categorical_softmax", x_spec=spec, y_spec=spec),
+                           xs, ys)
+    assert np.array_equal(pred.at(2).pmf, [0.2, 0.4, 0.4])
+    assert np.array_equal(pred.at(2).pmf, fit_marginal(
+        FamilyConfig("categorical_softmax", y_spec=spec), ys).pmf)
 
 
 def test_softmax_gives_a_class_that_never_occurs_probability_zero():
@@ -387,15 +455,19 @@ def test_softmax_gives_a_class_that_never_occurs_probability_zero():
     counts = np.zeros((3, 5))
     np.add.at(counts, (xs, ys), 1)
     assert counts[:, :3].min() > 0
+    y_spec = VariableSpec.categorical(5)
     softmax = FamilyConfig("categorical_softmax", x_spec=VariableSpec.categorical(3),
-                           y_spec=VariableSpec.categorical(5))
+                           y_spec=y_spec)
     pred = fit_conditional(softmax, xs, ys)
-    assert pred.diagnostics["converged"]
+    _, oracle = _onehot_descent(xs, 3, ys, y_spec)
+    assert oracle.diagnostics["converged"]
     for x in range(3):
-        pmf = pred.at(x).pmf
+        assert np.array_equal(pred.at(x).pmf, counts[x] / counts[x].sum())
+        pmf = oracle.at(np.eye(3)[x]).pmf
         assert np.array_equal(pmf[3:], [0.0, 0.0])
         assert np.allclose(pmf, counts[x] / counts[x].sum(), atol=1e-6)
     assert pred.log_density(0, 4) == -math.inf
+    assert oracle.log_density(np.eye(3)[0], 4) == -math.inf
 
 
 # Each categorical fit, the argument that carries its symbols, and how to
