@@ -22,11 +22,24 @@ data row has one cell per header column.  Given ``variables``, it converts
 only those variables' columns (``usable-info estimate`` reads just the
 variables its column tokens name), so a malformed cell in any other column
 goes unnoticed; a full read rejects it with its line number.
+
+The read is one pass over the file's lines.  Data rows go to ``np.loadtxt``
+a bounded chunk at a time; a chunk that loadtxt declines (a quoted cell, a
+mid-line ``#``, a row of the wrong width, a cell it cannot convert) goes to
+the row-by-row parser, which names the offending line.  The converted
+chunks are then joined and split into variables, so a read holds the
+converted columns at most twice over plus one chunk of text, never the
+whole file.  A categorical symbol that is not valid is found after the
+join; its line is found by reading the file again.  Lines end at LF, CRLF
+or a lone CR, and a byte that is not UTF-8 is an error naming its line.
+Writing, too, formats one chunk of rows at a time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -40,6 +53,8 @@ __all__ = ["Dataset", "write_dataset_csv", "read_dataset_csv", "write_rows_csv",
            "read_csv_rows"]
 
 _COLUMN_RE = re.compile(r"^var(\d+)_(\d+)(?::cat(\d+))?$")
+# An undecodable byte, as the surrogateescape error handler reads it.
+_ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 
 
 @dataclass
@@ -106,11 +121,37 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _content_lines(path) -> list[tuple[int, str]]:
-    """The ``(line number, text)`` of each non-comment, non-blank line."""
+def _content_lines(path):
+    """Yield the ``(line number, text)`` of each non-comment, non-blank line.
+
+    Lines end at LF, CRLF or a lone CR and keep their ending.  A byte that is
+    not UTF-8 raises :class:`DataError` naming its line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [(line_no, line) for line_no, line in enumerate(fh, start=1)
-                if line.strip() and not line.startswith("#")]
+        try:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip() and not line.startswith("#"):
+                    yield line_no, line
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> DataError:
+    """The error for a file that is not UTF-8, naming its first bad line.
+
+    The decoder fails a whole buffer ahead of the line that holds the byte,
+    so the line is found by reading again, each bad byte escaped to a lone
+    surrogate (which UTF-8 text cannot hold).
+    """
+    with open(path, "r", encoding="utf-8", errors="surrogateescape",
+              newline="") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            bad = _ESCAPED_BYTE_RE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return DataError(f"{path}:{line_no}: not valid UTF-8 "
+                                 f"(byte 0x{byte:02x})")
+    return DataError(f"{path}: not valid UTF-8")
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -119,8 +160,14 @@ def read_csv_rows(path) -> list[tuple[int, list[str]]]:
             for line_no, line in _content_lines(path)]
 
 
-# Rows formatted per write call; bounds the formatted text held at once.
-_WRITE_CHUNK_ROWS = 1024
+# Cells converted per chunk, read or written: bounds the text, the Python
+# floats and the chunk table held at once, however wide the file.
+_CHUNK_CELLS = 1 << 14
+
+
+def _chunk_rows(n_cols: int) -> int:
+    """Rows per chunk of a file ``n_cols`` cells wide."""
+    return max(1, _CHUNK_CELLS // n_cols)
 
 
 def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> None:
@@ -128,36 +175,21 @@ def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> Non
 
     Categorical symbols are stacked as floats: ``%.17g`` of ``3.0`` is ``3``.
     """
-    table = np.column_stack([np.asarray(v, dtype=float) for v in dataset.variables])
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    header = _header(dataset.specs)
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    step = _chunk_rows(len(header))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if config is not None:
             _write_config(fh, config)
-        fh.write(",".join(_header(dataset.specs)) + "\n")
-        for start in range(0, table.shape[0], _WRITE_CHUNK_ROWS):
-            chunk = table[start:start + _WRITE_CHUNK_ROWS]
+        fh.write(",".join(header) + "\n")
+        for start in range(0, dataset.n_samples, step):
+            chunk = np.column_stack([np.asarray(v[start:start + step], dtype=float)
+                                     for v in dataset.variables])
             fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
 
 
-def read_dataset_csv(path, variables=None) -> Dataset:
-    """Parse a dataset CSV; raises :class:`DataError` with line numbers.
-
-    ``variables``, a sequence of variable indices, projects the read: the
-    result holds just those variables, in the order given, with their specs
-    from the header.  The whole header is still validated, and every row
-    must still have one cell per header column, but only the selected
-    columns are converted, so a malformed cell in an unselected column is
-    not an error.  An index the header lacks raises ``KeyError(index)``.
-
-    The data rows go through one ``np.loadtxt`` pass; when it declines, the
-    row-by-row parser reads them and names the offending line.
-    """
-    lines = _content_lines(path)
-    if not lines:
-        raise DataError(f"{path}: no header row found")
-    (header_line, header_text), rows = lines[0], lines[1:]
-    header = next(csv.reader([header_text]))
-
+def _layout(path, header_line: int, header: list[str]):
+    """Per variable of a header: ``(spec, column positions in coordinate order)``."""
     columns = []
     for pos, name in enumerate(header):
         match = _COLUMN_RE.match(name.strip())
@@ -174,7 +206,7 @@ def read_dataset_csv(path, variables=None) -> Dataset:
     if var_ids != list(range(len(var_ids))):
         raise DataError(f"{path}:{header_line}: variable indices must be 0..m-1")
 
-    layout = []  # per variable: (spec, column positions in coordinate order)
+    layout = []
     for vid in var_ids:
         own = sorted((c for c in columns if c[0] == vid), key=lambda c: c[1])
         cards = {c[2] for c in own}
@@ -196,23 +228,51 @@ def read_dataset_csv(path, variables=None) -> Dataset:
                                 f"must be 0..d-1")
             spec = VariableSpec.real(len(own))
         layout.append((spec, [c[3] for c in own]))
+    return layout
 
-    usecols = None
-    if variables is not None:
-        for vid in variables:
-            if not 0 <= vid < len(layout):
-                raise KeyError(vid)
-        layout = [layout[vid] for vid in variables]
-        usecols = sorted({pos for _, positions in layout for pos in positions})
-        where = {pos: k for k, pos in enumerate(usecols)}
-        layout = [(spec, [where[pos] for pos in positions])
-                  for spec, positions in layout]
 
-    if not rows:
+def read_dataset_csv(path, variables=None) -> Dataset:
+    """Parse a dataset CSV; raises :class:`DataError` with line numbers.
+
+    ``variables``, a sequence of variable indices, projects the read: the
+    result holds just those variables, in the order given, with their specs
+    from the header.  The whole header is still validated, and every row
+    must still have one cell per header column, but only the selected
+    columns are converted, so a malformed cell in an unselected column is
+    not an error.  An index the header lacks raises ``KeyError(index)``.
+
+    The data rows are read in one pass, a bounded chunk at a time (see
+    module docstring).
+    """
+    with contextlib.closing(_content_lines(path)) as lines:
+        header_line, header_text = next(lines, (None, None))
+        if header_text is None:
+            raise DataError(f"{path}: no header row found")
+        header = next(csv.reader([header_text]))
+        n_cols = len(header)
+        layout = _layout(path, header_line, header)
+
+        usecols = None
+        if variables is not None:
+            for vid in variables:
+                if not 0 <= vid < len(layout):
+                    raise KeyError(vid)
+            layout = [layout[vid] for vid in variables]
+            usecols = sorted({pos for _, positions in layout for pos in positions})
+            where = {pos: k for k, pos in enumerate(usecols)}
+            layout = [(spec, [where[pos] for pos in positions])
+                      for spec, positions in layout]
+
+        chunks = []
+        while rows := list(itertools.islice(lines, _chunk_rows(n_cols))):
+            table = _fast_table(rows, n_cols, usecols)
+            if table is None:
+                table = _parse_rows(path, rows, n_cols, usecols)
+            chunks.append(table)
+    if not chunks:
         raise DataError(f"{path}: no data rows")
-    table = _fast_table(rows, len(header), usecols)
-    if table is None:
-        table = _parse_rows(path, rows, len(header), usecols)
+    table = np.concatenate(chunks)
+    del chunks  # so that at most two copies of the table are held at once
 
     arrays = []
     specs = []
@@ -223,12 +283,12 @@ def read_dataset_csv(path, variables=None) -> Dataset:
             ints = col.astype(np.int64)
             if np.any(ints != col):
                 bad = int(np.flatnonzero(ints != col)[0])
-                raise DataError(f"{path}:{rows[bad][0]}: categorical value "
-                                f"is not an integer")
+                raise DataError(f"{path}:{_data_line(path, bad)}: categorical "
+                                f"value is not an integer")
             if np.any(ints < 0) or np.any(ints >= spec.cardinality):
                 bad = int(np.flatnonzero((ints < 0) | (ints >= spec.cardinality))[0])
-                raise DataError(f"{path}:{rows[bad][0]}: categorical symbol "
-                                f"out of range for var cardinality "
+                raise DataError(f"{path}:{_data_line(path, bad)}: categorical "
+                                f"symbol out of range for var cardinality "
                                 f"{spec.cardinality}")
             arrays.append(ints)
         else:
@@ -237,8 +297,14 @@ def read_dataset_csv(path, variables=None) -> Dataset:
     return Dataset(variables=arrays, specs=specs)
 
 
+def _data_line(path, row: int) -> int:
+    """The line number of data row ``row`` (0-based), read again from the file."""
+    with contextlib.closing(_content_lines(path)) as lines:
+        return next(itertools.islice(lines, row + 1, None))[0]
+
+
 def _fast_table(rows, n_cols: int, usecols=None) -> np.ndarray | None:
-    """The data rows parsed in one ``np.loadtxt`` pass, or None.
+    """A chunk of data rows parsed in one ``np.loadtxt`` call, or None.
 
     ``usecols`` (sorted column positions; None for all) picks the columns
     converted.  None when a row holds a quote or a mid-line ``#`` (which the

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,23 @@ def _read_both(path, monkeypatch, variables=None):
     return fast, rows_only
 
 
+def _row_parser_calls(path, monkeypatch, variables=None):
+    """The rows of each chunk that a read of ``path`` hands the row parser."""
+    calls = []
+    parse_rows = data._parse_rows
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_rows",
+                      lambda path, rows, *args: calls.append(rows)
+                      or parse_rows(path, rows, *args))
+        _outcome(path, variables)
+    return calls
+
+
+def _fast_pass_taken(path, monkeypatch, variables=None):
+    """Whether a read of ``path`` skips the row parser."""
+    return not _row_parser_calls(path, monkeypatch, variables)
+
+
 def _assert_same(a, b):
     if isinstance(a, str) or isinstance(b, str):
         assert a == b
@@ -56,11 +74,6 @@ def _assert_same(a, b):
     for x, y in zip(a.variables, b.variables):
         assert x.dtype == y.dtype and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
-
-
-def _fast_path_taken(path):
-    (_, header), *rows = data._content_lines(path)
-    return data._fast_table(rows, len(header.split(","))) is not None
 
 
 # (name, file body after the header, whether the loadtxt pass accepts it)
@@ -88,7 +101,7 @@ def test_reader_matches_row_parser(tmp_path, monkeypatch, name, body, fast):
                     newline="")
     got, want = _read_both(path, monkeypatch)
     _assert_same(got, want)
-    assert _fast_path_taken(path) == fast
+    assert _fast_pass_taken(path, monkeypatch) == fast
 
 
 def test_reader_row_errors_name_their_line(tmp_path, monkeypatch):
@@ -110,13 +123,13 @@ def test_reader_random_bit_patterns_round_trip(tmp_path, monkeypatch):
                     encoding="utf-8")
     got, want = _read_both(path, monkeypatch)
     _assert_same(got, want)
-    assert _fast_path_taken(path)
+    assert _fast_pass_taken(path, monkeypatch)
     assert np.hstack(got.variables).tobytes() == values.tobytes()
 
 
 def test_writer_bytes_match_row_loop(tmp_path):
     rng = np.random.default_rng(3)
-    n = 2 * data._WRITE_CHUNK_ROWS + 3
+    n = 2 * data._chunk_rows(5) + 3  # 5 columns: crosses 2 chunk boundaries
     real = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
     real[0] = [-0.0, 5e-324, 1.7976931348623157e308]
     real[1] = [np.inf, -np.inf, np.nan]
@@ -156,17 +169,6 @@ def _select(full, variables):
         return full
     return Dataset(variables=[full.variables[v] for v in variables],
                    specs=[full.specs[v] for v in variables])
-
-
-def _fast_pass_taken(path, monkeypatch, variables):
-    """Whether a projected read of ``path`` skips the row parser."""
-    calls = []
-    parse_rows = data._parse_rows
-    with monkeypatch.context() as patch:
-        patch.setattr(data, "_parse_rows",
-                      lambda *args: calls.append(args) or parse_rows(*args))
-        _outcome(path, variables)
-    return not calls
 
 
 @pytest.mark.parametrize("variables", SUBSETS, ids=lambda v: "vars" + "_".join(map(str, v)))
@@ -262,3 +264,155 @@ def test_estimate_converts_only_the_selected_columns(tmp_path, monkeypatch):
                  "--family", "linear_gaussian", "--out", str(out)]) == 0
     assert seen == [[0, 1, 5]]
     assert json.loads(out.read_text())["config"]["x_cols"] == ["var2"]
+
+
+# ------------------------------------------------------------------ #
+# chunk boundaries
+# ------------------------------------------------------------------ #
+
+CHUNK_ROWS = data._chunk_rows(3)  # HEADER is 3 columns wide
+# Line of the first text put into the last chunk: after the header line and
+# 2 chunks + 1 rows.
+PUT_LINE = 2 * CHUNK_ROWS + 3
+
+# (name, text put into the last chunk, whether the row parser reads that
+# chunk, the error as (line offset from PUT_LINE, message) or None)
+BOUNDARY = [
+    ("quoted_cell", '"1",2,0\n', True, None),
+    ("blank_line", "\n", False, None),
+    ("mid_file_comment", "# note\n", False, None),
+    ("ragged_row", "3,4\n", True, (0, "expected 3 cells, got 2")),
+    ("non_numeric", "1,abc,0\n", True, (0, "could not convert string to float: 'abc'")),
+    ("symbol_out_of_range", "# note\n1,2,3\n", False,
+     (1, "categorical symbol out of range for var cardinality 3")),
+]
+
+
+def _chunked_file(path, put):
+    """HEADER and 2 chunks + 3 rows, with ``put`` before the last chunk's second row."""
+    rng = np.random.default_rng(5)
+    lines = [f"{a:.17g},{b:.17g},{c}\n" for a, b, c in zip(
+        rng.normal(size=2 * CHUNK_ROWS + 3), rng.normal(size=2 * CHUNK_ROWS + 3),
+        rng.integers(0, 3, 2 * CHUNK_ROWS + 3))]
+    lines.insert(2 * CHUNK_ROWS + 1, put)
+    path.write_text(HEADER + "".join(lines), encoding="utf-8", newline="")
+
+
+@pytest.mark.parametrize("name,put,row_parsed,error", BOUNDARY,
+                         ids=[c[0] for c in BOUNDARY])
+def test_last_chunk_reads_as_the_row_parser(tmp_path, monkeypatch, name, put,
+                                            row_parsed, error):
+    path = tmp_path / f"{name}.csv"
+    _chunked_file(path, put)
+    got, want = _read_both(path, monkeypatch)
+    _assert_same(got, want)
+    if error is None:
+        assert got.n_samples == len(data.read_csv_rows(path)) - 1  # all but the header
+    else:
+        offset, message = error
+        assert got == f"{path}:{PUT_LINE + offset}: {message}"
+    # Only the last chunk, from its first row on, goes to the row parser.
+    calls = _row_parser_calls(path, monkeypatch)
+    assert [rows[0][0] for rows in calls] == ([2 * CHUNK_ROWS + 2] if row_parsed else [])
+
+
+@pytest.mark.parametrize("variables", SUBSETS, ids=lambda v: "vars" + "_".join(map(str, v)))
+@pytest.mark.parametrize("name,put,row_parsed,error", BOUNDARY,
+                         ids=[c[0] for c in BOUNDARY])
+def test_last_chunk_projected_read_matches_row_parser(tmp_path, monkeypatch, name, put,
+                                                      row_parsed, error, variables):
+    path = tmp_path / f"{name}.csv"
+    _chunked_file(path, put)
+    got, rows_only = _read_both(path, monkeypatch, list(variables))
+    _assert_same(got, rows_only)
+    bad = BAD_CELL_VARIABLE.get(name)
+    if bad is not None and bad not in variables:
+        assert isinstance(got, Dataset)  # the bad cell is not converted
+    else:
+        _assert_same(got, _select(_outcome(path), variables))
+
+
+# ------------------------------------------------------------------ #
+# files that are not UTF-8
+# ------------------------------------------------------------------ #
+
+
+@pytest.mark.parametrize("body,line", [
+    (b"# caf\xe9 au lait\n" + HEADER.encode() + b"1,2,0\n", 1),
+    (HEADER.encode() + b"1,2,0\n1,2\xe9,1\n", 3),
+    # The decoder reads a buffer ahead; the line is still the byte's own.
+    (HEADER.encode() + b"1.5,2.5,0\n" * (2 * CHUNK_ROWS) + b"# \xe9\r\n1,2,1\n",
+     2 * CHUNK_ROWS + 2),
+], ids=["comment", "data_cell", "second_chunk"])
+@pytest.mark.parametrize("variables", [None, [1]])
+def test_reader_names_the_line_of_a_non_utf8_byte(tmp_path, body, line, variables):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(body)
+    message = f"{path}:{line}: not valid UTF-8 (byte 0xe9)"
+    with pytest.raises(DataError) as err:
+        read_dataset_csv(path, variables=variables)
+    assert str(err.value) == message
+    with pytest.raises(DataError) as err:
+        data.read_csv_rows(path)
+    assert str(err.value) == message
+
+
+def test_non_utf8_files_exit_with_a_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b'# config: {"note": "caf\xe9"}\n' + HEADER.encode() + b"1,2,0\n3,4,1\n")
+    assert main(["estimate", "--data", str(path), "--x-cols", "var0", "--y-cols", "var1",
+                 "--family", "linear_gaussian", "--out", str(tmp_path / "e.json")]) == 3
+    assert capsys.readouterr().err == f"data error: {path}:1: not valid UTF-8 (byte 0xe9)\n"
+    scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+    scores.write_bytes(b"i,j,score\n0,1,1.0\n1,0,0.5\xe9\n")
+    truth.write_text("i,j,edge\n0,1,1\n1,0,0\n", encoding="utf-8")
+    assert main(["auc", "--scores", str(scores), "--truth", str(truth),
+                 "--out", str(tmp_path / "auc.json")]) == 3
+    assert capsys.readouterr().err == f"data error: {scores}:3: not valid UTF-8 (byte 0xe9)\n"
+
+
+# ------------------------------------------------------------------ #
+# memory: a read or write holds the arrays and one chunk, not the file
+# ------------------------------------------------------------------ #
+
+MIB = 1 << 20
+
+
+def _traced_peak(fn):
+    """``fn()``, and the peak of traced memory (numpy buffers included) above
+    the level it started from."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """20000 samples of 10 real variables, d = 5 (a 7.6 MiB table), written
+    to a 20 MB file: the dataset, the path and the write's traced peak."""
+    rng = np.random.default_rng(2)
+    ds = Dataset(variables=[rng.normal(size=(20000, 5)) for _ in range(10)],
+                 specs=[VariableSpec.real(5)] * 10)
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    _, peak = _traced_peak(lambda: write_dataset_csv(ds, path))
+    return ds, path, peak
+
+
+def test_write_holds_one_chunk(wide):
+    _, path, peak = wide
+    assert path.stat().st_size > 20e6
+    assert peak <= 4 * MIB
+
+
+@pytest.mark.parametrize("variables", [None, [0, 3]], ids=["full", "vars0_3"])
+def test_read_holds_the_arrays_and_one_chunk(wide, variables):
+    ds, path, _ = wide
+    got, peak = _traced_peak(lambda: read_dataset_csv(path, variables=variables))
+    returned = sum(v.nbytes for v in got.variables)
+    assert peak <= 2 * returned + 4 * MIB
+    for v, x in zip(variables or range(ds.m), got.variables):
+        assert x.tobytes() == ds.variables[v].tobytes()
