@@ -278,12 +278,16 @@ def _parse_family_token(token: str):
 def _cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     sim = _simulation_config(args)
-    dataset, truth = simulate(sim)
+    timings = {}
+    with stage_timer(timings, "simulate_s"):
+        dataset, truth = simulate(sim)
     effective = _sim_config_dict(sim)
-    write_dataset_csv(dataset, args.out, config=effective)
+    with stage_timer(timings, "write_s"):
+        write_dataset_csv(dataset, args.out, config=effective)
     if args.truth_out:
         _emit_json(args.truth_out, "simulate", effective, sim.seed, t0,
-                   {"truth": truth.tree.to_dict(), "scenario": sim.scenario})
+                   {"truth": truth.tree.to_dict(), "scenario": sim.scenario,
+                    "timings": timings})
     return EXIT_OK
 
 
@@ -523,7 +527,8 @@ def _cmd_sweep(args) -> int:
     tasks = [(scenario, fam, n, seed, m, d)
              for fam in families for n in sizes for seed in seeds]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the pool starts all its workers at the first submit.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             cells = list(pool.map(_sweep_task, tasks))
     else:
         cells = [_sweep_task(t) for t in tasks]

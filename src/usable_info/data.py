@@ -23,25 +23,54 @@ only those variables' columns (``usable-info estimate`` reads just the
 variables its column tokens name), so a malformed cell in any other column
 goes unnoticed; a full read rejects it with its line number.
 
-The read is one pass over the file's lines.  Data rows go to ``np.loadtxt``
-a bounded chunk at a time; a chunk that loadtxt declines (a quoted cell, a
-mid-line ``#``, a row of the wrong width, a cell it cannot convert) goes to
-the row-by-row parser, which names the offending line.  The converted
-chunks are then joined and split into variables, so a read holds the
-converted columns at most twice over plus one chunk of text, never the
-whole file.  A categorical symbol that is not valid is found after the
-join; its line is found by reading the file again.  Lines end at LF, CRLF
-or a lone CR, and a byte that is not UTF-8 is an error naming its line.
-Writing, too, formats one chunk of rows at a time.
+The header is read and checked first.  The data rows are then parsed by
+``np.loadtxt`` a bounded chunk at a time, on a process pool when the pool
+rule below allows it.  The pool splits the data into byte ranges of about
+one chunk each, cut at line starts; each worker reads and decodes its own
+range, so the main process never holds the file's text.  Workers skip
+blank and comment lines as the serial read does.  A range that holds
+anything the loadtxt pass declines (a quoted cell, a mid-line ``#``, a lone
+CR, a byte that is not UTF-8, a row of the wrong width, a cell loadtxt
+cannot convert) makes the whole read start over serially, so every error
+names its line as before.  The serial read is one pass over the file's
+lines; a chunk that loadtxt declines goes to the row-by-row parser, which
+names the offending line.  Either way the converted chunks are then joined
+and split into variables, so a read holds the converted columns at most
+twice over plus a bounded number of chunks, never the whole file.  A categorical symbol that is not
+valid is found after the join; its line is found by reading the file
+again.  Lines end at LF, CRLF or a lone CR, and a byte that is not UTF-8 is
+an error naming its line.
+
+Writing
+-------
+:func:`write_dataset_csv` formats one chunk of rows at a time, on the
+process pool when the pool rule allows it, and writes the chunks' text in
+order.  The file's bytes do not depend on whether the pool ran or on how
+many workers it had.
+
+The pool rule
+-------------
+A read or write runs on a pool of forked worker processes only when all of
+these hold: at least 2 CPUs are usable by this process
+(``os.sched_getaffinity``), the default start method is ``fork``, this
+process is not daemonic (a daemonic process may not have children), no
+other Python thread is running (forking one is unsafe), and the data spans
+at least ``_POOL_MIN_CHUNKS`` chunks, enough to repay the pool's start-up.
+The pool has one worker per usable CPU, up to one per chunk, and a worker
+runs ahead of this process by at most one chunk beyond what its pipe
+buffers.  Otherwise the call runs serially, in this process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import itertools
 import json
+import os
 import re
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +84,8 @@ __all__ = ["Dataset", "write_dataset_csv", "read_dataset_csv", "write_rows_csv",
 _COLUMN_RE = re.compile(r"^var(\d+)_(\d+)(?::cat(\d+))?$")
 # An undecodable byte, as the surrogateescape error handler reads it.
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
+# A line ending, in a file read as bytes.
+_LINE_END_RE = re.compile(rb"\r\n|\r|\n")
 
 
 @dataclass
@@ -170,22 +201,127 @@ def _chunk_rows(n_cols: int) -> int:
     return max(1, _CHUNK_CELLS // n_cols)
 
 
+# The fewest chunks a pooled read or write may have.  On a 2-CPU host the
+# pool's start-up (10-20 ms) costs about what a second CPU saves on 6 to 8
+# chunks; this leaves a margin.
+_POOL_MIN_CHUNKS = 16
+# Bytes per cell of a pooled read's byte ranges, so that a range holds about
+# a chunk: ``%.17g`` text is at most 24 characters, and a comma follows it.
+_CELL_BYTES = 25
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_workers(chunks: int) -> int:
+    """Worker processes for a read or write of ``chunks`` chunks; below 2,
+    the call runs serially (see "The pool rule" in the module docstring)."""
+    workers = min(_cpu_count(), chunks)
+    if workers < 2 or chunks < _POOL_MIN_CHUNKS or threading.active_count() > 1:
+        return 0
+    import multiprocessing  # loaded already by the CLI; kept off package import
+
+    method = (multiprocessing.get_start_method(allow_none=True)
+              or multiprocessing.get_all_start_methods()[0])
+    if method != "fork" or multiprocessing.current_process().daemon:
+        return 0
+    return workers
+
+
+def _serve(conn, readers, call, tasks) -> None:
+    """A pool worker: send ``call(*task)`` for each task down ``conn``, in order.
+
+    ``readers``, the reading ends of the pipes made so far, are closed first,
+    so that a pipe's reading end is open only in the process that reads it.
+    """
+    for reader in readers:
+        reader.close()
+    try:
+        for task in tasks:
+            conn.send(call(*task))
+    except Exception:  # the main process redoes the task, and raises its error
+        pass
+    finally:
+        conn.close()
+
+
+def _pool_map(call, tasks: list, workers: int):
+    """Yield ``call(*task)`` for each task, in order, computed on ``workers``
+    forked processes.
+
+    Worker k takes tasks k, k + workers, ... and sends each result down its
+    own pipe, where a full pipe blocks it: a worker runs ahead of this
+    process by at most one result beyond what the pipe buffers.  ``call``
+    reaches the workers through the fork, not by pickling, so it may hold
+    large arrays; results are pickled.  The results are read in this thread,
+    so they are allocated where the caller's own memory is.  A task whose
+    worker failed is done here, and raises here.  Close the generator to stop
+    early.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    conns, procs = [], []
+    try:
+        for k in range(workers):
+            receiver, sender = context.Pipe(duplex=False)
+            conns.append(receiver)
+            proc = context.Process(target=_serve, daemon=True,
+                                   args=(sender, list(conns), call, tasks[k::workers]))
+            proc.start()
+            procs.append(proc)
+            sender.close()
+        failed = set()
+        for i, task in enumerate(tasks):
+            k = i % workers
+            if k not in failed:
+                try:
+                    yield conns[k].recv()
+                    continue
+                except EOFError:
+                    failed.add(k)
+            yield call(*task)
+    finally:
+        for conn in conns:
+            conn.close()  # a worker still sending then stops, at a broken pipe
+        for proc in procs:
+            proc.join()
+
+
+def _format_rows(variables, row_format: str, step: int, start: int) -> str:
+    """The CSV text of rows ``start`` to ``start + step`` of ``variables``."""
+    chunk = np.column_stack([np.asarray(v[start:start + step], dtype=float)
+                             for v in variables])
+    return (row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+
+
 def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> None:
     """Write a dataset in the package CSV format (see module docstring).
 
     Categorical symbols are stacked as floats: ``%.17g`` of ``3.0`` is ``3``.
+    Rows are formatted a chunk at a time, on a process pool when the pool
+    rule in the module docstring allows; the bytes written are the same
+    either way.
     """
     header = _header(dataset.specs)
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     step = _chunk_rows(len(header))
+    starts = range(0, dataset.n_samples, step)
+    call = functools.partial(_format_rows, dataset.variables, row_format, step)
+    workers = _pool_workers(len(starts))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if config is not None:
             _write_config(fh, config)
         fh.write(",".join(header) + "\n")
-        for start in range(0, dataset.n_samples, step):
-            chunk = np.column_stack([np.asarray(v[start:start + step], dtype=float)
-                                     for v in dataset.variables])
-            fh.write((row_format * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+        if workers < 2:
+            fh.writelines(map(call, starts))
+            return
+        with contextlib.closing(_pool_map(call, [(s,) for s in starts], workers)) as texts:
+            fh.writelines(texts)
 
 
 def _layout(path, header_line: int, header: list[str]):
@@ -241,8 +377,9 @@ def read_dataset_csv(path, variables=None) -> Dataset:
     columns are converted, so a malformed cell in an unselected column is
     not an error.  An index the header lacks raises ``KeyError(index)``.
 
-    The data rows are read in one pass, a bounded chunk at a time (see
-    module docstring).
+    The data rows are parsed a bounded chunk at a time, on a process pool
+    when the pool rule in the module docstring allows; the result, and every
+    error, is the same either way.
     """
     with contextlib.closing(_content_lines(path)) as lines:
         header_line, header_text = next(lines, (None, None))
@@ -263,12 +400,14 @@ def read_dataset_csv(path, variables=None) -> Dataset:
             layout = [(spec, [where[pos] for pos in positions])
                       for spec, positions in layout]
 
-        chunks = []
-        while rows := list(itertools.islice(lines, _chunk_rows(n_cols))):
-            table = _fast_table(rows, n_cols, usecols)
-            if table is None:
-                table = _parse_rows(path, rows, n_cols, usecols)
-            chunks.append(table)
+        chunks = _pooled_chunks(path, header_line, header_text, n_cols, usecols)
+        if chunks is None:
+            chunks = []
+            while rows := list(itertools.islice(lines, _chunk_rows(n_cols))):
+                table = _fast_table([line for _, line in rows], n_cols, usecols)
+                if table is None:
+                    table = _parse_rows(path, rows, n_cols, usecols)
+                chunks.append(table)
     if not chunks:
         raise DataError(f"{path}: no data rows")
     table = np.concatenate(chunks)
@@ -303,16 +442,116 @@ def _data_line(path, row: int) -> int:
         return next(itertools.islice(lines, row + 1, None))[0]
 
 
-def _fast_table(rows, n_cols: int, usecols=None) -> np.ndarray | None:
-    """A chunk of data rows parsed in one ``np.loadtxt`` call, or None.
+def _pooled_chunks(path, header_line: int, header_text: str, n_cols: int,
+                   usecols) -> list[np.ndarray] | None:
+    """The chunk tables of the data rows after the header, parsed on a
+    process pool; None when the pool rule declines or a worker declines its
+    range, and the rows are to be read serially."""
+    first = _data_start(path, header_line, header_text)
+    if first is None:
+        return None
+    size = os.path.getsize(path)
+    span = _CHUNK_CELLS * _CELL_BYTES
+    ranges = -(-(size - first) // span)
+    workers = _pool_workers(ranges)
+    if workers < 2:
+        return None
+    call = functools.partial(_read_range, path, n_cols, usecols, first, size, span)
+    chunks = []
+    with contextlib.closing(_pool_map(call, [(i,) for i in range(ranges)],
+                                      workers)) as results:
+        for tables in results:
+            if tables is None:
+                return None
+            chunks.extend(tables)
+    return chunks
+
+
+def _data_start(path, header_line: int, header_text: str) -> int | None:
+    """The byte offset of the line after the header (line ``header_line``),
+    or None if a lone CR ends a line up to there.
+
+    Reading as bytes splits lines at LF only, so it finds the header's end
+    only when no line before it ends at a lone CR.  A header that does not
+    end at an LF is not read again, since the next LF may be the file's last.
+    """
+    if not header_text.endswith("\n"):
+        return None
+    with open(path, "rb") as fh:
+        for _ in range(header_line):
+            line = fh.readline()
+            if line.count(b"\r") != line.count(b"\r\n"):
+                return None
+        return fh.tell()
+
+
+def _line_start(fh, pos: int, first: int, size: int) -> int:
+    """The first line start after byte ``pos`` of ``fh``, or ``first`` or
+    ``size`` when ``pos`` is outside them.  Lines end at LF, CRLF or a lone CR."""
+    if pos <= first or pos >= size:
+        return min(max(pos, first), size)
+    fh.seek(pos)
+    while block := fh.read(1 << 12):
+        end = _LINE_END_RE.search(block)
+        if end is None:
+            pos += len(block)
+            continue
+        pos += end.end()
+        # A CR that ends the block may be the first half of a CRLF.
+        if end.group() == b"\r" and end.end() == len(block):
+            pos += fh.read(1) == b"\n"
+        return pos
+    return size
+
+
+def _read_range(path, n_cols: int, usecols, first: int, size: int, span: int,
+                index: int):
+    """The chunk tables of the data rows in byte range ``index`` of a file
+    whose data lies in bytes ``first`` to ``size``, or None when the serial
+    read must name an error: a byte that is not UTF-8, a lone CR, or a chunk
+    that :func:`_fast_table` declines.  Blank and comment lines are skipped,
+    as the serial read skips them.
+
+    Range i runs between the first line starts after bytes
+    ``first + i * span`` and ``first + (i + 1) * span``, so the ranges cover
+    the data and each line lies in exactly one of them.
+    """
+    with open(path, "rb") as fh:
+        start = _line_start(fh, first + index * span, first, size)
+        stop = _line_start(fh, first + (index + 1) * span, first, size)
+        fh.seek(start)
+        raw = fh.read(stop - start)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    del raw
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    # With no lone CR, the file reader's lines are these plus their LF.  As
+    # there, blank and comment lines make no rows.
+    lines = [line for line in text.split("\n")
+             if line and not line.isspace() and not line.startswith("#")]
+    del text
+    step = _chunk_rows(n_cols)
+    tables = []
+    for row in range(0, len(lines), step):
+        table = _fast_table(lines[row:row + step], n_cols, usecols)
+        if table is None:
+            return None
+        tables.append(table)
+    return tables
+
+
+def _fast_table(lines: list[str], n_cols: int, usecols=None) -> np.ndarray | None:
+    """A chunk of data lines parsed in one ``np.loadtxt`` call, or None.
 
     ``usecols`` (sorted column positions; None for all) picks the columns
-    converted.  None when a row holds a quote or a mid-line ``#`` (which the
-    csv module and loadtxt read differently), when a row is not ``n_cols``
-    cells wide, or when loadtxt rejects a row; :func:`_parse_rows` then
+    converted.  None when a line holds a quote or a ``#`` (which the csv
+    module and loadtxt read differently), when a line is not ``n_cols``
+    cells wide, or when loadtxt rejects a line; :func:`_parse_rows` then
     names the line.
     """
-    lines = [line for _, line in rows]
     if any('"' in line or "#" in line for line in lines):
         return None
     # loadtxt checks row widths only when it converts every column.

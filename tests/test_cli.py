@@ -84,6 +84,16 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert a.read_text().startswith("# config: ")
 
 
+def test_simulate_records_stage_timings(tmp_path):
+    truth = tmp_path / "truth.json"
+    assert main(["simulate", "--scenario", "sim1", "--m", "4", "--d", "2", "--n", "30",
+                 "--seed", "5", "--out", str(tmp_path / "d.csv"),
+                 "--truth-out", str(truth)]) == 0
+    timings = json.loads(truth.read_text())["results"]["timings"]
+    assert set(timings) == {"simulate_s", "write_s"}
+    assert all(value >= 0.0 for value in timings.values())
+
+
 def test_simulate_missing_seed_is_usage_error(tmp_path, monkeypatch):
     monkeypatch.delenv("USABLE_INFO_SEED", raising=False)
     rc = main(["simulate", "--scenario", "sim1", "--n", "5",
@@ -531,6 +541,25 @@ def test_sweep_parallel_jobs_match_serial(tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
     assert serial.read_text() == parallel.read_text()
+
+
+@pytest.mark.parametrize("jobs,cells,workers", [
+    (2, 1, 1), (4, 1, 1), (4, 2, 2), (3, 4, 3), (4, 4, 4), (2, 4, 2)])
+def test_sweep_starts_no_more_workers_than_cells(tmp_path, monkeypatch, jobs, cells,
+                                                 workers):
+    started = []
+    real_pool = cli.ProcessPoolExecutor
+
+    def recording_pool(max_workers=None, **kwargs):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    seeds = ",".join(str(s) for s in range(cells))
+    assert main(["sweep", "--scenario", "sim1", "--sizes", "30", "--seeds", seeds,
+                 "--families", "linear_gaussian", "--m", "3", "--d", "1",
+                 "--jobs", str(jobs), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert started == [workers]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",

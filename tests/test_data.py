@@ -1,7 +1,12 @@
 """Dataset CSV reader and writer against their row-by-row reference forms."""
 
+import contextlib
 import csv
+import functools
 import json
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -416,3 +421,245 @@ def test_read_holds_the_arrays_and_one_chunk(wide, variables):
     assert peak <= 2 * returned + 4 * MIB
     for v, x in zip(variables or range(ds.m), got.variables):
         assert x.tobytes() == ds.variables[v].tobytes()
+
+
+# ------------------------------------------------------------------ #
+# the process pool against the serial read and write
+# ------------------------------------------------------------------ #
+
+POOL_CHUNK_CELLS = 120  # 40 rows of HEADER's 3 columns; a read's range is 3000 bytes
+FILLER = "1.5,2.5,1\n"
+# 901 rows: 3 byte ranges and the first 10 bytes of a fourth, so that a body
+# after them lies in the fourth and last range, the second worker's.  The
+# body also lies past the 8 KiB that reading the header decodes.
+FILLER_ROWS = 3 * POOL_CHUNK_CELLS * data._CELL_BYTES // len(FILLER) + 1
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """Reads and writes of small files run on a pool of 2 workers.  Returns a
+    list that gets one ``(workers, tasks, [result is None, ...])`` per pool."""
+    monkeypatch.setattr(data, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(data, "_POOL_MIN_CHUNKS", 1)
+    monkeypatch.setattr(data, "_CHUNK_CELLS", POOL_CHUNK_CELLS)
+    pools = []
+    pool_map = data._pool_map
+
+    def recording_pool_map(call, tasks, workers):
+        declined = []
+        pools.append((workers, len(tasks), declined))
+        with contextlib.closing(pool_map(call, tasks, workers)) as results:
+            for result in results:
+                declined.append(result is None)
+                yield result
+
+    monkeypatch.setattr(data, "_pool_map", recording_pool_map)
+    return pools
+
+
+def _serial(monkeypatch, fn):
+    """``fn()`` with one CPU, so on the serial path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_cpu_count", lambda: 1)
+        return fn()
+
+
+def _filled(path, body: bytes):
+    """HEADER, FILLER_ROWS rows, then ``body``: the body is the last range's."""
+    path.write_bytes((HEADER + FILLER * FILLER_ROWS).encode() + body)
+
+
+def test_pooled_write_matches_serial_and_row_loop(tmp_path, monkeypatch, pooled):
+    rng = np.random.default_rng(11)
+    n = 5 * 24 + 1  # 5 columns: 24 rows per chunk
+    real = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 300, size=(n, 3))
+    real[23] = [np.inf, -np.inf, np.nan]  # the rows on both sides of a boundary
+    real[24] = [-np.inf, np.nan, -0.0]
+    ds = Dataset(variables=[real, rng.integers(0, 12, n), rng.normal(size=(n, 1))],
+                 specs=[VariableSpec.real(3), VariableSpec.categorical(12),
+                        VariableSpec.real(1)])
+    pool, serial, rows = tmp_path / "pool.csv", tmp_path / "serial.csv", tmp_path / "rows.csv"
+    write_dataset_csv(ds, pool, config={"seed": 1})
+    assert pooled == [(2, 6, [False] * 6)]
+    _serial(monkeypatch, lambda: write_dataset_csv(ds, serial, config={"seed": 1}))
+    assert len(pooled) == 1
+    _reference_write(ds, rows, config={"seed": 1})
+    assert pool.read_bytes() == serial.read_bytes() == rows.read_bytes()
+
+
+def _random_file(path, rows=2000):
+    rng = np.random.default_rng(12)
+    real = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-20, 20, size=(rows, 2))
+    real[::37] = [np.nan, -np.inf]
+    ds = Dataset(variables=[real, rng.integers(0, 3, rows)],
+                 specs=[VariableSpec.real(2), VariableSpec.categorical(3)])
+    write_dataset_csv(ds, path, config={"seed": 2})
+    return ds
+
+
+@pytest.mark.parametrize("variables", [None, [0], [1], [1, 0]],
+                         ids=["full", "vars0", "vars1", "vars1_0"])
+@pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_pooled_read_matches_serial(tmp_path, monkeypatch, pooled, variables, ending):
+    path = tmp_path / "d.csv"
+    ds = _serial(monkeypatch, lambda: _random_file(path))
+    path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
+    got = read_dataset_csv(path, variables=variables)
+    (workers, tasks, declined), = pooled
+    assert workers == 2 and tasks > 4 and not any(declined)
+    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path, variables)))
+    _assert_same(got, _select(ds, variables or range(ds.m)))
+
+
+# (file head, data line ending, whether the pool is built)
+LONE_CR_FILES = {
+    "cr_data": (HEADER, "\r", True),
+    "cr_header": (HEADER.replace("\n", "\r"), "\r", False),
+    "cr_comment": ("# note\r" + HEADER, "\n", False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONE_CR_FILES))
+def test_pooled_read_of_lone_cr_lines_is_the_serial_read(tmp_path, monkeypatch, pooled,
+                                                         name):
+    head, ending, built = LONE_CR_FILES[name]
+    path = tmp_path / "cr.csv"
+    path.write_text(head + FILLER.replace("\n", ending) * 1500, encoding="utf-8",
+                    newline="")
+    got = read_dataset_csv(path)
+    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path)))
+    assert got.n_samples == 1500
+    # A lone CR up to the header leaves the pool unbuilt, since the data's
+    # first byte is not found; one in the data makes a range decline.
+    assert [d[:1] for _, _, d in pooled] == ([[True]] if built else [])
+
+
+@pytest.mark.parametrize("line,rows", [
+    ("\n", 2), (" \t\r\n", 2), ("# note\n", 2), ("1,2\r3\n", None), ("1,2,0\r\n", 3)],
+    ids=["blank", "whitespace", "comment", "lone_cr", "crlf"])
+def test_a_range_skips_blank_and_comment_lines_and_declines_a_lone_cr(tmp_path,
+                                                                      monkeypatch, line,
+                                                                      rows):
+    # The same even with a loadtxt pass that took every line as a row.
+    monkeypatch.setattr(data, "_fast_table", lambda lines, *args: np.zeros((len(lines), 3)))
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + "1,2,0\n" + line + "3,4,1\n", encoding="utf-8", newline="")
+    size = path.stat().st_size
+    tables = data._read_range(path, 3, None, len(HEADER), size, size, 0)
+    assert (None if tables is None else sum(len(t) for t in tables)) == rows
+
+
+def _check_declined_last(pooled, declines: bool):
+    (workers, tasks, declined), = pooled
+    assert (workers, tasks) == (2, 4)
+    assert declined == [False] * 3 + [True] if declines else [False] * 4
+
+
+@pytest.mark.parametrize("variables", [None, [1]], ids=["full", "vars1"])
+@pytest.mark.parametrize("name,body,fast", CORPUS, ids=[c[0] for c in CORPUS])
+def test_pooled_read_of_a_corpus_anomaly_in_the_last_range(tmp_path, monkeypatch, pooled,
+                                                          name, body, fast, variables):
+    path = tmp_path / f"{name}.csv"
+    _filled(path, body.encode())
+    got = _outcome(path, variables)
+    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path, variables)))
+    _check_declined_last(pooled, declines=not (fast or (name, tuple(variables or ())) in
+                                               FAST_ONLY_WHEN_PROJECTED))
+
+
+@pytest.mark.parametrize("name,put,row_parsed,error", BOUNDARY,
+                         ids=[c[0] for c in BOUNDARY])
+def test_pooled_read_of_a_boundary_anomaly_in_the_last_range(tmp_path, monkeypatch, pooled,
+                                                            name, put, row_parsed, error):
+    path = tmp_path / f"{name}.csv"
+    _filled(path, (put + FILLER).encode())
+    got = _outcome(path)
+    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path)))
+    if error is not None:
+        offset, message = error
+        assert got == f"{path}:{FILLER_ROWS + 2 + offset}: {message}"
+    _check_declined_last(pooled, declines=row_parsed)
+
+
+@pytest.mark.parametrize("variables", [None, [1]], ids=["full", "vars1"])
+def test_pooled_read_of_a_non_utf8_byte_in_the_last_range(tmp_path, pooled, variables):
+    path = tmp_path / "latin1.csv"
+    _filled(path, b"1,2\xe9,1\n")
+    with pytest.raises(DataError) as err:
+        read_dataset_csv(path, variables=variables)
+    assert str(err.value) == f"{path}:{FILLER_ROWS + 2}: not valid UTF-8 (byte 0xe9)"
+    _check_declined_last(pooled, declines=True)
+
+
+def _read_in_daemon(conn, path, pooled):
+    conn.send((read_dataset_csv(path).variables[0].tobytes(), len(pooled)))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the child must inherit the patched module")
+def test_read_in_a_daemonic_process_is_serial(tmp_path, monkeypatch, pooled):
+    path = tmp_path / "d.csv"
+    _filled(path, b"")
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_read_in_daemon, args=(sender, path, pooled),
+                            daemon=True)
+    child.start()
+    sender.close()
+    assert receiver.poll(60)
+    got, child_pools = receiver.recv()
+    child.join(60)
+    assert child.exitcode == 0
+    assert got == np.tile([1.5, 2.5], (FILLER_ROWS, 1)).tobytes()
+    assert child_pools == 0
+    # The same read here is pooled.
+    read_dataset_csv(path)
+    assert len(pooled) == 1
+
+
+def test_read_and_write_with_one_cpu_or_another_thread_are_serial(tmp_path, monkeypatch,
+                                                                  pooled):
+    path = tmp_path / "d.csv"
+    _filled(path, b"")
+    ds = read_dataset_csv(path)
+    assert len(pooled) == 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        write_dataset_csv(ds, tmp_path / "thread.csv")
+        _assert_same(read_dataset_csv(path), ds)
+    finally:
+        stop.set()
+        thread.join(10)
+    monkeypatch.setattr(data, "_cpu_count", lambda: 1)
+    write_dataset_csv(ds, tmp_path / "one_cpu.csv")
+    _assert_same(read_dataset_csv(path), ds)
+    assert len(pooled) == 1
+
+
+def _fails_in_a_worker(parent, x):
+    if os.getpid() != parent:
+        raise RuntimeError("worker failure")
+    return 10 // x
+
+
+def test_pool_map_redoes_a_failed_workers_tasks_here():
+    call = functools.partial(_fails_in_a_worker, os.getpid())
+    assert list(data._pool_map(call, [(1,), (2,), (5,)], 2)) == [10, 5, 2]
+    with pytest.raises(ZeroDivisionError):
+        list(data._pool_map(call, [(1,), (0,)], 2))
+
+
+@pytest.mark.parametrize("tail,end", [(b"\r\nb\n", 2), (b"\rb\n", 1), (b"\nb\n", 1)],
+                         ids=["crlf", "lone_cr", "lf"])
+def test_line_start_reads_past_a_cr_that_ends_a_block(tmp_path, tail, end):
+    path = tmp_path / "long.csv"
+    body = b"a" * 5000 + tail
+    path.write_bytes(body)
+    with open(path, "rb") as fh:
+        # The scan reads 4096-byte blocks from byte 905: the CR is a block's last.
+        assert data._line_start(fh, 905, 0, len(body)) == 5000 + end
+        assert data._line_start(fh, 0, 3, len(body)) == 3
+        assert data._line_start(fh, len(body) + 7, 3, len(body)) == len(body)
