@@ -23,42 +23,45 @@ only those variables' columns (``usable-info estimate`` reads just the
 variables its column tokens name), so a malformed cell in any other column
 goes unnoticed; a full read rejects it with its line number.
 
-The header is read and checked first.  The data rows are then parsed by
-``np.loadtxt`` a bounded chunk at a time, on a process pool when the pool
-rule below allows it.  The pool splits the data into byte ranges of about
-one chunk each, cut at line starts; each worker reads and decodes its own
-range, so the main process never holds the file's text.  Workers skip
-blank and comment lines as the serial read does.  A range that holds
-anything the loadtxt pass declines (a quoted cell, a mid-line ``#``, a lone
-CR, a byte that is not UTF-8, a row of the wrong width, a cell loadtxt
-cannot convert) makes the whole read start over serially, so every error
-names its line as before.  The serial read is one pass over the file's
-lines; a chunk that loadtxt declines goes to the row-by-row parser, which
-names the offending line.  Either way the converted chunks are then joined
-and split into variables, so a read holds the converted columns at most
-twice over plus a bounded number of chunks, never the whole file.  A categorical symbol that is not
-valid is found after the join; its line is found by reading the file
-again.  Lines end at LF, CRLF or a lone CR, and a byte that is not UTF-8 is
-an error naming its line.
+The header is read and checked first.  A regular file's data rows are then
+parsed in byte ranges of about one chunk each, cut at line starts, on the
+process pool when the pool rule below allows it and in this process
+otherwise.  Each range is read and decoded on its own, so the main process
+never holds the file's text, and parsed by ``np.loadtxt`` a bounded chunk
+at a time.  Blank and comment lines make no rows, and the first range,
+which starts at the file's first byte, drops its first content line: the
+header.  A range that holds anything the loadtxt pass declines (a quoted
+cell, a mid-line ``#``, a lone CR, a byte that is not UTF-8, a row of the
+wrong width, a cell loadtxt cannot convert) hands all the data rows to the
+row-by-row parser instead, which names the offending line.  A file that is
+not a regular file, such as a pipe (``--data /dev/stdin``), is read once,
+as a stream of lines, by the row parser.  Either way the converted chunks
+are then joined and split into variables, so a read holds the converted
+columns at most twice over plus a bounded number of chunks, never the whole
+file.  A categorical symbol that is not valid is found after the join; its
+line is found by reading the file again, and a file that cannot be read
+again names the data row instead.  Lines end at LF, CRLF or a lone CR, and
+a byte that is not UTF-8 is an error naming its line.
 
 Writing
 -------
 :func:`write_dataset_csv` formats one chunk of rows at a time, on the
-process pool when the pool rule allows it, and writes the chunks' text in
-order.  The file's bytes do not depend on whether the pool ran or on how
-many workers it had.
+process pool when the pool rule allows it and in this process otherwise,
+and writes the chunks' text in order.  The file's bytes do not depend on
+where the chunks were formatted.
 
 The pool rule
 -------------
-A read or write runs on a pool of forked worker processes only when all of
-these hold: at least 2 CPUs are usable by this process
-(``os.sched_getaffinity``), the default start method is ``fork``, this
-process is not daemonic (a daemonic process may not have children), no
+The pool rule decides only where a read's ranges or a write's chunks are
+done; the code that does them is the same.  They run on a pool of forked
+worker processes when all of these hold: at least 2 CPUs are usable by this
+process (``os.sched_getaffinity``), the default start method is ``fork``,
+this process is not daemonic (a daemonic process may not have children), no
 other Python thread is running (forking one is unsafe), and the data spans
 at least ``_POOL_MIN_CHUNKS`` chunks, enough to repay the pool's start-up.
 The pool has one worker per usable CPU, up to one per chunk, and a worker
 runs ahead of this process by at most one chunk beyond what its pipe
-buffers.  Otherwise the call runs serially, in this process.
+buffers.  Otherwise they run in this process, one after another.
 """
 
 from __future__ import annotations
@@ -156,33 +159,20 @@ def _content_lines(path):
     """Yield the ``(line number, text)`` of each non-comment, non-blank line.
 
     Lines end at LF, CRLF or a lone CR and keep their ending.  A byte that is
-    not UTF-8 raises :class:`DataError` naming its line.
+    not UTF-8 raises :class:`DataError` naming its line.  The file is read
+    once, so it may be a pipe.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip() and not line.startswith("#"):
-                    yield line_no, line
-        except UnicodeDecodeError:
-            raise _not_utf8(path) from None
-
-
-def _not_utf8(path) -> DataError:
-    """The error for a file that is not UTF-8, naming its first bad line.
-
-    The decoder fails a whole buffer ahead of the line that holds the byte,
-    so the line is found by reading again, each bad byte escaped to a lone
-    surrogate (which UTF-8 text cannot hold).
-    """
+    # Each bad byte is escaped to a lone surrogate, which UTF-8 text cannot
+    # hold: a strict decoder fails a whole buffer ahead of the byte's line.
     with open(path, "r", encoding="utf-8", errors="surrogateescape",
               newline="") as fh:
         for line_no, line in enumerate(fh, start=1):
             bad = _ESCAPED_BYTE_RE.search(line)
             if bad:
-                byte = ord(bad.group()) - 0xDC00
-                return DataError(f"{path}:{line_no}: not valid UTF-8 "
-                                 f"(byte 0x{byte:02x})")
-    return DataError(f"{path}: not valid UTF-8")
+                raise DataError(f"{path}:{line_no}: not valid UTF-8 "
+                                f"(byte 0x{ord(bad.group()) - 0xDC00:02x})")
+            if line.strip() and not line.startswith("#"):
+                yield line_no, line
 
 
 def read_csv_rows(path) -> list[tuple[int, list[str]]]:
@@ -201,11 +191,11 @@ def _chunk_rows(n_cols: int) -> int:
     return max(1, _CHUNK_CELLS // n_cols)
 
 
-# The fewest chunks a pooled read or write may have.  On a 2-CPU host the
-# pool's start-up (10-20 ms) costs about what a second CPU saves on 6 to 8
-# chunks; this leaves a margin.
+# The fewest chunks a read or write must have to run on the pool.  On a 2-CPU
+# host the pool's start-up (10-20 ms) costs about what a second CPU saves on
+# 6 to 8 chunks; this leaves a margin.
 _POOL_MIN_CHUNKS = 16
-# Bytes per cell of a pooled read's byte ranges, so that a range holds about
+# Bytes per cell of a read's byte ranges, so that a range holds about
 # a chunk: ``%.17g`` text is at most 24 characters, and a comma follows it.
 _CELL_BYTES = 25
 
@@ -219,7 +209,7 @@ def _cpu_count() -> int:
 
 def _pool_workers(chunks: int) -> int:
     """Worker processes for a read or write of ``chunks`` chunks; below 2,
-    the call runs serially (see "The pool rule" in the module docstring)."""
+    it runs in this process (see "The pool rule" in the module docstring)."""
     workers = min(_cpu_count(), chunks)
     if workers < 2 or chunks < _POOL_MIN_CHUNKS or threading.active_count() > 1:
         return 0
@@ -251,7 +241,7 @@ def _serve(conn, readers, call, tasks) -> None:
 
 def _pool_map(call, tasks: list, workers: int):
     """Yield ``call(*task)`` for each task, in order, computed on ``workers``
-    forked processes.
+    forked processes, or in this process when ``workers`` is below 2.
 
     Worker k takes tasks k, k + workers, ... and sends each result down its
     own pipe, where a full pipe blocks it: a worker runs ahead of this
@@ -259,9 +249,12 @@ def _pool_map(call, tasks: list, workers: int):
     reaches the workers through the fork, not by pickling, so it may hold
     large arrays; results are pickled.  The results are read in this thread,
     so they are allocated where the caller's own memory is.  A task whose
-    worker failed is done here, and raises here.  Close the generator to stop
-    early.
+    worker failed, even in the middle of sending a result, is done here, and
+    raises here.  Close the generator to stop early.
     """
+    if workers < 2:
+        yield from itertools.starmap(call, tasks)
+        return
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -282,7 +275,7 @@ def _pool_map(call, tasks: list, workers: int):
                 try:
                     yield conns[k].recv()
                     continue
-                except EOFError:
+                except (EOFError, OSError):  # OSError: a result cut short
                     failed.add(k)
             yield call(*task)
     finally:
@@ -312,15 +305,12 @@ def write_dataset_csv(dataset: Dataset, path, config: dict | None = None) -> Non
     step = _chunk_rows(len(header))
     starts = range(0, dataset.n_samples, step)
     call = functools.partial(_format_rows, dataset.variables, row_format, step)
-    workers = _pool_workers(len(starts))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if config is not None:
             _write_config(fh, config)
         fh.write(",".join(header) + "\n")
-        if workers < 2:
-            fh.writelines(map(call, starts))
-            return
-        with contextlib.closing(_pool_map(call, [(s,) for s in starts], workers)) as texts:
+        with contextlib.closing(_pool_map(call, [(s,) for s in starts],
+                                          _pool_workers(len(starts)))) as texts:
             fh.writelines(texts)
 
 
@@ -379,7 +369,7 @@ def read_dataset_csv(path, variables=None) -> Dataset:
 
     The data rows are parsed a bounded chunk at a time, on a process pool
     when the pool rule in the module docstring allows; the result, and every
-    error, is the same either way.
+    error, is the same either way.  ``path`` may be a pipe, read once.
     """
     with contextlib.closing(_content_lines(path)) as lines:
         header_line, header_text = next(lines, (None, None))
@@ -400,14 +390,11 @@ def read_dataset_csv(path, variables=None) -> Dataset:
             layout = [(spec, [where[pos] for pos in positions])
                       for spec, positions in layout]
 
-        chunks = _pooled_chunks(path, header_line, header_text, n_cols, usecols)
+        chunks = _range_chunks(path, n_cols, usecols) if os.path.isfile(path) else None
         if chunks is None:
             chunks = []
             while rows := list(itertools.islice(lines, _chunk_rows(n_cols))):
-                table = _fast_table([line for _, line in rows], n_cols, usecols)
-                if table is None:
-                    table = _parse_rows(path, rows, n_cols, usecols)
-                chunks.append(table)
+                chunks.append(_parse_rows(path, rows, n_cols, usecols))
     if not chunks:
         raise DataError(f"{path}: no data rows")
     table = np.concatenate(chunks)
@@ -419,15 +406,16 @@ def read_dataset_csv(path, variables=None) -> Dataset:
         block = table[:, positions]
         if spec.kind == "categorical":
             col = block[:, 0]
-            ints = col.astype(np.int64)
+            with np.errstate(invalid="ignore"):  # nan, inf: found just below
+                ints = col.astype(np.int64)
             if np.any(ints != col):
                 bad = int(np.flatnonzero(ints != col)[0])
-                raise DataError(f"{path}:{_data_line(path, bad)}: categorical "
-                                f"value is not an integer")
+                raise DataError(f"{_row_place(path, bad)}: categorical value "
+                                f"is not an integer")
             if np.any(ints < 0) or np.any(ints >= spec.cardinality):
                 bad = int(np.flatnonzero((ints < 0) | (ints >= spec.cardinality))[0])
-                raise DataError(f"{path}:{_data_line(path, bad)}: categorical "
-                                f"symbol out of range for var cardinality "
+                raise DataError(f"{_row_place(path, bad)}: categorical symbol "
+                                f"out of range for var cardinality "
                                 f"{spec.cardinality}")
             arrays.append(ints)
         else:
@@ -436,30 +424,27 @@ def read_dataset_csv(path, variables=None) -> Dataset:
     return Dataset(variables=arrays, specs=specs)
 
 
-def _data_line(path, row: int) -> int:
-    """The line number of data row ``row`` (0-based), read again from the file."""
+def _row_place(path, row: int) -> str:
+    """Where data row ``row`` (0-based) is: ``path:line``, the line found by
+    reading the file again, or the row's number for a file that cannot be
+    read again, such as a pipe."""
+    if not os.path.isfile(path):
+        return f"{path}: data row {row + 1}"
     with contextlib.closing(_content_lines(path)) as lines:
-        return next(itertools.islice(lines, row + 1, None))[0]
+        return f"{path}:{next(itertools.islice(lines, row + 1, None))[0]}"
 
 
-def _pooled_chunks(path, header_line: int, header_text: str, n_cols: int,
-                   usecols) -> list[np.ndarray] | None:
-    """The chunk tables of the data rows after the header, parsed on a
-    process pool; None when the pool rule declines or a worker declines its
-    range, and the rows are to be read serially."""
-    first = _data_start(path, header_line, header_text)
-    if first is None:
-        return None
+def _range_chunks(path, n_cols: int, usecols) -> list[np.ndarray] | None:
+    """The chunk tables of a regular file's data rows, parsed a byte range at
+    a time (on the process pool when the pool rule allows); None when a range
+    declines, and the rows are for the row parser."""
     size = os.path.getsize(path)
     span = _CHUNK_CELLS * _CELL_BYTES
-    ranges = -(-(size - first) // span)
-    workers = _pool_workers(ranges)
-    if workers < 2:
-        return None
-    call = functools.partial(_read_range, path, n_cols, usecols, first, size, span)
+    ranges = -(-size // span)
+    call = functools.partial(_read_range, path, n_cols, usecols, size, span)
     chunks = []
     with contextlib.closing(_pool_map(call, [(i,) for i in range(ranges)],
-                                      workers)) as results:
+                                      _pool_workers(ranges))) as results:
         for tables in results:
             if tables is None:
                 return None
@@ -467,29 +452,12 @@ def _pooled_chunks(path, header_line: int, header_text: str, n_cols: int,
     return chunks
 
 
-def _data_start(path, header_line: int, header_text: str) -> int | None:
-    """The byte offset of the line after the header (line ``header_line``),
-    or None if a lone CR ends a line up to there.
-
-    Reading as bytes splits lines at LF only, so it finds the header's end
-    only when no line before it ends at a lone CR.  A header that does not
-    end at an LF is not read again, since the next LF may be the file's last.
-    """
-    if not header_text.endswith("\n"):
-        return None
-    with open(path, "rb") as fh:
-        for _ in range(header_line):
-            line = fh.readline()
-            if line.count(b"\r") != line.count(b"\r\n"):
-                return None
-        return fh.tell()
-
-
-def _line_start(fh, pos: int, first: int, size: int) -> int:
-    """The first line start after byte ``pos`` of ``fh``, or ``first`` or
-    ``size`` when ``pos`` is outside them.  Lines end at LF, CRLF or a lone CR."""
-    if pos <= first or pos >= size:
-        return min(max(pos, first), size)
+def _line_start(fh, pos: int, size: int) -> int:
+    """The first line start after byte ``pos`` of ``fh``: 0 for ``pos`` 0, and
+    ``size`` for a ``pos`` at or past the end.  Lines end at LF, CRLF or a
+    lone CR."""
+    if not 0 < pos < size:
+        return min(pos, size)
     fh.seek(pos)
     while block := fh.read(1 << 12):
         end = _LINE_END_RE.search(block)
@@ -504,21 +472,21 @@ def _line_start(fh, pos: int, first: int, size: int) -> int:
     return size
 
 
-def _read_range(path, n_cols: int, usecols, first: int, size: int, span: int,
-                index: int):
-    """The chunk tables of the data rows in byte range ``index`` of a file
-    whose data lies in bytes ``first`` to ``size``, or None when the serial
-    read must name an error: a byte that is not UTF-8, a lone CR, or a chunk
-    that :func:`_fast_table` declines.  Blank and comment lines are skipped,
-    as the serial read skips them.
+def _read_range(path, n_cols: int, usecols, size: int, span: int, index: int):
+    """The chunk tables of the data rows in byte range ``index`` of a file of
+    ``size`` bytes, or None when the row parser must read the file: a byte
+    that is not UTF-8, a lone CR, a chunk that :func:`_fast_table` declines,
+    or a first range that does not hold the header.  Blank and comment lines
+    are skipped, as the row parser skips them, and range 0 drops its first
+    content line, the header.
 
-    Range i runs between the first line starts after bytes
-    ``first + i * span`` and ``first + (i + 1) * span``, so the ranges cover
-    the data and each line lies in exactly one of them.
+    Range i runs between the first line starts after bytes ``i * span`` and
+    ``(i + 1) * span``, so the ranges cover the file and each line lies in
+    exactly one of them.
     """
     with open(path, "rb") as fh:
-        start = _line_start(fh, first + index * span, first, size)
-        stop = _line_start(fh, first + (index + 1) * span, first, size)
+        start = _line_start(fh, index * span, size)
+        stop = _line_start(fh, (index + 1) * span, size)
         fh.seek(start)
         raw = fh.read(stop - start)
     try:
@@ -533,6 +501,10 @@ def _read_range(path, n_cols: int, usecols, first: int, size: int, span: int,
     lines = [line for line in text.split("\n")
              if line and not line.isspace() and not line.startswith("#")]
     del text
+    if index == 0:
+        if not lines:  # comments longer than a range before the header
+            return None
+        del lines[0]
     step = _chunk_rows(n_cols)
     tables = []
     for row in range(0, len(lines), step):

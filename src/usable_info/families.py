@@ -215,7 +215,8 @@ def _symbol_vector(samples, name: str, cardinality: int | None = None) -> np.nda
         raise ValueError(f"{name} is empty")
     if not np.issubdtype(arr.dtype, np.number):
         raise ValueError(f"{name} must contain integer symbols")
-    ints = arr.astype(np.int64)
+    with np.errstate(invalid="ignore"):  # nan, inf: rejected just below
+        ints = arr.astype(np.int64)
     if not np.all(ints == arr):
         raise ValueError(f"{name} must contain integer symbols")
     if np.any(ints < 0):

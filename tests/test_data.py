@@ -6,8 +6,12 @@ import functools
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -115,6 +119,17 @@ def test_reader_row_errors_name_their_line(tmp_path, monkeypatch):
     got, want = _read_both(path, monkeypatch)
     assert got == want
     assert got.startswith(f"{path}:5: ")
+
+
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e300"])
+def test_a_symbol_that_is_no_int64_raises_without_a_cast_warning(tmp_path, cell):
+    path = tmp_path / "d.csv"
+    path.write_text(HEADER + f"1,2,0\n3,4,{cell}\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError) as err:
+            read_dataset_csv(path)
+    assert str(err.value) == f"{path}:3: categorical value is not an integer"
 
 
 def test_reader_random_bit_patterns_round_trip(tmp_path, monkeypatch):
@@ -280,8 +295,9 @@ CHUNK_ROWS = data._chunk_rows(3)  # HEADER is 3 columns wide
 # 2 chunks + 1 rows.
 PUT_LINE = 2 * CHUNK_ROWS + 3
 
-# (name, text put into the last chunk, whether the row parser reads that
-# chunk, the error as (line offset from PUT_LINE, message) or None)
+# (name, text put into the last chunk, whether the loadtxt pass declines it
+# and the row parser reads the file, the error as (line offset from PUT_LINE,
+# message) or None)
 BOUNDARY = [
     ("quoted_cell", '"1",2,0\n', True, None),
     ("blank_line", "\n", False, None),
@@ -316,9 +332,14 @@ def test_last_chunk_reads_as_the_row_parser(tmp_path, monkeypatch, name, put,
     else:
         offset, message = error
         assert got == f"{path}:{PUT_LINE + offset}: {message}"
-    # Only the last chunk, from its first row on, goes to the row parser.
+    # A declined read hands every data row to the row parser, in chunks and
+    # in order; an accepted read hands it none.
     calls = _row_parser_calls(path, monkeypatch)
-    assert [rows[0][0] for rows in calls] == ([2 * CHUNK_ROWS + 2] if row_parsed else [])
+    if row_parsed:
+        assert [len(rows) for rows in calls] == [CHUNK_ROWS, CHUNK_ROWS, 4]
+        assert [line for rows in calls for line, _ in rows] == list(range(2, PUT_LINE + 3))
+    else:
+        assert calls == []
 
 
 @pytest.mark.parametrize("variables", SUBSETS, ids=lambda v: "vars" + "_".join(map(str, v)))
@@ -424,21 +445,22 @@ def test_read_holds_the_arrays_and_one_chunk(wide, variables):
 
 
 # ------------------------------------------------------------------ #
-# the process pool against the serial read and write
+# the process pool against the in-process read and write
 # ------------------------------------------------------------------ #
 
 POOL_CHUNK_CELLS = 120  # 40 rows of HEADER's 3 columns; a read's range is 3000 bytes
 FILLER = "1.5,2.5,1\n"
-# 901 rows: 3 byte ranges and the first 10 bytes of a fourth, so that a body
-# after them lies in the fourth and last range, the second worker's.  The
-# body also lies past the 8 KiB that reading the header decodes.
+# HEADER and 901 rows fill 3 byte ranges and the first 36 bytes of a fourth,
+# so that a body after them lies in the fourth and last range, the second
+# worker's.
 FILLER_ROWS = 3 * POOL_CHUNK_CELLS * data._CELL_BYTES // len(FILLER) + 1
 
 
 @pytest.fixture
 def pooled(monkeypatch):
     """Reads and writes of small files run on a pool of 2 workers.  Returns a
-    list that gets one ``(workers, tasks, [result is None, ...])`` per pool."""
+    list that gets one ``(workers, tasks, [result is None, ...])`` per
+    ``_pool_map`` call, on the pool or in this process."""
     monkeypatch.setattr(data, "_cpu_count", lambda: 2)
     monkeypatch.setattr(data, "_POOL_MIN_CHUNKS", 1)
     monkeypatch.setattr(data, "_CHUNK_CELLS", POOL_CHUNK_CELLS)
@@ -457,11 +479,20 @@ def pooled(monkeypatch):
     return pools
 
 
-def _serial(monkeypatch, fn):
-    """``fn()`` with one CPU, so on the serial path."""
+def _in_process(monkeypatch, fn):
+    """``fn()`` with one CPU, so with every task done in this process."""
     with monkeypatch.context() as patch:
         patch.setattr(data, "_cpu_count", lambda: 1)
         return fn()
+
+
+def _read_three(path, monkeypatch, variables=None):
+    """What the reader gives, checked equal to the same read in this process
+    and to the row parser's read."""
+    got = _outcome(path, variables)
+    for other in _in_process(monkeypatch, lambda: _read_both(path, monkeypatch, variables)):
+        _assert_same(got, other)
+    return got
 
 
 def _filled(path, body: bytes):
@@ -478,13 +509,12 @@ def test_pooled_write_matches_serial_and_row_loop(tmp_path, monkeypatch, pooled)
     ds = Dataset(variables=[real, rng.integers(0, 12, n), rng.normal(size=(n, 1))],
                  specs=[VariableSpec.real(3), VariableSpec.categorical(12),
                         VariableSpec.real(1)])
-    pool, serial, rows = tmp_path / "pool.csv", tmp_path / "serial.csv", tmp_path / "rows.csv"
+    pool, here, rows = tmp_path / "pool.csv", tmp_path / "here.csv", tmp_path / "rows.csv"
     write_dataset_csv(ds, pool, config={"seed": 1})
-    assert pooled == [(2, 6, [False] * 6)]
-    _serial(monkeypatch, lambda: write_dataset_csv(ds, serial, config={"seed": 1}))
-    assert len(pooled) == 1
+    _in_process(monkeypatch, lambda: write_dataset_csv(ds, here, config={"seed": 1}))
+    assert pooled == [(2, 6, [False] * 6), (0, 6, [False] * 6)]
     _reference_write(ds, rows, config={"seed": 1})
-    assert pool.read_bytes() == serial.read_bytes() == rows.read_bytes()
+    assert pool.read_bytes() == here.read_bytes() == rows.read_bytes()
 
 
 def _random_file(path, rows=2000):
@@ -502,36 +532,46 @@ def _random_file(path, rows=2000):
 @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_pooled_read_matches_serial(tmp_path, monkeypatch, pooled, variables, ending):
     path = tmp_path / "d.csv"
-    ds = _serial(monkeypatch, lambda: _random_file(path))
+    ds = _random_file(path)
     path.write_bytes(path.read_bytes().replace(b"\n", ending.encode()))
-    got = read_dataset_csv(path, variables=variables)
-    (workers, tasks, declined), = pooled
-    assert workers == 2 and tasks > 4 and not any(declined)
-    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path, variables)))
+    pooled.clear()
+    got = _read_three(path, monkeypatch, variables)
+    assert pooled[0][1] > 4
+    # On the pool, in this process, and with every chunk declined.
+    assert [(workers, any(declined)) for workers, _, declined in pooled] == [
+        (2, False), (0, False), (0, True)]
     _assert_same(got, _select(ds, variables or range(ds.m)))
 
 
-# (file head, data line ending, whether the pool is built)
+# (file head, data line ending)
 LONE_CR_FILES = {
-    "cr_data": (HEADER, "\r", True),
-    "cr_header": (HEADER.replace("\n", "\r"), "\r", False),
-    "cr_comment": ("# note\r" + HEADER, "\n", False),
+    "cr_data": (HEADER, "\r"),
+    "cr_header": (HEADER.replace("\n", "\r"), "\r"),
+    "cr_comment": ("# note\r" + HEADER, "\n"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(LONE_CR_FILES))
 def test_pooled_read_of_lone_cr_lines_is_the_serial_read(tmp_path, monkeypatch, pooled,
                                                          name):
-    head, ending, built = LONE_CR_FILES[name]
+    head, ending = LONE_CR_FILES[name]
     path = tmp_path / "cr.csv"
     path.write_text(head + FILLER.replace("\n", ending) * 1500, encoding="utf-8",
                     newline="")
-    got = read_dataset_csv(path)
-    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path)))
+    got = _read_three(path, monkeypatch)
     assert got.n_samples == 1500
-    # A lone CR up to the header leaves the pool unbuilt, since the data's
-    # first byte is not found; one in the data makes a range decline.
-    assert [d[:1] for _, _, d in pooled] == ([[True]] if built else [])
+    # A lone CR in range 0, even one up to the header, makes it decline.
+    assert [(workers, declined[:1]) for workers, _, declined in pooled] == [
+        (2, [True]), (0, [True]), (0, [True])]
+
+
+def test_a_first_range_without_the_header_declines(tmp_path, monkeypatch, pooled):
+    path = tmp_path / "long_comment.csv"
+    # The comment is longer than a range, so the header is in range 1.
+    path.write_text("# " + "x" * 4000 + "\n" + HEADER + FILLER * 1000, encoding="utf-8")
+    got = _read_three(path, monkeypatch)
+    assert got.n_samples == 1000
+    assert pooled[0][2][:1] == [True]
 
 
 @pytest.mark.parametrize("line,rows", [
@@ -543,16 +583,18 @@ def test_a_range_skips_blank_and_comment_lines_and_declines_a_lone_cr(tmp_path,
     # The same even with a loadtxt pass that took every line as a row.
     monkeypatch.setattr(data, "_fast_table", lambda lines, *args: np.zeros((len(lines), 3)))
     path = tmp_path / "d.csv"
-    path.write_text(HEADER + "1,2,0\n" + line + "3,4,1\n", encoding="utf-8", newline="")
+    path.write_text("# c\n" + HEADER + "1,2,0\n" + line + "3,4,1\n", encoding="utf-8",
+                    newline="")
     size = path.stat().st_size
-    tables = data._read_range(path, 3, None, len(HEADER), size, size, 0)
+    tables = data._read_range(path, 3, None, size, size, 0)
     assert (None if tables is None else sum(len(t) for t in tables)) == rows
 
 
 def _check_declined_last(pooled, declines: bool):
-    (workers, tasks, declined), = pooled
-    assert (workers, tasks) == (2, 4)
-    assert declined == [False] * 3 + [True] if declines else [False] * 4
+    """The pooled read, then the same read in this process, each had 4
+    ranges, and only the last declined if any did."""
+    declined = [False] * 3 + [declines]
+    assert pooled[:2] == [(2, 4, declined), (0, 4, declined)]
 
 
 @pytest.mark.parametrize("variables", [None, [1]], ids=["full", "vars1"])
@@ -561,8 +603,7 @@ def test_pooled_read_of_a_corpus_anomaly_in_the_last_range(tmp_path, monkeypatch
                                                           name, body, fast, variables):
     path = tmp_path / f"{name}.csv"
     _filled(path, body.encode())
-    got = _outcome(path, variables)
-    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path, variables)))
+    _read_three(path, monkeypatch, variables)
     _check_declined_last(pooled, declines=not (fast or (name, tuple(variables or ())) in
                                                FAST_ONLY_WHEN_PROJECTED))
 
@@ -573,8 +614,7 @@ def test_pooled_read_of_a_boundary_anomaly_in_the_last_range(tmp_path, monkeypat
                                                             name, put, row_parsed, error):
     path = tmp_path / f"{name}.csv"
     _filled(path, (put + FILLER).encode())
-    got = _outcome(path)
-    _assert_same(got, _serial(monkeypatch, lambda: _outcome(path)))
+    got = _read_three(path, monkeypatch)
     if error is not None:
         offset, message = error
         assert got == f"{path}:{FILLER_ROWS + 2 + offset}: {message}"
@@ -582,17 +622,18 @@ def test_pooled_read_of_a_boundary_anomaly_in_the_last_range(tmp_path, monkeypat
 
 
 @pytest.mark.parametrize("variables", [None, [1]], ids=["full", "vars1"])
-def test_pooled_read_of_a_non_utf8_byte_in_the_last_range(tmp_path, pooled, variables):
+def test_pooled_read_of_a_non_utf8_byte_in_the_last_range(tmp_path, monkeypatch, pooled,
+                                                         variables):
     path = tmp_path / "latin1.csv"
     _filled(path, b"1,2\xe9,1\n")
-    with pytest.raises(DataError) as err:
-        read_dataset_csv(path, variables=variables)
-    assert str(err.value) == f"{path}:{FILLER_ROWS + 2}: not valid UTF-8 (byte 0xe9)"
+    got = _read_three(path, monkeypatch, variables)
+    assert got == f"{path}:{FILLER_ROWS + 2}: not valid UTF-8 (byte 0xe9)"
     _check_declined_last(pooled, declines=True)
 
 
 def _read_in_daemon(conn, path, pooled):
-    conn.send((read_dataset_csv(path).variables[0].tobytes(), len(pooled)))
+    conn.send((read_dataset_csv(path).variables[0].tobytes(),
+               [workers for workers, _, _ in pooled]))
     conn.close()
 
 
@@ -608,14 +649,14 @@ def test_read_in_a_daemonic_process_is_serial(tmp_path, monkeypatch, pooled):
     child.start()
     sender.close()
     assert receiver.poll(60)
-    got, child_pools = receiver.recv()
+    got, child_workers = receiver.recv()
     child.join(60)
     assert child.exitcode == 0
     assert got == np.tile([1.5, 2.5], (FILLER_ROWS, 1)).tobytes()
-    assert child_pools == 0
+    assert child_workers == [0]
     # The same read here is pooled.
     read_dataset_csv(path)
-    assert len(pooled) == 1
+    assert [workers for workers, _, _ in pooled] == [2]
 
 
 def test_read_and_write_with_one_cpu_or_another_thread_are_serial(tmp_path, monkeypatch,
@@ -623,7 +664,6 @@ def test_read_and_write_with_one_cpu_or_another_thread_are_serial(tmp_path, monk
     path = tmp_path / "d.csv"
     _filled(path, b"")
     ds = read_dataset_csv(path)
-    assert len(pooled) == 1
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -636,7 +676,7 @@ def test_read_and_write_with_one_cpu_or_another_thread_are_serial(tmp_path, monk
     monkeypatch.setattr(data, "_cpu_count", lambda: 1)
     write_dataset_csv(ds, tmp_path / "one_cpu.csv")
     _assert_same(read_dataset_csv(path), ds)
-    assert len(pooled) == 1
+    assert [workers for workers, _, _ in pooled] == [2, 0, 0, 0, 0]
 
 
 def _fails_in_a_worker(parent, x):
@@ -652,6 +692,37 @@ def test_pool_map_redoes_a_failed_workers_tasks_here():
         list(data._pool_map(call, [(1,), (0,)], 2))
 
 
+def test_pool_map_redoes_the_tasks_of_a_worker_whose_result_is_cut_short(monkeypatch):
+    context = multiprocessing.get_context("fork")
+    pipe = context.Pipe
+    receivers = []
+
+    def pipe_whose_first_result_is_cut_short(duplex=True):
+        receiver, sender = pipe(duplex=duplex)
+        if not receivers:
+            def cut_short():
+                # What recv raises when the sender dies in the middle of a result.
+                raise OSError("got end of file during message")
+            receiver.recv = cut_short
+        receivers.append(receiver)
+        return receiver, sender
+
+    monkeypatch.setattr(context, "Pipe", pipe_whose_first_result_is_cut_short)
+    got = list(data._pool_map(lambda x: (x, os.getpid()), [(x,) for x in range(5)], 2))
+    assert len(receivers) == 2
+    assert [x for x, _ in got] == list(range(5))
+    # Worker 0's tasks, 0, 2 and 4, were done here.
+    assert [pid == os.getpid() for _, pid in got] == [True, False, True, False, True]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 2])
+def test_pool_map_maps_here_with_fewer_than_2_workers(workers):
+    got = list(data._pool_map(lambda x: (x, os.getpid()), [(x,) for x in range(3)],
+                              workers))
+    assert [x for x, _ in got] == [0, 1, 2]
+    assert {pid == os.getpid() for _, pid in got} == {workers < 2}
+
+
 @pytest.mark.parametrize("tail,end", [(b"\r\nb\n", 2), (b"\rb\n", 1), (b"\nb\n", 1)],
                          ids=["crlf", "lone_cr", "lf"])
 def test_line_start_reads_past_a_cr_that_ends_a_block(tmp_path, tail, end):
@@ -660,6 +731,95 @@ def test_line_start_reads_past_a_cr_that_ends_a_block(tmp_path, tail, end):
     path.write_bytes(body)
     with open(path, "rb") as fh:
         # The scan reads 4096-byte blocks from byte 905: the CR is a block's last.
-        assert data._line_start(fh, 905, 0, len(body)) == 5000 + end
-        assert data._line_start(fh, 0, 3, len(body)) == 3
-        assert data._line_start(fh, len(body) + 7, 3, len(body)) == len(body)
+        assert data._line_start(fh, 905, len(body)) == 5000 + end
+        assert data._line_start(fh, 0, len(body)) == 0
+        assert data._line_start(fh, len(body) + 7, len(body)) == len(body)
+
+
+# ------------------------------------------------------------------ #
+# pipes: read once, as a stream of lines
+# ------------------------------------------------------------------ #
+
+
+def _pipe_outcome(tmp_path, body: bytes, variables=None):
+    """A named pipe in ``tmp_path``, and the outcome of reading ``body`` from it.
+
+    The read runs in a thread, so that a read that opens the pipe a second
+    time, and so waits for a writer that never comes, fails the test instead
+    of hanging it.
+    """
+    fifo = tmp_path / "fifo.csv"
+    os.mkfifo(fifo)
+    outcome = []
+    writer = threading.Thread(target=fifo.write_bytes, args=(body,), daemon=True)
+    reader = threading.Thread(target=lambda: outcome.append(_outcome(fifo, variables)),
+                              daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(30)
+    opened_again = reader.is_alive()
+    if opened_again:  # let the second open through, to end the thread
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(30)
+    writer.join(30)
+    assert not (opened_again or reader.is_alive() or writer.is_alive())
+    (got,) = outcome
+    return fifo, got
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("variables", [None, [1]], ids=["full", "vars1"])
+def test_a_named_pipe_reads_as_the_file(tmp_path, variables):
+    path = tmp_path / "d.csv"
+    _random_file(path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 100))
+    _, got = _pipe_outcome(tmp_path, path.read_bytes(), variables)
+    _assert_same(got, _outcome(path, variables))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("body,error", [
+    (b"1,2,0\n# c\n3,4\n", "{path}:4: expected 3 cells, got 2"),
+    (b"1,2,0\n3,4\xe9,1\n", "{path}:3: not valid UTF-8 (byte 0xe9)"),
+    (b"1,2,0\n\n3,4,7\n",
+     "{path}: data row 2: categorical symbol out of range for var cardinality 3"),
+    (b"1,2,nan\n", "{path}: data row 1: categorical value is not an integer"),
+], ids=["ragged_row", "non_utf8", "symbol_out_of_range", "nan_symbol"])
+def test_a_named_pipe_names_the_line_or_data_row_of_an_error(tmp_path, body, error):
+    fifo, got = _pipe_outcome(tmp_path, HEADER.encode() + body)
+    assert got == error.format(path=fifo)
+
+
+def _cli(args, stdin: bytes):
+    """``usable-info args`` in a new process, with ``stdin`` piped to it."""
+    src = str(Path(data.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "usable_info.cli", *args], input=stdin,
+                          env=env, capture_output=True, timeout=120)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_estimate_reads_a_dataset_piped_to_stdin(tmp_path):
+    body = b"var0_0,var1_0\n1,2\n2,3.5\n3,3\n4,9\n"
+    piped, saved = tmp_path / "piped.json", tmp_path / "saved.json"
+    args = ["estimate", "--x-cols", "var0", "--y-cols", "var1", "--family",
+            "linear_gaussian", "--out"]
+    proc = _cli([*args, str(piped), "--data", "/dev/stdin"], body)
+    assert proc.returncode == 0, proc.stderr
+    path = tmp_path / "d.csv"
+    path.write_bytes(body)
+    assert main([*args, str(saved), "--data", str(path)]) == 0
+    results = [{k: v for k, v in json.loads(p.read_text())["results"].items()
+                if k != "timings"} for p in (piped, saved)]
+    assert results[0] == results[1]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_a_bad_symbol_in_a_piped_dataset_is_a_data_error(tmp_path):
+    proc = _cli(["estimate", "--data", "/dev/stdin", "--x-cols", "var0", "--y-cols", "var1",
+                 "--family", "tabular", "--out", str(tmp_path / "e.json")],
+                b"var0_0:cat3,var1_0\n1,2\n7,3\n")
+    assert proc.returncode == 3
+    assert proc.stderr.decode() == ("data error: /dev/stdin: data row 2: categorical "
+                                    "symbol out of range for var cardinality 3\n")

@@ -260,6 +260,14 @@ def test_categorical_out_of_range_rejected():
         log_density(pred, 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e300])
+def test_a_symbol_that_is_no_int64_raises_without_a_cast_warning(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must contain integer symbols"):
+            fit_marginal(FamilyConfig("tabular"), [1.0, bad, 0.0])
+
+
 # ------------------------------------------------------------------ #
 # Optional ignorance
 # ------------------------------------------------------------------ #
