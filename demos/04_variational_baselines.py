@@ -16,19 +16,20 @@ import numpy as np
 from usable_info import (
     BatchSpec,
     FamilyConfig,
+    SimulationConfig,
     cpc_estimate,
     empirical_information,
     fit_critic,
     gaussian_oracle_critic,
     nwj_estimate,
+    simulate,
 )
 
 
 def gaussian_pair(rho, n, seed):
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    y = rho * x + math.sqrt(1 - rho * rho) * rng.standard_normal(n)
-    return x.reshape(-1, 1), y.reshape(-1, 1)
+    """n unit-variance scalar pairs with correlation rho, as (n, 1) arrays."""
+    dataset, _ = simulate(SimulationConfig("gaussian_pair", n, seed, rho=rho, d=1))
+    return dataset.variables
 
 
 print("=" * 72)

@@ -53,7 +53,7 @@ from .baselines import (BatchSpec, baseline_edge_weights, fit_and_estimate_stack
 from .data import read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
 from .errors import DataError, NumericalError
 from .estimation import PacConfig, empirical_information
-from .families import FamilyConfig, FitMode, FitWarning, VariableSpec
+from .families import FamilyConfig, FitMode, FitWarning
 from .structure import Arborescence, edge_weights, max_arborescence, wrong_edges_ratio
 from .synth import SimulationConfig, simulate
 from .timing import stage_timer
@@ -314,74 +314,15 @@ def _sim_config_dict(sim: SimulationConfig) -> dict:
 # --------------------------------------------------------------------- #
 
 
-def _column_refs(tokens: list[str], role: str) -> list[tuple[int, str | None]]:
-    """``(variable index, coordinate or None)`` of each column token.
-
-    A token is either ``var<i>`` (the whole variable) or ``var<i>_<k>``
-    (one real coordinate).
-    """
-    refs = []
-    for token in tokens:
-        match = re.fullmatch(r"var(\d+)(?:_(\d+))?", token)
-        if not match:
-            raise ValueError(f"{role}: bad column token {token!r}")
-        refs.append((int(match.group(1)), match.group(2)))
-    return refs
-
-
-def _select_columns(chosen: dict, refs: list, role: str):
-    """Resolve column refs to one array plus a variable spec.
-
-    ``chosen`` maps each referenced variable index to its ``(array, spec)``
-    as read.  A categorical variable must be selected alone and keeps the
-    header's cardinality.
-    """
-    pieces = []
-    categorical = None
-    for vid, coord in refs:
-        arr, spec = chosen[vid]
-        if spec.kind == "categorical":
-            if coord not in (None, "0"):
-                raise ValueError(f"{role}: var{vid} is categorical; select it whole")
-            categorical = arr, spec
-        elif coord is None:
-            pieces.append(arr)
-        else:
-            k = int(coord)
-            if k >= spec.dim:
-                raise ValueError(f"{role}: var{vid} has no coordinate {k}")
-            pieces.append(arr[:, [k]])
-    if categorical is not None:
-        if pieces or len(refs) != 1:
-            raise ValueError(f"{role}: a categorical variable must be selected alone")
-        return categorical
-    if not pieces:
-        raise ValueError(f"{role}: no columns selected")
-    block = np.hstack(pieces)
-    return block, VariableSpec.real(block.shape[1])
-
-
 def _cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     data_path = _required(args, "data")
     x_tokens = _required(args, "x_cols")
     y_tokens = _required(args, "y_cols")
-    x_refs = _column_refs(x_tokens, "x-cols")
-    y_refs = _column_refs(y_tokens, "y-cols")
-    # Read only the named variables, in token order, so that a KeyError
-    # names the first token whose variable the header lacks.
-    wanted = list(dict.fromkeys(vid for vid, _ in x_refs + y_refs))
     timings = {}
     with stage_timer(timings, "read_s"):
-        try:
-            dataset = read_dataset_csv(data_path, variables=wanted)
-        except KeyError as exc:
-            vid = exc.args[0]
-            role = "x-cols" if any(v == vid for v, _ in x_refs) else "y-cols"
-            raise ValueError(f"{role}: no variable var{vid}") from None
-    chosen = dict(zip(wanted, zip(dataset.variables, dataset.specs)))
-    xs, x_spec = _select_columns(chosen, x_refs, "x-cols")
-    ys, y_spec = _select_columns(chosen, y_refs, "y-cols")
+        dataset = read_dataset_csv(data_path, {"x-cols": x_tokens, "y-cols": y_tokens})
+    (xs, ys), (x_spec, y_spec) = dataset.variables, dataset.specs
     family = replace(_family_config(args), x_spec=x_spec, y_spec=y_spec)
     clamp = bool(args.clamp)
 
@@ -621,11 +562,14 @@ def _read_pair_csv(path, value_column: str) -> dict[tuple[int, int], float]:
     pos = {name: k for k, name in enumerate(header)}
     out = {}
     for line_no, cells in rows:
+        if len(cells) != len(header):
+            raise DataError(f"{path}:{line_no}: expected {len(header)} cells, "
+                            f"got {len(cells)}")
         try:
             i = int(cells[pos["i"]])
             j = int(cells[pos["j"]])
             val = float(cells[pos[value_column]])
-        except (ValueError, IndexError) as exc:
+        except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
         if math.isnan(val):
             raise DataError(f"{path}:{line_no}: {value_column} is nan")

@@ -18,30 +18,33 @@ Result tables (``usable-info sweep``, ``baselines``) share these rules.
 Reading
 -------
 :func:`read_dataset_csv` validates the whole header and checks that every
-data row has one cell per header column.  Given ``variables``, it converts
-only those variables' columns (``usable-info estimate`` reads just the
-variables its column tokens name), so a malformed cell in any other column
+data row has one cell per header column.  Given ``columns``, column tokens
+(``var<i>`` or ``var<i>_<k>``) grouped by label, it converts only the
+columns the tokens name (``usable-info estimate`` reads just the columns of
+its ``--x-cols`` and ``--y-cols``), so a malformed cell in any other column
 goes unnoticed; a full read rejects it with its line number.
 
-The header is read and checked first.  A regular file's data rows are then
-parsed in byte ranges of about one chunk each, cut at line starts, on the
-process pool when the pool rule below allows it and in this process
-otherwise.  Each range is read and decoded on its own, so the main process
-never holds the file's text, and parsed by ``np.loadtxt`` a bounded chunk
-at a time.  Blank and comment lines make no rows, and the first range,
-which starts at the file's first byte, drops its first content line: the
-header.  A range that holds anything the loadtxt pass declines (a quoted
-cell, a mid-line ``#``, a lone CR, a byte that is not UTF-8, a row of the
-wrong width, a cell loadtxt cannot convert) hands all the data rows to the
-row-by-row parser instead, which names the offending line.  A file that is
-not a regular file, such as a pipe (``--data /dev/stdin``), is read once,
-as a stream of lines, by the row parser.  Either way the converted chunks
-are then joined and split into variables, so a read holds the converted
-columns at most twice over plus a bounded number of chunks, never the whole
-file.  A categorical symbol that is not valid is found after the join; its
-line is found by reading the file again, and a file that cannot be read
-again names the data row instead.  Lines end at LF, CRLF or a lone CR, and
-a byte that is not UTF-8 is an error naming its line.
+The header is read and checked first, then the selection, if any, against
+it, so a bad token is reported before any data row is read.  A regular
+file's data rows are then parsed in byte ranges of about one chunk each,
+cut at line starts, on the process pool when the pool rule below allows it
+and in this process otherwise.  Each range is read and decoded on its own,
+so the main process never holds the file's text, and parsed by
+``np.loadtxt`` a bounded chunk at a time.  Blank and comment lines make no
+rows, and the first range, which starts at the file's first byte, drops its
+first content line: the header.  A range that holds anything the loadtxt
+pass declines (a quoted cell, a mid-line ``#``, a lone CR, a byte that is
+not UTF-8, a row of the wrong width, a cell loadtxt cannot convert) hands
+all the data rows to the row-by-row parser instead, which names the
+offending line.  A file that is not a regular file, such as a pipe
+(``--data /dev/stdin``), is read once, as a stream of lines, by the row
+parser.  Either way the converted chunks are then joined and split into
+variables, so a read holds the converted columns at most twice over plus a
+bounded number of chunks, never the whole file.  A categorical symbol that
+is not valid is found after the join; its line is found by reading the file
+again, and a file that cannot be read again names the data row instead.
+Lines end at LF, CRLF or a lone CR, and a byte that is not UTF-8 is an
+error naming its line.
 
 Writing
 -------
@@ -85,6 +88,8 @@ __all__ = ["Dataset", "write_dataset_csv", "read_dataset_csv", "write_rows_csv",
            "read_csv_rows"]
 
 _COLUMN_RE = re.compile(r"^var(\d+)_(\d+)(?::cat(\d+))?$")
+# A column token of a projected read: a whole variable, or one coordinate.
+_TOKEN_RE = re.compile(r"var(\d+)(?:_(\d+))?")
 # An undecodable byte, as the surrogateescape error handler reads it.
 _ESCAPED_BYTE_RE = re.compile("[\udc80-\udcff]")
 # A line ending, in a file read as bytes.
@@ -357,15 +362,52 @@ def _layout(path, header_line: int, header: list[str]):
     return layout
 
 
-def read_dataset_csv(path, variables=None) -> Dataset:
+def _selection(layout, label: str, tokens) -> tuple[VariableSpec, list[int]]:
+    """The spec and header column positions of the variable that ``tokens``
+    select from a header's ``layout``; a bad selection raises
+    ``ValueError("<label>: ...")``."""
+    positions = []
+    categorical = None
+    for token in tokens:
+        match = _TOKEN_RE.fullmatch(token)
+        if not match:
+            raise ValueError(f"{label}: bad column token {token!r}")
+        vid, coord = int(match.group(1)), match.group(2)
+        if vid >= len(layout):
+            raise ValueError(f"{label}: no variable var{vid}")
+        spec, own = layout[vid]
+        if spec.kind == "categorical":
+            if coord not in (None, "0"):
+                raise ValueError(f"{label}: var{vid} is categorical; select it whole")
+            categorical = spec, own
+        elif coord is None:
+            positions.extend(own)
+        elif int(coord) < spec.dim:
+            positions.append(own[int(coord)])
+        else:
+            raise ValueError(f"{label}: var{vid} has no coordinate {int(coord)}")
+    if categorical is not None:
+        if positions or len(tokens) != 1:
+            raise ValueError(f"{label}: a categorical variable must be selected alone")
+        return categorical
+    if not positions:
+        raise ValueError(f"{label}: no columns selected")
+    return VariableSpec.real(len(positions)), positions
+
+
+def read_dataset_csv(path, columns=None) -> Dataset:
     """Parse a dataset CSV; raises :class:`DataError` with line numbers.
 
-    ``variables``, a sequence of variable indices, projects the read: the
-    result holds just those variables, in the order given, with their specs
-    from the header.  The whole header is still validated, and every row
-    must still have one cell per header column, but only the selected
-    columns are converted, so a malformed cell in an unselected column is
-    not an error.  An index the header lacks raises ``KeyError(index)``.
+    ``columns``, a ``{label: [token, ...]}`` mapping, projects the read: the
+    result holds one variable per label, in the mapping's order.  A token is
+    ``var<i>`` (the whole variable) or ``var<i>_<k>`` (one real coordinate);
+    a label's real tokens make one real variable of their columns, in token
+    order, and a categorical variable must be its label's only token, and
+    keeps the header's cardinality.  The whole header is still validated,
+    and every row must still have one cell per header column, but only the
+    named columns are converted, so a malformed cell in any other column is
+    not an error.  A bad selection raises ``ValueError("<label>: ...")``
+    once the header is checked, before any data row is read.
 
     The data rows are parsed a bounded chunk at a time, on a process pool
     when the pool rule in the module docstring allows; the result, and every
@@ -380,11 +422,9 @@ def read_dataset_csv(path, variables=None) -> Dataset:
         layout = _layout(path, header_line, header)
 
         usecols = None
-        if variables is not None:
-            for vid in variables:
-                if not 0 <= vid < len(layout):
-                    raise KeyError(vid)
-            layout = [layout[vid] for vid in variables]
+        if columns is not None:
+            layout = [_selection(layout, label, tokens)
+                      for label, tokens in columns.items()]
             usecols = sorted({pos for _, positions in layout for pos in positions})
             where = {pos: k for k, pos in enumerate(usecols)}
             layout = [(spec, [where[pos] for pos in positions])

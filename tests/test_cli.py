@@ -209,19 +209,25 @@ def test_estimate_tabular_on_categorical_columns(tmp_path):
     assert got == pytest.approx(entropy, abs=1e-12)
 
 
-def test_estimate_categorical_keeps_the_header_cardinality(tmp_path, monkeypatch):
+@pytest.fixture
+def fits(monkeypatch):
+    """Each ``(family, xs, ys)`` that ``estimate`` fits."""
+    seen = []
+    estimate = cli.empirical_information
+    monkeypatch.setattr(cli, "empirical_information",
+                        lambda family, xs, ys, **kwargs: seen.append((family, xs, ys))
+                        or estimate(family, xs, ys, **kwargs))
+    return seen
+
+
+def test_estimate_categorical_keeps_the_header_cardinality(tmp_path, fits):
     path = tmp_path / "cat.csv"
     symbols = [0, 1, 2] * 20
     path.write_text("var0_0:cat5,var1_0:cat3\n"
                     + "".join(f"{s},{(s + 1) % 3}\n" for s in symbols))
-    seen = []
-    estimate = cli.empirical_information
-    monkeypatch.setattr(cli, "empirical_information",
-                        lambda family, *args, **kwargs: seen.append(family)
-                        or estimate(family, *args, **kwargs))
     assert main(["estimate", "--data", str(path), "--x-cols", "var0", "--y-cols", "var1",
                  "--family", "tabular", "--out", str(tmp_path / "e.json")]) == 0
-    [family] = seen
+    [(family, _, _)] = fits
     assert family.x_spec == VariableSpec.categorical(5)
     assert family.y_spec == VariableSpec.categorical(3)
 
@@ -279,6 +285,52 @@ def test_estimate_bad_column_selection_exits_2(correlated_csv, tmp_path, capsys,
                  "--family", "linear_gaussian", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# Line 3 holds a cell that no read of var0_1 can convert.
+TOKEN_CSV = "var0_0,var0_1,var1_0:cat3\n1,2,0\n2,oops,1\n3,1,2\n"
+
+
+@pytest.mark.parametrize("x_cols,y_cols,message", [
+    ("var1_1", "var0", "x-cols: var1 is categorical; select it whole"),
+    ("var0_0", "var1,var0_0", "y-cols: a categorical variable must be selected alone"),
+    ("var0_5", "var1", "x-cols: var0 has no coordinate 5"),
+])
+def test_estimate_reports_a_bad_selection_before_a_bad_cell(tmp_path, capsys, x_cols,
+                                                             y_cols, message):
+    path = tmp_path / "d.csv"
+    path.write_text(TOKEN_CSV)
+    out = tmp_path / "e.json"
+    assert main(["estimate", "--data", str(path), "--x-cols", x_cols, "--y-cols", y_cols,
+                 "--family", "linear_gaussian", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_estimate_ignores_a_bad_cell_in_a_coordinate_it_does_not_name(tmp_path, fits):
+    path = tmp_path / "d.csv"
+    path.write_text(TOKEN_CSV)
+    assert main(["estimate", "--data", str(path), "--x-cols", "var0_0", "--y-cols", "var0_0",
+                 "--family", "linear_gaussian", "--out", str(tmp_path / "e.json")]) == 0
+    [(family, xs, ys)] = fits
+    assert family.x_spec == family.y_spec == VariableSpec.real(1)
+    assert xs.tolist() == ys.tolist() == [[1.0], [2.0], [3.0]]
+
+
+def test_estimate_joins_a_mixed_group_in_token_order(tmp_path, fits):
+    rng = np.random.default_rng(4)
+    ds = Dataset(variables=[rng.normal(size=(30, 2)), rng.normal(size=(30, 3)),
+                            rng.normal(size=(30, 1))],
+                 specs=[VariableSpec.real(2), VariableSpec.real(3), VariableSpec.real(1)])
+    path = tmp_path / "d.csv"
+    write_dataset_csv(ds, path)
+    assert main(["estimate", "--data", str(path), "--x-cols", "var2,var0_1",
+                 "--y-cols", "var1", "--family", "linear_gaussian",
+                 "--out", str(tmp_path / "e.json")]) == 0
+    [(family, xs, ys)] = fits
+    assert family.x_spec == VariableSpec.real(2)
+    assert xs.tobytes() == np.column_stack([ds.variables[2], ds.variables[0][:, 1]]).tobytes()
+    assert ys.tobytes() == ds.variables[1].tobytes()
 
 
 def test_estimate_malformed_csv_exits_3(tmp_path, capsys):
@@ -974,6 +1026,25 @@ def test_auc_nan_score_is_data_error_naming_line(tmp_path, capsys):
                "--out", str(out)])
     assert rc == 3
     assert capsys.readouterr().err == f"data error: {scores}:5: score is nan\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad_row,cells", [("1,0", 2), ("1,0,0.5,9", 4)],
+                         ids=["short", "long"])
+@pytest.mark.parametrize("bad_file", ["scores", "truth"])
+def test_auc_row_of_the_wrong_width_is_a_data_error(tmp_path, capsys, bad_file, bad_row,
+                                                    cells):
+    files = {"scores": tmp_path / "s.csv", "truth": tmp_path / "t.csv"}
+    _write_pairs(files["scores"], [(0, 1, 1.0), (1, 0, 0.5)], "score")
+    _write_pairs(files["truth"], [(0, 1, 1), (1, 0, 0)], "edge")
+    lines = files[bad_file].read_text().splitlines()
+    lines[2] = bad_row
+    files[bad_file].write_text("\n".join(lines) + "\n")
+    out = tmp_path / "auc.json"
+    assert main(["auc", "--scores", str(files["scores"]), "--truth", str(files["truth"]),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"data error: {files[bad_file]}:3: expected 3 cells, got {cells}\n")
     assert not out.exists()
 
 

@@ -42,9 +42,18 @@ def _reference_write(dataset, path, config=None):
             writer.writerow(row)
 
 
+def _columns(variables):
+    """``read_dataset_csv``'s ``columns`` for ``variables``: None (a full
+    read), a mapping (as given), or indices of whole variables, each its own
+    label, in order."""
+    if variables is None or isinstance(variables, dict):
+        return variables
+    return {f"var{v}": [f"var{v}"] for v in variables}
+
+
 def _outcome(path, variables=None):
     try:
-        return read_dataset_csv(path, variables=variables)
+        return read_dataset_csv(path, _columns(variables))
     except DataError as exc:
         return str(exc)
 
@@ -219,7 +228,7 @@ def test_projected_read_rejects_ragged_rows(tmp_path, body, line, width, variabl
     path = tmp_path / "ragged.csv"
     path.write_text(HEADER + body, encoding="utf-8")
     with pytest.raises(DataError) as err:
-        read_dataset_csv(path, variables=variables)
+        read_dataset_csv(path, _columns(variables))
     assert str(err.value) == f"{path}:{line}: expected 3 cells, got {width}"
 
 
@@ -227,7 +236,7 @@ def test_projected_read_names_the_line_of_a_bad_selected_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(HEADER + "1,2,0\n# c\n3,oops,1\n", encoding="utf-8")
     with pytest.raises(DataError) as err:
-        read_dataset_csv(path, variables=[0])
+        read_dataset_csv(path, _columns([0]))
     assert str(err.value) == (f"{path}:4: could not convert string to float: 'oops'")
 
 
@@ -236,7 +245,7 @@ def test_projected_read_accepts_a_bad_unselected_cell(tmp_path):
     path.write_text(HEADER + "1,2,0\n3,oops,1\n5,6,2\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_dataset_csv(path)
-    got = read_dataset_csv(path, variables=[1])
+    got = read_dataset_csv(path, _columns([1]))
     assert got.specs == [VariableSpec.categorical(3)]
     assert got.variables[0].tolist() == [0, 1, 2]
 
@@ -245,26 +254,28 @@ def test_projected_read_keeps_the_given_order_and_header_specs(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("var1_0:cat5,var0_1,var2_0,var0_0\n2,1.5,7,-1\n0,2.5,8,-2\n",
                     encoding="utf-8")
-    got = read_dataset_csv(path, variables=[1, 0])
+    got = read_dataset_csv(path, _columns([1, 0]))
     assert got.specs == [VariableSpec.categorical(5), VariableSpec.real(2)]
     assert got.variables[0].tolist() == [2, 0]
     assert got.variables[1].tolist() == [[-1.0, 1.5], [-2.0, 2.5]]
 
 
-@pytest.mark.parametrize("variables", [[3], [0, -1]])
-def test_projected_read_of_a_missing_variable_raises_key_error(tmp_path, variables):
+@pytest.mark.parametrize("variables,message", [
+    ([3], "var3: no variable var3"), ([0, -1], "var-1: bad column token 'var-1'")])
+def test_projected_read_of_a_missing_variable_raises_value_error(tmp_path, variables,
+                                                                  message):
     path = tmp_path / "d.csv"
     path.write_text(HEADER + "1,2,0\n", encoding="utf-8")
-    with pytest.raises(KeyError) as err:
-        read_dataset_csv(path, variables=variables)
-    assert err.value.args == (variables[-1],)
+    with pytest.raises(ValueError) as err:
+        read_dataset_csv(path, _columns(variables))
+    assert str(err.value) == message
 
 
 def test_projected_read_still_validates_the_whole_header(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("var0_0,var1_0,var1_2\n1,2,3\n", encoding="utf-8")
     with pytest.raises(DataError, match="var1 coordinates must be 0..d-1"):
-        read_dataset_csv(path, variables=[0])
+        read_dataset_csv(path, _columns([0]))
 
 
 def test_estimate_converts_only_the_selected_columns(tmp_path, monkeypatch):
@@ -282,7 +293,7 @@ def test_estimate_converts_only_the_selected_columns(tmp_path, monkeypatch):
     out = tmp_path / "est.json"
     assert main(["estimate", "--data", str(path), "--x-cols", "var2", "--y-cols", "var0_1",
                  "--family", "linear_gaussian", "--out", str(out)]) == 0
-    assert seen == [[0, 1, 5]]
+    assert seen == [[1, 5]]
     assert json.loads(out.read_text())["config"]["x_cols"] == ["var2"]
 
 
@@ -376,7 +387,7 @@ def test_reader_names_the_line_of_a_non_utf8_byte(tmp_path, body, line, variable
     path.write_bytes(body)
     message = f"{path}:{line}: not valid UTF-8 (byte 0xe9)"
     with pytest.raises(DataError) as err:
-        read_dataset_csv(path, variables=variables)
+        read_dataset_csv(path, _columns(variables))
     assert str(err.value) == message
     with pytest.raises(DataError) as err:
         data.read_csv_rows(path)
@@ -437,7 +448,7 @@ def test_write_holds_one_chunk(wide):
 @pytest.mark.parametrize("variables", [None, [0, 3]], ids=["full", "vars0_3"])
 def test_read_holds_the_arrays_and_one_chunk(wide, variables):
     ds, path, _ = wide
-    got, peak = _traced_peak(lambda: read_dataset_csv(path, variables=variables))
+    got, peak = _traced_peak(lambda: read_dataset_csv(path, _columns(variables)))
     returned = sum(v.nbytes for v in got.variables)
     assert peak <= 2 * returned + 4 * MIB
     for v, x in zip(variables or range(ds.m), got.variables):
@@ -768,14 +779,14 @@ def _pipe_outcome(tmp_path, body: bytes, variables=None):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-@pytest.mark.parametrize("variables", [None, [1]], ids=["full", "vars1"])
+@pytest.mark.parametrize("variables", [None, [1], {"x": ["var0_1", "var0_0"], "y": ["var1"]}],
+                         ids=["full", "vars1", "tokens"])
 def test_a_named_pipe_reads_as_the_file(tmp_path, variables):
     path = tmp_path / "d.csv"
     _random_file(path)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n", 100))
     _, got = _pipe_outcome(tmp_path, path.read_bytes(), variables)
     _assert_same(got, _outcome(path, variables))
-
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 @pytest.mark.parametrize("body,error", [
