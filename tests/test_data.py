@@ -261,7 +261,8 @@ def test_projected_read_keeps_the_given_order_and_header_specs(tmp_path):
 
 
 @pytest.mark.parametrize("variables,message", [
-    ([3], "var3: no variable var3"), ([0, -1], "var-1: bad column token 'var-1'")])
+    ([3], "var3: no variable var3"), ([0, -1], "var-1: bad column token 'var-1'")],
+    ids=["absent-index", "negative-index"])
 def test_projected_read_of_a_missing_variable_raises_value_error(tmp_path, variables,
                                                                   message):
     path = tmp_path / "d.csv"
