@@ -78,11 +78,12 @@ def main(argv=None) -> int:
             warnings.simplefilter("always")
             # A fit that did not converge stops the command before it writes.
             warnings.simplefilter("error", FitWarning)
-            _fill_from_config(args, _command_flags(parser, args.command), args.config)
-            result = args.func(args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return result
+            try:
+                _fill_from_config(args, _command_flags(parser, args.command), args.config)
+                return args.func(args)
+            finally:  # on failure too, before the failure line
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -153,8 +154,9 @@ def _fields_set(cls, args) -> dict:
 
 
 def _required(args, name: str):
+    """The setting ``name``; unset, empty text and an empty list are missing."""
     value = getattr(args, name)
-    if not value:
+    if value in (None, "", []):
         raise ValueError(f"missing required setting: {name.replace('_', '-')}")
     return value
 

@@ -34,15 +34,14 @@ so the main process never holds the file's text, and parsed by
 rows, and the first range, which starts at the file's first byte, drops its
 first content line: the header.  A range that holds anything the loadtxt
 pass declines (a quoted cell, a mid-line ``#``, a lone CR, a byte that is
-not UTF-8, a row of the wrong width, a cell loadtxt cannot convert) hands
-all the data rows to the row-by-row parser instead, which names the
-offending line.  A file that is not a regular file, such as a pipe
-(``--data /dev/stdin``), is read once, as a stream of lines, by the row
-parser.  Either way the converted chunks are then joined and split into
+not UTF-8, a row of the wrong width, a cell loadtxt cannot convert, a
+symbol that is not an integer in ``[0, C)``) hands all the data rows to the
+row-by-row parser instead, which checks each row as it converts it, so an
+error names the first bad line.  A file that is not a regular file, such as
+a pipe (``--data /dev/stdin``), is read once, as a stream of lines, by the
+row parser.  Either way the converted chunks are then joined and split into
 variables, so a read holds the converted columns at most twice over plus a
-bounded number of chunks, never the whole file.  A categorical symbol that
-is not valid is found after the join; its line is found by reading the file
-again, and a file that cannot be read again names the data row instead.
+bounded number of chunks, never the whole file, and no file is read twice.
 Lines end at LF, CRLF or a lone CR, and a byte that is not UTF-8 is an
 error naming its line.
 
@@ -430,58 +429,41 @@ def read_dataset_csv(path, columns=None) -> Dataset:
             layout = [(spec, [where[pos] for pos in positions])
                       for spec, positions in layout]
 
-        chunks = _range_chunks(path, n_cols, usecols) if os.path.isfile(path) else None
+        symbols = [(positions[0], spec.cardinality) for spec, positions in layout
+                   if spec.kind == "categorical"]
+        chunks = _range_chunks(path, n_cols, usecols, symbols) if os.path.isfile(path) else None
         if chunks is None:
             chunks = []
             while rows := list(itertools.islice(lines, _chunk_rows(n_cols))):
-                chunks.append(_parse_rows(path, rows, n_cols, usecols))
+                chunks.append(_parse_rows(path, rows, n_cols, usecols, symbols))
     if not chunks:
         raise DataError(f"{path}: no data rows")
     table = np.concatenate(chunks)
     del chunks  # so that at most two copies of the table are held at once
-
-    arrays = []
-    specs = []
-    for spec, positions in layout:
-        block = table[:, positions]
-        if spec.kind == "categorical":
-            col = block[:, 0]
-            with np.errstate(invalid="ignore"):  # nan, inf: found just below
-                ints = col.astype(np.int64)
-            if np.any(ints != col):
-                bad = int(np.flatnonzero(ints != col)[0])
-                raise DataError(f"{_row_place(path, bad)}: categorical value "
-                                f"is not an integer")
-            if np.any(ints < 0) or np.any(ints >= spec.cardinality):
-                bad = int(np.flatnonzero((ints < 0) | (ints >= spec.cardinality))[0])
-                raise DataError(f"{_row_place(path, bad)}: categorical symbol "
-                                f"out of range for var cardinality "
-                                f"{spec.cardinality}")
-            arrays.append(ints)
-        else:
-            arrays.append(block)
-        specs.append(spec)
-    return Dataset(variables=arrays, specs=specs)
+    return Dataset(variables=[table[:, positions[0]].astype(np.int64)
+                              if spec.kind == "categorical" else table[:, positions]
+                              for spec, positions in layout],
+                   specs=[spec for spec, _ in layout])
 
 
-def _row_place(path, row: int) -> str:
-    """Where data row ``row`` (0-based) is: ``path:line``, the line found by
-    reading the file again, or the row's number for a file that cannot be
-    read again, such as a pipe."""
-    if not os.path.isfile(path):
-        return f"{path}: data row {row + 1}"
-    with contextlib.closing(_content_lines(path)) as lines:
-        return f"{path}:{next(itertools.islice(lines, row + 1, None))[0]}"
+def _symbol_error(value: float, cardinality: int) -> str | None:
+    """What makes ``value`` no categorical symbol, an integer in
+    ``[0, cardinality)``, or None.  :func:`_read_range` declines the same."""
+    if not (value.is_integer() and -2.0**63 <= value < 2.0**63):  # nan, inf, 1e300
+        return "categorical value is not an integer"
+    if not 0 <= value < cardinality:
+        return f"categorical symbol out of range for var cardinality {cardinality}"
+    return None
 
 
-def _range_chunks(path, n_cols: int, usecols) -> list[np.ndarray] | None:
+def _range_chunks(path, n_cols: int, usecols, symbols) -> list[np.ndarray] | None:
     """The chunk tables of a regular file's data rows, parsed a byte range at
     a time (on the process pool when the pool rule allows); None when a range
     declines, and the rows are for the row parser."""
     size = os.path.getsize(path)
     span = _CHUNK_CELLS * _CELL_BYTES
     ranges = -(-size // span)
-    call = functools.partial(_read_range, path, n_cols, usecols, size, span)
+    call = functools.partial(_read_range, path, n_cols, usecols, symbols, size, span)
     chunks = []
     with contextlib.closing(_pool_map(call, [(i,) for i in range(ranges)],
                                       _pool_workers(ranges))) as results:
@@ -512,13 +494,13 @@ def _line_start(fh, pos: int, size: int) -> int:
     return size
 
 
-def _read_range(path, n_cols: int, usecols, size: int, span: int, index: int):
+def _read_range(path, n_cols: int, usecols, symbols, size: int, span: int, index: int):
     """The chunk tables of the data rows in byte range ``index`` of a file of
     ``size`` bytes, or None when the row parser must read the file: a byte
-    that is not UTF-8, a lone CR, a chunk that :func:`_fast_table` declines,
-    or a first range that does not hold the header.  Blank and comment lines
-    are skipped, as the row parser skips them, and range 0 drops its first
-    content line, the header.
+    that is not UTF-8, a lone CR, a chunk that :func:`_fast_table` declines
+    or with a bad symbol in one of the ``symbols`` columns, or a first range
+    that does not hold the header.  Blank and comment lines are skipped, as
+    the row parser skips them, and range 0 drops its first content line.
 
     Range i runs between the first line starts after bytes ``i * span`` and
     ``(i + 1) * span``, so the ranges cover the file and each line lies in
@@ -551,6 +533,10 @@ def _read_range(path, n_cols: int, usecols, size: int, span: int, index: int):
         table = _fast_table(lines[row:row + step], n_cols, usecols)
         if table is None:
             return None
+        for col, cardinality in symbols:
+            values = table[:, col]
+            if not np.all((values >= 0) & (values < cardinality) & (np.floor(values) == values)):
+                return None
         tables.append(table)
     return tables
 
@@ -578,9 +564,11 @@ def _fast_table(lines: list[str], n_cols: int, usecols=None) -> np.ndarray | Non
     return table if table.shape == (len(lines), width) else None
 
 
-def _parse_rows(path, rows, n_cols: int, usecols=None) -> np.ndarray:
+def _parse_rows(path, rows, n_cols: int, usecols, symbols) -> np.ndarray:
     """Row-by-row parser: the csv module, then ``float`` on each cell in
-    ``usecols`` (all when None).  Every row must be ``n_cols`` cells wide."""
+    ``usecols`` (all when None), then a check of the row's ``symbols``
+    (``(table column, cardinality)`` per categorical variable).  Every row
+    must be ``n_cols`` cells wide."""
     usecols = range(n_cols) if usecols is None else usecols
     table = np.empty((len(rows), len(usecols)))
     for r, (line_no, line) in enumerate(rows):
@@ -589,7 +577,10 @@ def _parse_rows(path, rows, n_cols: int, usecols=None) -> np.ndarray:
             raise DataError(f"{path}:{line_no}: expected {n_cols} cells, "
                             f"got {len(cells)}")
         try:
-            table[r] = [float(cells[pos]) for pos in usecols]
+            table[r] = values = [float(cells[pos]) for pos in usecols]
         except ValueError as exc:
             raise DataError(f"{path}:{line_no}: {exc}") from None
+        for col, cardinality in symbols:
+            if error := _symbol_error(values[col], cardinality):
+                raise DataError(f"{path}:{line_no}: {error}")
     return table

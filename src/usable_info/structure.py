@@ -33,6 +33,7 @@ import math
 import warnings
 from bisect import insort
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -404,8 +405,9 @@ def _rooted_trees(m: int) -> np.ndarray:
 def brute_force_arborescence(weights) -> Arborescence:
     """Exact maximum arborescence by enumerating all m^(m-1) rooted trees.
 
-    Limited to m <= 8 nodes; ties break to the lexicographically smallest
-    (root, parent vector), matching :func:`max_arborescence`.
+    Limited to m <= 8 nodes; trees are ranked by their exact sums, and ties
+    break to the lexicographically smallest (root, parent vector), matching
+    :func:`max_arborescence`.
     """
     w = _as_matrix(weights)
     m = w.shape[0]
@@ -413,14 +415,19 @@ def brute_force_arborescence(weights) -> Arborescence:
         raise ValueError(f"brute force enumerates m^(m-1) trees; m <= "
                          f"{_BRUTE_FORCE_MAX_NODES} required")
     table = _rooted_trees(m)
-    # The root's parent -1 picks the zero row, which changes no sum.  Each
-    # tree sums in child order, as _total does, so tied trees tie bitwise
-    # and argmax's first maximum is the smallest (root, parent vector).
+    # The root's parent -1 picks the zero row, which changes no sum.
     padded = np.vstack([w, np.zeros(m)])
     totals = np.zeros(table.shape[0])
     for c in range(m):
         totals += padded[table[:, c], c]
-    best = table[int(np.argmax(totals))]
+    # A float sum of m terms is within m eps sum|w| / 2 of the exact sum, so
+    # the exact maximum lies within twice that of the float one.  Rank those
+    # trees by exact sums; the first of equals has the smallest (root,
+    # parent vector).
+    slack = 2 * m * np.finfo(float).eps * np.abs(w).sum()
+    near = np.flatnonzero(totals >= totals.max() - slack)
+    best = table[max(near, key=lambda k: (
+        sum(map(Fraction, padded[table[k], range(m)].tolist())), -k))]
     parent = {c: int(p) for c, p in enumerate(best) if p >= 0}
     root = int(np.argmin(best))
     return Arborescence(root=root, parent=parent, total_weight=_total(w, parent))

@@ -388,6 +388,34 @@ def test_estimate_non_finite_fit_settings_exit_2(correlated_csv, tmp_path, capsy
     assert not (tmp_path / "e.json").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["simulate", "--scenario", "sim1", "--n", "0", "--seed", "1"], "n and d must be positive"),
+    (["estimate", "--pac", "--delta", "0", "--pac-b", "1"], "delta must lie in (0, 0.5)"),
+    (["estimate", "--pac", "--delta", "0.1", "--pac-b", "0"],
+     "log-density bound b must be positive"),
+], ids=["n", "delta", "pac_b"])
+def test_a_given_zero_is_checked_not_missing(correlated_csv, tmp_path, capsys, args, message):
+    path, _ = correlated_csv
+    if args[0] == "estimate":
+        args = [*args, "--data", str(path), "--x-cols", "var0", "--y-cols", "var1",
+                "--family", "linear_gaussian"]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_warnings_recorded_before_a_failure_are_printed_before_it(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("var0_0,var1_0,var2_0\n1e120,2,3\n2e120,1,5\n-1e120,4,2\n3e120,0.5,1\n")
+    assert main(["tree", "--data", str(path), "--family", "polynomial_gaussian",
+                 "--order", "3", "--out", str(tmp_path / "tree.json")]) == 4
+    *warned, failure = capsys.readouterr().err.splitlines()
+    assert warned and set(warned) == {"warning: overflow encountered in power"}
+    assert failure == ("numerical failure: xs features overflow float64 "
+                       "(polynomial expansion)")
+
+
 # ------------------------------------------------------------------ #
 # tree
 # ------------------------------------------------------------------ #
@@ -790,14 +818,22 @@ def test_baselines_command_table(tmp_path):
     assert truths["0.5"] == pytest.approx(-0.5 * math.log(1 - 0.25))
 
 
+def _after_warnings(err: str) -> str:
+    """The last line of ``err``, checked to follow only warning lines: the
+    warnings that a failing command recorded are printed before its failure."""
+    *warned, last = err.splitlines()
+    assert all(line.startswith("warning: ") for line in warned), err
+    return last
+
+
 def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256",
                "--step-size", "1e300", "--iterations", "5", "--out", str(out)])
     assert rc == 4
-    assert capsys.readouterr().err == (
+    assert _after_warnings(capsys.readouterr().err) == (
         "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
-        "critic fit diverged to non-finite parameters\n")
+        "critic fit diverged to non-finite parameters")
     assert not out.exists()
 
 
@@ -806,9 +842,9 @@ def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys):
     rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "384", "--batch-size", "4",
                "--step-size", "1e308", "--iterations", "1", "--out", str(out)])
     assert rc == 4
-    assert capsys.readouterr().err == (
+    assert _after_warnings(capsys.readouterr().err) == (
         "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
-        "critic produced non-finite scores\n")
+        "critic produced non-finite scores")
     assert not out.exists()
 
 
@@ -824,8 +860,8 @@ def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys):
                           ("0.5,0.1", "rho=0.5 seed=0 estimator=nwj"),
                           ("0.1,0.5", "rho=0.1 seed=0 estimator=cpc")):
         assert main(["baselines", "--rhos", rhos, *argv, "--out", str(out)]) == 4
-        assert capsys.readouterr().err == (
-            f"numerical failure: baselines {failing}: critic produced non-finite scores\n")
+        assert _after_warnings(capsys.readouterr().err) == (
+            f"numerical failure: baselines {failing}: critic produced non-finite scores")
         assert not out.exists()
 
 

@@ -94,7 +94,8 @@ def _assert_same(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-# (name, file body after the header, whether the loadtxt pass accepts it)
+# (name, file body after the header, whether the loadtxt pass accepts it; a
+# bad categorical symbol makes the pass decline)
 CORPUS = [
     ("blank_and_comment", "1,2,0\n\n# mid-file comment\n3,4,2\n", True),
     ("hash_mid_line", "1,2#x,0\n3,4,1\n", False),
@@ -106,9 +107,9 @@ CORPUS = [
     ("non_numeric", "1,abc,0\n", False),
     ("underscore_digits", "1_000,2,0\n", False),
     ("nan_inf", "nan,-nan,0\ninf,-inf,1\nNaN,Infinity,2\n", True),
-    ("non_integer_symbol", "1,2,1.5\n", True),
-    ("symbol_out_of_range", "1,2,3\n", True),
-    ("negative_symbol", "1,2,-1\n", True),
+    ("non_integer_symbol", "1,2,1.5\n", False),
+    ("symbol_out_of_range", "1,2,3\n", False),
+    ("negative_symbol", "1,2,-1\n", False),
 ]
 
 
@@ -130,7 +131,7 @@ def test_reader_row_errors_name_their_line(tmp_path, monkeypatch):
     assert got.startswith(f"{path}:5: ")
 
 
-@pytest.mark.parametrize("cell", ["nan", "-inf", "1e300"])
+@pytest.mark.parametrize("cell", ["nan", "-inf", "1e300", "9223372036854775808"])
 def test_a_symbol_that_is_no_int64_raises_without_a_cast_warning(tmp_path, cell):
     path = tmp_path / "d.csv"
     path.write_text(HEADER + f"1,2,0\n3,4,{cell}\n", encoding="utf-8")
@@ -139,6 +140,41 @@ def test_a_symbol_that_is_no_int64_raises_without_a_cast_warning(tmp_path, cell)
         with pytest.raises(DataError) as err:
             read_dataset_csv(path)
     assert str(err.value) == f"{path}:3: categorical value is not an integer"
+
+
+def test_the_first_bad_line_wins_over_a_later_bad_float(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "d.csv"
+    path.write_text("var0_0,var1_0:cat3\n1,0\n2,9\n3,x\n", encoding="utf-8")
+    message = f"{path}:3: categorical symbol out of range for var cardinality 3"
+    assert _read_both(path, monkeypatch) == (message, message)
+    assert main(["tree", "--data", str(path), "--family", "linear_gaussian",
+                 "--out", str(tmp_path / "tree.json")]) == 3
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_the_first_bad_line_wins_over_an_earlier_variable(tmp_path, monkeypatch):
+    # var1's fault is on line 3, var0's on line 4.
+    path = tmp_path / "d.csv"
+    path.write_text("var0_0:cat3,var1_0:cat3\n0,0\n1,1.5\n7,1\n", encoding="utf-8")
+    message = f"{path}:3: categorical value is not an integer"
+    assert _read_both(path, monkeypatch) == (message, message)
+
+
+def test_a_bad_symbol_does_not_make_the_read_open_the_file_again(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_cpu_count", lambda: 1)
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(data, "open", counting_open, raising=False)
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_text(HEADER + "1,2,0\n3,4,1\n", encoding="utf-8")
+    bad.write_text(HEADER + "1,2,0\n3,4,3\n", encoding="utf-8")
+    assert isinstance(_outcome(good), Dataset)
+    assert _outcome(bad) == f"{bad}:3: categorical symbol out of range for var cardinality 3"
+    assert 0 < opened.count(bad) <= opened.count(good)
 
 
 def test_reader_random_bit_patterns_round_trip(tmp_path, monkeypatch):
@@ -188,7 +224,9 @@ BAD_CELL_VARIABLE = {"hash_mid_line": 0, "non_numeric": 0, "non_integer_symbol":
                      "symbol_out_of_range": 1, "negative_symbol": 1}
 # (file, variables) whose loadtxt pass succeeds only because the cell it
 # rejects in a full read is in an unselected column.
-FAST_ONLY_WHEN_PROJECTED = {("non_numeric", (1,)), ("underscore_digits", (1,))}
+FAST_ONLY_WHEN_PROJECTED = {("non_numeric", (1,)), ("underscore_digits", (1,)),
+                            ("non_integer_symbol", (0,)), ("symbol_out_of_range", (0,)),
+                            ("negative_symbol", (0,))}
 SUBSETS = [(0,), (1,), (1, 0)]
 
 
@@ -316,7 +354,7 @@ BOUNDARY = [
     ("mid_file_comment", "# note\n", False, None),
     ("ragged_row", "3,4\n", True, (0, "expected 3 cells, got 2")),
     ("non_numeric", "1,abc,0\n", True, (0, "could not convert string to float: 'abc'")),
-    ("symbol_out_of_range", "# note\n1,2,3\n", False,
+    ("symbol_out_of_range", "# note\n1,2,3\n", True,
      (1, "categorical symbol out of range for var cardinality 3")),
 ]
 
@@ -349,7 +387,8 @@ def test_last_chunk_reads_as_the_row_parser(tmp_path, monkeypatch, name, put,
     calls = _row_parser_calls(path, monkeypatch)
     if row_parsed:
         assert [len(rows) for rows in calls] == [CHUNK_ROWS, CHUNK_ROWS, 4]
-        assert [line for rows in calls for line, _ in rows] == list(range(2, PUT_LINE + 3))
+        assert [line for rows in calls for line, _ in rows] == [
+            line for line, _ in data.read_csv_rows(path)[1:]]
     else:
         assert calls == []
 
@@ -598,7 +637,7 @@ def test_a_range_skips_blank_and_comment_lines_and_declines_a_lone_cr(tmp_path,
     path.write_text("# c\n" + HEADER + "1,2,0\n" + line + "3,4,1\n", encoding="utf-8",
                     newline="")
     size = path.stat().st_size
-    tables = data._read_range(path, 3, None, size, size, 0)
+    tables = data._read_range(path, 3, None, [(2, 3)], size, size, 0)
     assert (None if tables is None else sum(len(t) for t in tables)) == rows
 
 
@@ -793,11 +832,10 @@ def test_a_named_pipe_reads_as_the_file(tmp_path, variables):
 @pytest.mark.parametrize("body,error", [
     (b"1,2,0\n# c\n3,4\n", "{path}:4: expected 3 cells, got 2"),
     (b"1,2,0\n3,4\xe9,1\n", "{path}:3: not valid UTF-8 (byte 0xe9)"),
-    (b"1,2,0\n\n3,4,7\n",
-     "{path}: data row 2: categorical symbol out of range for var cardinality 3"),
-    (b"1,2,nan\n", "{path}: data row 1: categorical value is not an integer"),
+    (b"1,2,0\n\n3,4,7\n", "{path}:4: categorical symbol out of range for var cardinality 3"),
+    (b"1,2,nan\n", "{path}:2: categorical value is not an integer"),
 ], ids=["ragged_row", "non_utf8", "symbol_out_of_range", "nan_symbol"])
-def test_a_named_pipe_names_the_line_or_data_row_of_an_error(tmp_path, body, error):
+def test_a_named_pipe_names_the_line_of_an_error(tmp_path, body, error):
     fifo, got = _pipe_outcome(tmp_path, HEADER.encode() + body)
     assert got == error.format(path=fifo)
 
@@ -833,5 +871,5 @@ def test_a_bad_symbol_in_a_piped_dataset_is_a_data_error(tmp_path):
                  "--family", "tabular", "--out", str(tmp_path / "e.json")],
                 b"var0_0:cat3,var1_0\n1,2\n7,3\n")
     assert proc.returncode == 3
-    assert proc.stderr.decode() == ("data error: /dev/stdin: data row 2: categorical "
+    assert proc.stderr.decode() == ("data error: /dev/stdin:3: categorical "
                                     "symbol out of range for var cardinality 3\n")

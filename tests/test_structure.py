@@ -124,6 +124,42 @@ def test_tie_break_matches_brute_force_on_integer_ties(m, count):
         assert fast.total_weight == slow.total_weight
 
 
+def _decimal_tie_corpus():
+    """1500 matrices of a few decimal weights, whose float tree sums round
+    trees that tie exactly apart."""
+    rng = np.random.default_rng(0)
+    for _ in range(1500):
+        m = rng.integers(3, 7)
+        yield rng.choice([0.1, 0.2, 0.3, 0.7], (m, m))
+
+
+def _markov_tree_tabular_corpus(c=3, n=300):
+    """200 ``tabular`` weight matrices of random categorical Markov trees,
+    symmetric up to rounding, so every rooting of the optimum nearly ties."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        m = int(rng.integers(3, 7))
+        parents = [int(rng.integers(0, v)) for v in range(1, m)]
+        symbols = [rng.integers(0, c, n)]
+        for parent in parents:
+            transition = rng.dirichlet([0.5] * c, size=c)
+            cumulative = np.cumsum(transition[symbols[parent]], axis=1)
+            drawn = (rng.random(n)[:, None] > cumulative).sum(axis=1)
+            symbols.append(np.minimum(drawn, c - 1))
+        yield edge_weights(symbols, FamilyConfig("tabular")).w
+
+
+@pytest.mark.parametrize("corpus", [_decimal_tie_corpus, _markov_tree_tabular_corpus],
+                         ids=["decimal_ties", "markov_tree_tabular"])
+def test_brute_force_ranks_near_tied_trees_by_exact_sums(corpus):
+    # Float tree sums put these trees in a different order than their exact
+    # sums on 31 and 33 matrices; the solver's tree is exactly optimal.
+    for w in corpus():
+        fast = max_arborescence(w)
+        slow = brute_force_arborescence(w)
+        assert (fast.root, fast.parent_vector()) == (slow.root, slow.parent_vector())
+
+
 @pytest.mark.parametrize("m", [20, 60, 100])
 def test_total_matches_networkx_above_brute_force_cap(m):
     nx = pytest.importorskip("networkx")
@@ -268,6 +304,27 @@ def test_closed_form_matches_per_pair_on_degenerate_data():
     _assert_matches_per_pair(wide, FamilyConfig("linear_gaussian"), same_tree=False)
     tss = np.sum((wide[1] - wide[1].mean(axis=0)) ** 2) / 5
     assert edge_weights(wide, FamilyConfig("linear_gaussian")).w[0, 1] == pytest.approx(tss)
+
+
+@pytest.mark.parametrize("weights", [edge_weights, structure._pair_weights],
+                         ids=["edge_weights", "pair_weights"])
+@pytest.mark.parametrize("source", range(6))
+def test_an_ill_conditioned_affine_map_of_a_source_keeps_its_out_weights(weights, source):
+    # The linear family is closed under invertible affine maps of x.  This map
+    # has condition number 4e7, so a rank rule that drops a direction the
+    # lstsq rule keeps (say s > s[0] * 1e-6) moves the out-weights by about
+    # half; the lstsq rule moves them by below 1e-9.
+    from usable_info.synth import SimulationConfig, simulate
+
+    dataset, _ = simulate(SimulationConfig(scenario="sim4", n=400, seed=0, m=6, d=2))
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))
+    mapped = list(dataset.variables)
+    mapped[source] = mapped[source] @ (q @ np.diag([1, 1 / 4e7])).T + [3, -2]
+    config = FamilyConfig("linear_gaussian")
+    before, after = weights(dataset.variables, config).w, weights(mapped, config).w
+    others = np.arange(6) != source
+    np.testing.assert_allclose(after[source, others], before[source, others], rtol=1e-8,
+                               atol=0)
 
 
 def _count_calls(monkeypatch, name="empirical_conditional_entropy"):
