@@ -292,13 +292,16 @@ def _check_objective(objective: str) -> None:
         raise ValueError(f"unknown objective {objective!r}")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     """Gradient ascent on a stack of P same-shape critic problems.
 
     Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
     on the draws of ``default_rng(seeds[p])``.  Each step moves Theta's free
     cells only.  Returns Theta (P, px, py) and the last step's objective
-    values (P,) and gradients (P, px, py).
+    values (P,) and gradients (P, px, py).  numpy's overflow and invalid
+    warnings are silenced: a problem whose Theta ends non-finite is what
+    its callers report.
     """
     n_problems, n, dx = xs.shape
     dy = ys.shape[2]
@@ -451,13 +454,15 @@ def _real_stack(stack, name: str) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _estimates(objective, mat, xs, ys, perms, batch_size: int):
     """The estimates of :func:`fit_and_estimate_stack` from fitted Thetas,
     and whether any of a problem's scores was non-finite: two (P,) arrays.
 
     ``mat`` is Theta (P, px, py); problem p evaluates on ``xs[p]``,
     ``ys[p]`` and, for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
-    All CPC batches are scored at once.
+    All CPC batches are scored at once.  numpy's overflow and invalid
+    warnings are silenced, as the second array reports them.
     """
     n_problems, n = xs.shape[:2]
     if objective == "cpc":

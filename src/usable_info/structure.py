@@ -5,8 +5,8 @@ then find the spanning arborescence (rooted directed tree, edges pointing
 away from the root) whose parent->child edges have maximum total weight.
 Because the weights are asymmetric the optimisation runs over directed
 trees.  One Chu-Liu/Edmonds run solves it exactly for every root at once:
-a virtual root points at each node, and exact lexicographic edge keys
-make the tree it finds hang from a single virtual edge.
+a virtual root points at each node, and exact integer edge keys make the
+tree it finds hang from a single virtual edge.
 
 Edge weights score every ordered pair with one family config, in one of
 three ways.  A ``linear_gaussian`` or ``polynomial_gaussian`` config with
@@ -24,18 +24,18 @@ the correctness oracle for the fast arborescence.  Weights may be negative
 Tie-breaking is deterministic everywhere: among equal-weight optima the
 smallest ``(root, parent vector)`` wins lexicographically, so rerunning on
 the same matrix always returns the same tree and shifting all weights by a
-constant never changes the selected edge set.
+constant never changes the selected edge set.  Trees are compared by exact
+sums, and a tree's total weight is the correctly rounded ``math.fsum``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 import numpy as np
 
@@ -100,15 +100,8 @@ class Arborescence:
             raise ValueError("parent map must cover exactly the non-root nodes")
         if any(p not in nodes for p in self.parent.values()):
             raise ValueError("parent outside node range")
-        # Walking up from every node must reach the root without repeats.
-        for start in self.parent:
-            seen = {start}
-            node = start
-            while node != self.root:
-                node = self.parent[node]
-                if node in seen:
-                    raise ValueError("parent map contains a cycle")
-                seen.add(node)
+        if _find_cycle(self.parent, self.root) is not None:
+            raise ValueError("parent map contains a cycle")
 
     @property
     def m(self) -> int:
@@ -260,25 +253,33 @@ def max_arborescence(weights) -> Arborescence:
     """Spanning arborescence maximising the summed parent->child weights.
 
     One Chu-Liu/Edmonds run on the m nodes plus a virtual root ``m`` that
-    has an edge to every node.  Edge keys are exact tuples that add
-    componentwise and compare lexicographically: ``m -> v`` is
-    ``(-1, 0.0, -v B^m)`` and ``u -> v`` is ``(0, w[u, v], -u B^(m-1-v))``
-    with ``B = m + 1``.  A tree hanging from one virtual edge sums to
-    ``(-1, total, -(root B^m + sum_v parent_v B^(m-1-v)))``, so the maximum
-    has one virtual edge, the most weight, then the smallest (root, parent
+    has an edge to every node.  Each edge key is one exact integer.  With
+    ``w`` read as integer numerators ``num`` over one power-of-two
+    denominator, ``B = m + 1``, ``R = B^(m+2)`` and ``V = (2 sum|num| + 1) R``,
+    ``u -> v`` has key ``num[u, v] R - u B^(m-1-v)`` and ``m -> v`` has key
+    ``-V - v B^m``.  A branching's rank terms sum to less than ``R``, and one
+    virtual edge fewer outweighs any change in weight and rank, so the
+    maximum has one virtual edge, the most weight, then the smallest
+    ``root B^m + sum_v parent_v B^(m-1-v)``: the smallest (root, parent
     vector), as in :func:`brute_force_arborescence`.  Distinct trees have
-    distinct keys, so the optimum is unique.
+    distinct keys, so the optimum is unique.  The total weight is the
+    ``math.fsum`` of the tree's weights, correctly rounded in any order.
     """
     w = _as_matrix(weights)
     m = w.shape[0]
+    ratios = [x.as_integer_ratio() for x in w.ravel().tolist()]
+    scale = max(d for _, d in ratios)
+    num = [n * (scale // d) for n, d in ratios]  # w[u, v] * scale at u * m + v
     base = m + 1
+    rank = base ** (m + 2)
+    virtual = (2 * sum(map(abs, num)) + 1) * rank
     edges = {}
     for v in range(m):
-        rank = base ** (m - 1 - v)
-        edges[(m, v)] = ((-1, 0.0, -v * base ** m), (m, v))
+        place = base ** (m - 1 - v)
+        edges[(m, v)] = (-virtual - v * base ** m, (m, v))
         for u in range(m):
             if u != v:
-                edges[(u, v)] = ((0, float(w[u, v]), -u * rank), (u, v))
+                edges[(u, v)] = (num[u * m + v] * rank - u * place, (u, v))
     chosen = _edmonds(edges, root=m, next_id=m + 1)
     (root,) = [c for p, c in chosen if p == m]
     parent = {c: p for p, c in chosen if p != m}
@@ -286,8 +287,16 @@ def max_arborescence(weights) -> Arborescence:
 
 
 def _total(w: np.ndarray, parent: dict[int, int]) -> float:
-    # Summed in child order so equal trees give bitwise-equal totals.
-    return float(sum(w[parent[c], c] for c in sorted(parent)))
+    # Correctly rounded, so equal trees give bitwise-equal totals.  fsum
+    # raises if a partial sum leaves the float range; the terms scaled down
+    # by a power of two above their count cannot, and an out-of-range total
+    # is +-inf.
+    terms = [w[p, c] for c, p in parent.items()]
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        scale = 2.0 ** len(terms).bit_length()
+        return math.fsum(t / scale for t in terms) * scale
 
 
 def _edmonds(edges, root, next_id):
@@ -306,17 +315,15 @@ def _edmonds(edges, root, next_id):
     if cycle is None:
         return {b[2] for b in best.values()}
 
-    cycle_set = set(cycle)
-    c = next_id
     contracted = {}
     entering_head = {}  # original edge -> in-cycle head it pointed at
     for (u, v), (key, orig) in edges.items():
-        uu = c if u in cycle_set else u
-        vv = c if v in cycle_set else v
+        uu = next_id if u in cycle else u
+        vv = next_id if v in cycle else v
         if uu == vv:
             continue
-        if vv == c:
-            key = tuple(a - b for a, b in zip(key, best[v][0]))
+        if vv == next_id:
+            key -= best[v][0]
             entering_head[orig] = v
         cur = contracted.get((uu, vv))
         if cur is None or key > cur[0]:
@@ -330,20 +337,18 @@ def _edmonds(edges, root, next_id):
 
 
 def _find_cycle(parent_of: dict[int, int], root: int):
-    color = {}
+    """The set of nodes on a cycle of the parent map, or None if every walk
+    up reaches ``root``."""
+    done = {root}
     for start in parent_of:
-        if color.get(start):
-            continue
-        path = []
+        path = {}  # node -> its index on the walk up from start
         node = start
-        while node != root and color.get(node) is None:
-            color[node] = "active"
-            path.append(node)
+        while node not in done and node not in path:
+            path[node] = len(path)
             node = parent_of[node]
-        if node != root and color.get(node) == "active":
-            return path[path.index(node):]
-        for p in path:
-            color[p] = "done"
+        if node in path:
+            return set(list(path)[path[node]:])
+        done.update(path)
     return None
 
 
@@ -352,54 +357,27 @@ def _find_cycle(parent_of: dict[int, int], root: int):
 # --------------------------------------------------------------------- #
 
 
-def _labeled_trees(m: int):
-    """Edge lists of all labeled trees on m nodes, decoded from Pruefer codes."""
-    for code in product(range(m), repeat=m - 2):
-        degree = [1] * m
-        for p in code:
-            degree[p] += 1
-        edges = []
-        available = sorted(i for i in range(m) if degree[i] == 1)
-        for p in code:
-            leaf = available.pop(0)
-            edges.append((min(leaf, p), max(leaf, p)))
-            degree[p] -= 1
-            if degree[p] == 1:
-                insort(available, p)
-        u, v = available
-        edges.append((min(u, v), max(u, v)))
-        yield tuple(edges)
-
-
-def _orient(edges, m: int, root: int) -> dict[int, int]:
-    adj = [[] for _ in range(m)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    parent = {}
-    stack = [root]
-    visited = {root}
-    while stack:
-        node = stack.pop()
-        for nxt in adj[node]:
-            if nxt not in visited:
-                visited.add(nxt)
-                parent[nxt] = node
-                stack.append(nxt)
-    return parent
-
-
 @lru_cache(maxsize=None)
 def _rooted_trees(m: int) -> np.ndarray:
     """Parent vectors (-1 at the root) of all m^(m-1) rooted trees on m nodes.
 
     One int8 row per tree, sorted by (root, parent vector); 16 MB at m = 8.
+    For each root, every other node picks its parent among the m - 1 nodes
+    other than itself, in increasing order, so the rows come sorted; those
+    whose every node reaches the root by pointer doubling are the trees.
     """
-    cells = (parent.get(i, -1) for tree in _labeled_trees(m) for root in range(m)
-             for parent in (_orient(tree, m, root),) for i in range(m))
-    table = np.fromiter(cells, dtype=np.int8, count=m ** m).reshape(-1, m)
-    roots = np.argmin(table, axis=1)
-    return table[np.lexsort([*table[:, ::-1].T, roots])]
+    picks = np.indices((m - 1,) * (m - 1), dtype=np.int8).reshape(m - 1, -1).T
+    blocks = []
+    for root in range(m):
+        others = np.delete(np.arange(m, dtype=np.int8), root)
+        rows = np.insert(picks + (picks >= others), root, root, axis=1)
+        ancestor = rows
+        for _ in range(m.bit_length()):
+            ancestor = np.take_along_axis(ancestor, ancestor, axis=1)
+        rows = rows[np.all(ancestor == root, axis=1)]
+        rows[:, root] = -1
+        blocks.append(rows)
+    return np.concatenate(blocks)
 
 
 def brute_force_arborescence(weights) -> Arborescence:

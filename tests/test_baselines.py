@@ -701,7 +701,6 @@ def test_diverged_fits_name_their_pairs(method):
     ("nwj", 1e150, "nwj critic fit diverged to non-finite parameters for pairs (0, 1), "
                    "(0, 2); critic produced non-finite scores for pairs (1, 0), (2, 0)"),
 ], ids=["cpc-scores", "nwj-both"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_pairs_raise_one_error_naming_each_with_its_reason(method, scale, message):
     rng = np.random.default_rng(0)
     variables = [scale * rng.normal(size=(40, 1)), rng.normal(size=(40, 1)),
@@ -766,11 +765,9 @@ def test_stacked_estimates_do_not_depend_on_chunk_size(objective, monkeypatch):
     xs, ys = _stack_problems(64, dims=(2, 2))
     xs[1] *= 1e200  # one problem diverges; its report must not move either
     spec = BatchSpec(iterations=20)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        whole = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
-        monkeypatch.setattr(baselines, "_STACK_FLOATS", 1)
-        chunked = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
+    whole = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
+    monkeypatch.setattr(baselines, "_STACK_FLOATS", 1)
+    chunked = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
     assert whole[1] == chunked[1] == [None, baselines.DIVERGED, None]
     assert whole[0].tobytes() == chunked[0].tobytes()
     assert math.isnan(whole[0][1])
@@ -781,10 +778,8 @@ def test_stacked_estimates_report_non_finite_scores_per_problem():
     xs, ys = _stack_problems(64)
     eval_xs, eval_ys = xs.copy(), ys.copy()
     eval_xs[2, 5] = eval_ys[2, 5] = 1e308
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        values, failures = fit_and_estimate_stack("nwj", xs, ys, eval_xs, eval_ys, [1, 2, 3],
-                                                  BatchSpec(iterations=20))
+    values, failures = fit_and_estimate_stack("nwj", xs, ys, eval_xs, eval_ys, [1, 2, 3],
+                                              BatchSpec(iterations=20))
     assert failures == [None, None, baselines.NON_FINITE_SCORES]
     assert np.isfinite(values[:2]).all() and math.isnan(values[2])
 
