@@ -17,27 +17,34 @@ builds the optimal NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` of a
 correlated Gaussian pair, a quadratic in (x, y), as a ``quadratic`` Theta.
 Both estimators cap scores at ``+-DEFAULT_SCORE_CAP`` before exponentiation.
 
-Fits draw batches in mini-batch epochs: each epoch is one permutation of
-the n fit rows, cut into ``n // size`` disjoint batches of distinct rows.
-A CPC step takes a batch of ``spec.batch_size`` rows, an NWJ step a batch
-of ``min(n, 256)`` joint pairs and as many product pairs of independently
-drawn x and y rows.  A seed draws a block of steps in two generator calls;
-the block's length depends on the problem's shape alone.
+NWJ fits are exact: Newton's method maximises the NWJ objective, which is
+concave in Theta (Nguyen, Wainwright & Jordan 2010), over the n joint pairs
+and the product pairs of the diagonal and ``_NWJ_PERMUTATIONS`` fixed
+permutations of the fit rows, with a backtracking line search, to a
+certified optimum: half the squared Newton decrement is at most
+``_NEWTON_TOLERANCE`` (Boyd & Vandenberghe 2004, 9.5).  CPC fits are a
+gradient ascent in mini-batch epochs: each epoch is one permutation of the
+n fit rows, cut into ``n // batch_size`` disjoint batches of distinct rows,
+and a step takes one batch.  A seed draws a block of steps in one
+generator call; the block's length depends on the problem's shape alone.
+:class:`BatchSpec`'s batch size, iterations and step size apply to CPC
+only; its seed to both.
 
-Every fit is one gradient ascent over a stack of same-shape problems, and
-every fitted estimate goes through :func:`fit_and_estimate_stack`.
+Every fit is one solve over a stack of same-shape problems, and every
+fitted estimate goes through :func:`fit_and_estimate_stack`.
 :func:`fit_critic` is a stack of one; :func:`baseline_edge_weights` stacks
 the ordered pairs of the same dimensions, and ``usable-info baselines`` the
 ``(rho, seed)`` rows of an objective.  Each problem sees the floating-point
-operations of a lone fit and the batches of its own seed, so a stacked fit
-equals a lone fit bit for bit; problems that share a seed draw their
-batches once.
+operations of a lone fit, the draws of its own seed and its own stop, so a
+stacked fit equals a lone fit bit for bit; problems that share a seed draw
+once.
 
 Samples are checked as the families check them (``families._real_matrix``):
 every entry point, and every problem of a stack, raises ``ValueError`` on
 an empty, mis-shaped or non-finite sample.  A numerical failure has one
 report: :func:`fit_and_estimate_stack` says for each problem whether its
-fit diverged (:data:`DIVERGED`) or its critic scored an eval pair
+fit diverged (:data:`DIVERGED`), its NWJ fit stopped short of the
+tolerance (:data:`NOT_CONVERGED`) or its critic scored an eval pair
 non-finitely (:data:`NON_FINITE_SCORES`), and :func:`baseline_edge_weights`
 raises one :class:`NumericalError` that names every failed pair and why.
 """
@@ -70,25 +77,44 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_CAP = 50.0
-# Critic-fit iterations per ordered pair in baseline_edge_weights: fewer
-# than BatchSpec's default, since an m-node tree fits m(m-1) critics.
+# CPC ascent steps per ordered pair in baseline_edge_weights: fewer than
+# BatchSpec's default, since an m-node tree fits m(m-1) critics.
 EDGE_WEIGHT_ITERATIONS = 200
-# Joint pairs, and product pairs, per NWJ step at most.
-_NWJ_PAIRS = 256
-# A seed draws its batches a block of steps at a time; one block holds at
+# A seed draws its CPC batches a block of steps at a time; one block holds at
 # most this many row indices, and at least one step.
 _BLOCK_FLOATS = 1 << 12
 # fit_and_estimate_stack fits its problems in chunks, so that the arrays of
-# one stacked chunk hold at most this many floats.
+# one stacked chunk hold at most this many floats: _STACK_FLOATS for CPC, and
+# _NEWTON_FLOATS for NWJ.  NWJ chunks are small: every Newton step reads
+# their features again, and an NWJ stack then peaks no higher than a CPC one.
 _STACK_FLOATS = 1 << 22
+_NEWTON_FLOATS = 1 << 17
+# An NWJ fit's product pairs are its n diagonal pairs and the pairs of this
+# many fixed permutations of its rows.
+_NWJ_PERMUTATIONS = 2
+# Newton's method on the NWJ objective stops once half the squared Newton
+# decrement is at most _NEWTON_TOLERANCE (Boyd & Vandenberghe 2004, 9.5),
+# and fails after _NEWTON_ITERATIONS steps without that.
+_NEWTON_TOLERANCE = 1e-10
+_NEWTON_ITERATIONS = 50
+# Armijo backtracking: a step must gain this fraction of its predicted gain,
+# and halves at most _BACKTRACKS times.
+_ARMIJO = 0.25
+_BACKTRACKS = 60
+# The ridge added to a unit-diagonal Newton system: it keeps the system
+# nonsingular where coordinates are constant or duplicated, and moves the
+# step only along directions whose curvature is below it.
+_RIDGE = 1e-12
 # Why a stacked problem failed, as fit_and_estimate_stack reports it.
 DIVERGED = "critic fit diverged to non-finite parameters"
+NOT_CONVERGED = "critic fit did not reach the Newton decrement tolerance"
 NON_FINITE_SCORES = "critic produced non-finite scores"
 
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """Optimizer and batching settings for critic fitting."""
+    """Critic-fit settings.  Batch size, iterations and step size set the CPC
+    ascent; an NWJ fit is a Newton solve and takes only the seed."""
 
     batch_size: int = 8
     iterations: int = 300
@@ -253,13 +279,17 @@ def gaussian_oracle_critic(rho: float) -> Critic:
 
 
 def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None) -> Critic:
-    """Gradient-ascent critic fit on aligned (x, y) samples.
+    """Fit a critic on aligned (x, y) samples.
 
-    ``objective`` is ``"cpc"`` (contrastive batches of ``spec.batch_size``)
-    or ``"nwj"`` (``min(n, 256)`` joint pairs plus as many product pairs
-    built by pairing independently drawn x and y rows).  Deterministic
-    given ``spec.seed``; fit settings and the final objective value land
-    in the critic's metadata.
+    ``objective`` is ``"cpc"``, a gradient ascent on contrastive batches of
+    ``spec.batch_size`` rows for ``spec.iterations`` steps of
+    ``spec.step_size``, or ``"nwj"``, Newton's method to the NWJ optimum
+    over the joint pairs and the product pairs of :func:`_product_rows`;
+    only ``spec.seed`` applies to NWJ.  Deterministic given ``spec.seed``;
+    fit settings and the final objective value land in the critic's
+    metadata.  A fit that left non-finite parameters, or an NWJ fit that
+    did not reach the Newton decrement tolerance, warns with
+    :data:`DIVERGED` or :data:`NOT_CONVERGED` as a ``FitWarning``.
     """
     _check_objective(objective)
     if kind not in ("bilinear", "quadratic"):
@@ -269,21 +299,31 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
     ys = _real_matrix(ys, "ys")
     if ys.shape[0] != xs.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    mat, value, grad = _ascend(kind, objective, xs[None], ys[None], [spec.seed], spec)
     mask = _mask(kind, xs.shape[1], ys.shape[1])
+    if objective == "cpc":
+        mat, value, grad = _ascend(kind, xs[None], ys[None], [spec.seed], spec)
+        grad = grad[0][mask]
+        settings = {"iterations": spec.iterations, "step_size": spec.step_size,
+                    "batch_size": spec.batch_size}
+        converged = True
+    else:
+        mat, value, grad, steps, decrement = _newton(kind, xs[None], ys[None], [spec.seed])
+        grad = grad[0]
+        settings = {"iterations": int(steps[0]), "decrement": float(decrement[0])}
+        converged = decrement[0] <= _NEWTON_TOLERANCE
     theta = mat[0][mask]
     fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta, metadata={
         "objective": objective,
         "final_value": float(value[0]),
-        "final_grad_norm": float(np.linalg.norm(grad[0][mask])),
-        "iterations": spec.iterations,
-        "step_size": spec.step_size,
-        "batch_size": spec.batch_size,
+        "final_grad_norm": float(np.linalg.norm(grad)),
+        **settings,
         "seed": spec.seed,
         "score_cap": DEFAULT_SCORE_CAP,
     })
     if not np.all(np.isfinite(theta)):
         warnings.warn(DIVERGED, FitWarning)
+    elif not converged:
+        warnings.warn(NOT_CONVERGED, FitWarning)
     return fitted
 
 
@@ -293,15 +333,15 @@ def _check_objective(objective: str) -> None:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
-    """Gradient ascent on a stack of P same-shape critic problems.
+def _ascend(kind, xs, ys, seeds, spec: BatchSpec):
+    """CPC gradient ascent on a stack of P same-shape critic problems.
 
     Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
-    on the draws of ``default_rng(seeds[p])``.  Each step moves Theta's free
-    cells only.  Returns Theta (P, px, py) and the last step's objective
-    values (P,) and gradients (P, px, py).  numpy's overflow and invalid
-    warnings are silenced: a problem whose Theta ends non-finite is what
-    its callers report.
+    on the batches of ``default_rng(seeds[p])``.  Each step moves Theta's
+    free cells only.  Returns Theta (P, px, py) and the last step's
+    objective values (P,) and gradients (P, px, py).  numpy's overflow and
+    invalid warnings are silenced: a problem whose Theta ends non-finite is
+    what its callers report.
     """
     n_problems, n, dx = xs.shape
     dy = ys.shape[2]
@@ -315,11 +355,9 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
     # seed, its draws gathered into every problem that uses it.
     streams = {seed: k for k, seed in enumerate(dict.fromkeys(seeds))}
     gather = np.array([streams[seed] for seed in seeds])
-    width = spec.batch_size if objective == "cpc" else 3 * min(n, _NWJ_PAIRS)
-    steps = max(1, min(spec.iterations, _BLOCK_FLOATS // width))
-    draws = [_draws(np.random.default_rng(seed), objective, n, spec.batch_size, steps)
-             for seed in streams]
-    block = np.empty((len(draws), steps, width), dtype=np.int64)
+    steps = max(1, min(spec.iterations, _BLOCK_FLOATS // spec.batch_size))
+    draws = [_draws(np.random.default_rng(seed), n, spec.batch_size, steps) for seed in streams]
+    block = np.empty((len(draws), steps, spec.batch_size), dtype=np.int64)
     mask = _mask(kind, dx, dy)
     mat = np.zeros((n_problems,) + mask.shape)
     for step in range(spec.iterations):
@@ -327,26 +365,19 @@ def _ascend(kind, objective, xs, ys, seeds, spec: BatchSpec):
             for k, stream in enumerate(draws):
                 block[k] = next(stream)
         rows = block[:, step % steps][gather] + offsets
-        if objective == "cpc":
-            value, grad = _cpc_value_grad(mat, phi.take(rows, axis=0), psi.take(rows, axis=0))
-        else:
-            joint, px, py = np.split(rows, 3, axis=1)
-            value, grad = _nwj_value_grad(mat, phi.take(joint, axis=0), psi.take(joint, axis=0),
-                                          phi.take(px, axis=0), psi.take(py, axis=0))
+        value, grad = _cpc_value_grad(mat, phi.take(rows, axis=0), psi.take(rows, axis=0))
         # Indexed, not multiplied by the mask: 0 * inf would be NaN.
         mat[:, mask] += spec.step_size * grad[:, mask]
     return mat, value, grad
 
 
-def _draws(rng, objective, n: int, batch_size: int, steps: int):
-    """Yield one seed's row draws, ``steps`` steps at a time: (steps, width).
+def _draws(rng, n: int, size: int, steps: int):
+    """Yield one seed's CPC batches of ``size`` rows, ``steps`` at a time:
+    (steps, size).
 
-    A CPC step draws a batch of ``batch_size`` rows; an NWJ step a batch of
-    ``size = min(n, 256)`` joint rows, then the x and the y rows of ``size``
-    product pairs.  An epoch is drawn only once the last is used up, so a
-    step costs O(size) draws however large n is.
+    An epoch is drawn only once the last is used up, so a step costs
+    O(size) draws however large n is.
     """
-    size = batch_size if objective == "cpc" else min(n, _NWJ_PAIRS)
     batches = np.empty((0, size), dtype=np.int64)
     while True:
         if len(batches) < steps:
@@ -355,10 +386,7 @@ def _draws(rng, objective, n: int, batch_size: int, steps: int):
             batches = np.concatenate([batches, perms[:, :n - n % size].reshape(-1, size)])
             del perms  # not held while the generator waits
         joint, batches = batches[:steps], batches[steps:]
-        if objective == "cpc":
-            yield joint
-        else:
-            yield np.concatenate([joint, rng.integers(0, n, (steps, 2 * size))], axis=1)
+        yield joint
 
 
 def _cpc_value_grad(mat, phi, psi):
@@ -371,15 +399,134 @@ def _cpc_value_grad(mat, phi, psi):
     return value, phi.transpose(0, 2, 1) @ weights @ psi
 
 
-def _nwj_value_grad(mat, phi_joint, psi_joint, phi_prod, psi_prod):
-    """NWJ values (P,) and gradients in Theta's shape on k joint pairs and k
-    product pairs, each side (P, k, p); the gradient passes the cap unchanged."""
-    cap = DEFAULT_SCORE_CAP
-    joint = np.clip(_row_scores(phi_joint @ mat, psi_joint), -cap, cap)
-    exp_p = np.exp(np.clip(_row_scores(phi_prod @ mat, psi_prod), -cap, cap))
-    grad = (phi_joint.transpose(0, 2, 1) @ psi_joint
-            - math.exp(-1.0) * (phi_prod * exp_p[..., None]).transpose(0, 2, 1) @ psi_prod)
-    return _nwj_value(joint, exp_p), grad / joint.shape[1]
+def _product_rows(seed: int, n: int) -> np.ndarray:
+    """The y rows of an NWJ fit's product pairs with x rows 0..n-1, repeated:
+    the diagonal, then ``_NWJ_PERMUTATIONS`` permutations drawn from
+    ``default_rng(seed)`` as :func:`fit_and_estimate_stack` draws its default
+    eval permutation.  Shape ((_NWJ_PERMUTATIONS + 1) * n,)."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([np.arange(n)]
+                          + [rng.permutation(n) for _ in range(_NWJ_PERMUTATIONS)])
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _newton(kind, xs, ys, seeds):
+    """Newton's method on the NWJ objectives of a stack of P same-shape problems.
+
+    Problem p maximises, over Theta's free cells theta,
+    ``J = mean_i s(x_i, y_i) - e^-1 mean_(i,j) exp s(x_i, y_j)``, the first
+    mean over its n joint pairs and the second over its N product pairs
+    ``(i, _product_rows(seeds[p], n)[k])``.  Each product pair's free cells of
+    ``phi psi^T`` form a column of F (q, N), so the scores are ``theta F``,
+    the gradient is the joint columns' mean minus ``e^-1 F exp(s) / N`` and
+    the Hessian is ``-e^-1 F diag(exp s) F^T / N``: J is concave.  A step
+    solves the Newton system by least squares and backtracks until it gains
+    ``_ARMIJO`` of its predicted gain; a problem stops once half its squared
+    Newton decrement is at most ``_NEWTON_TOLERANCE``.  Each problem steps
+    and stops on its own, so a stacked fit equals a lone fit bit for bit.
+
+    A converged problem still takes the full step it last computed, which
+    costs no Hessian and, this close to the optimum, gains digits of Theta.
+
+    Returns Theta (P, px, py), J there (P,), the gradient (P, q) at the
+    iterate that computed the last step, the steps taken (P,) and that
+    iterate's half squared Newton decrement (P,).  A problem converged when
+    the decrement is at most the tolerance; it diverged when its Theta is
+    non-finite;
+    otherwise it stopped at ``_NEWTON_ITERATIONS`` steps or at a line search
+    that found no gain.
+    """
+    n_problems, n, dx = xs.shape
+    mask = _mask(kind, dx, ys.shape[2])
+    rows = {seed: _product_rows(seed, n) for seed in dict.fromkeys(seeds)}
+    psi = _side(kind, ys)[np.arange(n_problems)[:, None], np.stack([rows[s] for s in seeds])]
+    # Product pair k n + i is (x_i, y_j), j the k-th block's row i; its
+    # phi psi^T, with the pairs on the last axis.
+    outer = (_side(kind, xs).transpose(0, 2, 1)[:, :, None, None, :]
+             * psi.transpose(0, 2, 1).reshape(n_problems, 1, psi.shape[2], -1, n))
+    del psi
+    n_pairs = outer.shape[3] * n
+    feats = outer.reshape(n_problems, -1, n_pairs)
+    if not mask.all():
+        feats = feats[:, mask.ravel()]
+    del outer
+    joint = feats[:, :, :n] @ np.full(n, 1.0 / n)
+    theta = np.zeros(joint.shape)
+    out = (np.zeros(theta.shape), np.full(n_problems, np.nan), np.full(theta.shape, np.nan),
+           np.zeros(n_problems, dtype=int), np.full(n_problems, np.inf))
+    live = np.arange(n_problems)
+    for it in range(_NEWTON_ITERATIONS + 1):
+        scores = (theta[:, None] @ feats)[:, 0]
+        exp = np.exp(scores)
+        weights = math.exp(-1.0) / n_pairs * exp
+        grad = joint - (feats @ weights[..., None])[..., 0]
+        step = _least_squares_step((feats * weights[:, None]) @ feats.transpose(0, 2, 1), grad)
+        decrement = 0.5 * (grad * step).sum(axis=1)
+        diverged = ~np.isfinite(decrement)
+        converged = decrement <= _NEWTON_TOLERANCE
+        # A converged problem takes its full Newton step: a slope of -inf
+        # passes any finite value.
+        searching = ~diverged & (converged | (it < _NEWTON_ITERATIONS))
+        length, value = _line_search(scores, (step[:, None] @ feats)[:, 0], n,
+                                     _nwj_value(scores[:, :n], exp),
+                                     np.where(converged, -np.inf, 2.0 * decrement), searching)
+        # A non-finite step is taken, so that the problem's Theta reports it.
+        theta += np.where(diverged, 1.0, length)[:, None] * step
+        stop = ~searching | converged | (length == 0.0)
+        steps = it + (diverged | (length > 0.0))
+        if stop.any():
+            for where, now in zip(out, (theta, value, grad, steps, decrement)):
+                where[live[stop]] = now[stop]
+            if stop.all():
+                break
+            live, feats, joint, theta = live[~stop], feats[~stop], joint[~stop], theta[~stop]
+    mat = np.zeros((n_problems,) + mask.shape)
+    mat[:, mask] = out[0]
+    return (mat,) + out[1:]
+
+
+def _least_squares_step(hess, grad):
+    """Newton steps (P, q): damped least-squares solutions of ``hess @ step
+    = grad`` for the negated Hessians (P, q, q), NaN where either is
+    non-finite.
+
+    The system is scaled to a unit diagonal, so that no coordinate's scale
+    matters, and solved with a ``_RIDGE`` ridge, so that constant or
+    duplicated coordinates give a flat direction, not a failure.
+    """
+    diag = np.diagonal(hess, axis1=1, axis2=2)
+    scale = np.zeros(diag.shape)
+    np.divide(1.0, np.sqrt(diag), out=scale, where=diag > 0)
+    scaled = scale[:, :, None] * hess * scale[:, None, :]
+    finite = np.isfinite(scaled).all(axis=(1, 2)) & np.isfinite(grad).all(axis=1)
+    if not finite.all():
+        scaled[~finite] = np.eye(hess.shape[1])
+    system = scaled + _RIDGE * np.eye(hess.shape[1])
+    step = scale * np.linalg.solve(system, (scale * grad)[..., None])[..., 0]
+    step[~finite] = np.nan
+    return step
+
+
+def _line_search(scores, moves, n: int, value, slope, searching):
+    """Armijo backtracking for the rows of ``searching``: each row's step
+    length t in 1, 1/2, 1/4, ... at which the NWJ value of ``scores + t *
+    moves`` (P, N) gains at least ``_ARMIJO * t * slope`` over ``value``, and
+    the value there.  A row that searches ``_BACKTRACKS`` lengths in vain,
+    or does not search, gets length 0 and keeps ``value``."""
+    length = np.ones(len(value))
+    gained = value.copy()
+    pending = searching.copy()
+    for _ in range(_BACKTRACKS):
+        trial = scores + length[:, None] * moves
+        trial_value = _nwj_value(trial[:, :n], np.exp(trial))
+        passed = pending & (trial_value >= value + _ARMIJO * length * slope)
+        gained[passed] = trial_value[passed]
+        pending &= ~passed
+        if not pending.any():
+            break
+        length[pending] *= 0.5
+    length[pending | ~searching] = 0.0
+    return length, gained
 
 
 # --------------------------------------------------------------------- #
@@ -397,15 +544,18 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     :func:`cpc_estimate` over consecutive full batches of
     ``spec.batch_size`` eval pairs, so it never exceeds the log batch size.
     ``"nwj"`` takes product pairs ``(eval_xs[p], eval_ys[p, perms[p]])``,
-    with ``perms[p]`` drawn from ``seeds[p]`` when ``perms`` is omitted.  A
-    lone problem is a stack of one.  The problems are fitted and evaluated
-    in chunks of at most ``_STACK_FLOATS`` floats, each chunk one stacked
-    ascent.
+    with ``perms[p]`` drawn from ``seeds[p]`` when ``perms`` is omitted; so
+    when eval and fit rows are the same, these product pairs are among the
+    fit's.  A lone problem is a stack of one.  The problems are fitted and
+    evaluated in chunks of at most ``_STACK_FLOATS`` floats (CPC) or
+    ``_NEWTON_FLOATS`` (NWJ), each chunk one stacked ascent or Newton solve.
 
     Returns the values (P,) and, for each problem, ``None`` or why it
     failed: :data:`DIVERGED` when its critic fit left non-finite
-    parameters, else :data:`NON_FINITE_SCORES` when its critic scored an
-    eval pair non-finitely.  A failed problem's value is NaN.
+    parameters, else :data:`NOT_CONVERGED` when its NWJ fit stopped short
+    of the Newton decrement tolerance, else :data:`NON_FINITE_SCORES` when
+    its critic scored an eval pair non-finitely.  A failed problem's value
+    is NaN.
     """
     _check_objective(objective)
     fit_xs, fit_ys = _real_stack(fit_xs, "fit_xs"), _real_stack(fit_ys, "fit_ys")
@@ -417,29 +567,39 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
             or eval_ys.shape != (n_problems, n_eval, dy) or len(seeds) != n_problems
             or (perms is not None and np.shape(perms) != (n_problems, n_eval))):
         raise ValueError("fit and eval stacks do not match")
-    if n_fit < spec.batch_size:
+    if objective == "cpc" and n_fit < spec.batch_size:
         raise ValueError("not enough samples for one batch")
     if objective == "cpc" and n_eval < spec.batch_size:
         raise ValueError("not enough eval samples for one batch")
-    if objective == "nwj" and perms is None:
-        perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
-    # Floats one problem holds at once, at most: its fit and eval maps and
-    # their products, a step's rows, a block of draws, and CPC score grids.
-    floats = ((2 * (n_fit + n_eval) + 6 * _NWJ_PAIRS) * (dx + dy + 2) + _BLOCK_FLOATS
-              + 3 * (n_eval + spec.batch_size) * spec.batch_size)
-    size = max(1, _STACK_FLOATS // floats)
+    if objective == "cpc":
+        # Floats one problem holds at once, at most: its fit and eval maps and
+        # their products, and a block of draws.  Score grids are made one
+        # problem at a time.
+        floats = 2 * (n_fit + n_eval) * (dx + dy + 2) + _BLOCK_FLOATS
+    else:
+        if perms is None:
+            perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
+        # The product pairs' features and their weighted copy, six per-pair
+        # vectors, and the eval maps and scores.
+        floats = ((_NWJ_PERMUTATIONS + 1) * n_fit * (2 * (dx + 1) * (dy + 1) + 6)
+                  + 3 * n_eval * (dx + dy + 2))
+    size = max(1, (_STACK_FLOATS if objective == "cpc" else _NEWTON_FLOATS) // floats)
     values = np.empty(n_problems)
     failures = []
     for k in range(0, n_problems, size):
         chunk = slice(k, k + size)
-        mat = _ascend("bilinear", objective, fit_xs[chunk], fit_ys[chunk],
-                      seeds[chunk], spec)[0]
+        if objective == "cpc":
+            mat = _ascend("bilinear", fit_xs[chunk], fit_ys[chunk], seeds[chunk], spec)[0]
+            converged = np.ones(len(mat), dtype=bool)
+        else:
+            mat, *_, decrement = _newton("bilinear", fit_xs[chunk], fit_ys[chunk], seeds[chunk])
+            converged = decrement <= _NEWTON_TOLERANCE
         diverged = ~np.all(np.isfinite(mat), axis=(1, 2))
         values[chunk], non_finite = _estimates(
             objective, mat, eval_xs[chunk], eval_ys[chunk],
             None if perms is None else perms[chunk], spec.batch_size)
-        failures += [DIVERGED if d else NON_FINITE_SCORES if f else None
-                     for d, f in zip(diverged, non_finite)]
+        failures += [DIVERGED if d else NOT_CONVERGED if not c else NON_FINITE_SCORES if f
+                     else None for d, c, f in zip(diverged, converged, non_finite)]
     values[[why is not None for why in failures]] = np.nan
     return values, failures
 
@@ -461,18 +621,20 @@ def _estimates(objective, mat, xs, ys, perms, batch_size: int):
 
     ``mat`` is Theta (P, px, py); problem p evaluates on ``xs[p]``,
     ``ys[p]`` and, for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
-    All CPC batches are scored at once.  numpy's overflow and invalid
+    CPC scores one problem's batches at once.  numpy's overflow and invalid
     warnings are silenced, as the second array reports them.
     """
     n_problems, n = xs.shape[:2]
     if objective == "cpc":
-        # Score grids of every full batch, (P * n // b, b, b).
+        # One problem's score grids at a time: its full batches, (n // b, b, b).
         used, batches = n - n % batch_size, (-1, batch_size, mat.shape[2])
-        scores = ((_side("bilinear", xs[:, :used]) @ mat).reshape(batches)
-                  @ _side("bilinear", ys[:, :used]).reshape(batches).transpose(0, 2, 1))
-        non_finite = ~np.all(np.isfinite(scores.reshape(n_problems, -1)), axis=1)
-        values = _contrastive(_capped(scores))[0].reshape(n_problems, -1)
-        return values.mean(axis=1), non_finite
+        values, non_finite = np.empty(n_problems), np.empty(n_problems, dtype=bool)
+        for p in range(n_problems):
+            scores = ((_side("bilinear", xs[p, :used]) @ mat[p]).reshape(batches)
+                      @ _side("bilinear", ys[p, :used]).reshape(batches).transpose(0, 2, 1))
+            non_finite[p] = not np.all(np.isfinite(scores))
+            values[p] = _contrastive(_capped(scores))[0].mean()
+        return values, non_finite
     x_theta = _side("bilinear", xs) @ mat
     psi = _side("bilinear", ys)
     joint = _row_scores(x_theta, psi)
@@ -513,5 +675,5 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
     if failed:
         raise NumericalError(f"{method} " + "; ".join(
             f"{why} for pairs " + ", ".join(map(str, sorted(failed[why])))
-            for why in (DIVERGED, NON_FINITE_SCORES) if why in failed))
+            for why in (DIVERGED, NOT_CONVERGED, NON_FINITE_SCORES) if why in failed))
     return EdgeWeightMatrix(w)

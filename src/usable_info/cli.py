@@ -708,9 +708,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rhos", type=_ListOf(float))
     p.add_argument("--seeds", type=_ListOf(_seed))
     p.add_argument("--n", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--step-size", type=float, dest="step_size")
+    p.add_argument("--batch-size", type=int, dest="batch_size",
+                   help="CPC batch size, for its ascent and its estimate")
+    p.add_argument("--iterations", type=int,
+                   help="CPC ascent steps; NWJ is fitted by Newton's method to "
+                        "its optimum and ignores this")
+    p.add_argument("--step-size", type=float, dest="step_size",
+                   help="CPC ascent step size; NWJ ignores it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_baselines)
 

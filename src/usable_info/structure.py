@@ -396,14 +396,18 @@ def brute_force_arborescence(weights) -> Arborescence:
     # The root's parent -1 picks the zero row, which changes no sum.
     padded = np.vstack([w, np.zeros(m)])
     totals = np.zeros(table.shape[0])
-    for c in range(m):
-        totals += padded[table[:, c], c]
-    # A float sum of m terms is within m eps sum|w| / 2 of the exact sum, so
-    # the exact maximum lies within twice that of the float one.  Rank those
-    # trees by exact sums; the first of equals has the smallest (root,
-    # parent vector).
-    slack = 2 * m * np.finfo(float).eps * np.abs(w).sum()
-    near = np.flatnonzero(totals >= totals.max() - slack)
+    with np.errstate(over="ignore"):
+        for c in range(m):
+            totals += padded[table[:, c], c]
+        # A float sum of m terms is within m eps sum|w| / 2 of the exact sum,
+        # so the exact maximum lies within twice that of the float one.  Rank
+        # those trees by exact sums; the first of equals has the smallest
+        # (root, parent vector).  Where a sum overflows, rank every tree.
+        slack = 2 * m * np.finfo(float).eps * np.abs(w).sum()
+    if np.isfinite(slack) and np.all(np.isfinite(totals)):
+        near = np.flatnonzero(totals >= totals.max() - slack)
+    else:
+        near = range(len(table))
     best = table[max(near, key=lambda k: (
         sum(map(Fraction, padded[table[k], range(m)].tolist())), -k))]
     parent = {c: int(p) for c, p in enumerate(best) if p >= 0}

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import usable_info
-from usable_info import cli
+from usable_info import baselines, cli
 from usable_info.baselines import (BatchSpec, fit_and_estimate_stack, gaussian_oracle_critic,
                                    nwj_estimate)
 from usable_info.cli import main, ranked_auc
@@ -707,9 +707,9 @@ def test_sweep_diverged_critic_fit_exits_4_naming_cell_and_pairs(tmp_path, monke
                "--families", "nwj", "--m", "3", "--d", "1", "--jobs", jobs,
                "--out", str(out)])
     assert rc == 4
-    err = capsys.readouterr().err
-    assert ("numerical failure: sweep cell scenario=sim1 family=nwj n=30 seed=0: "
-            "nwj critic fit diverged to non-finite parameters for pairs (0, 1)") in err
+    assert capsys.readouterr().err == (
+        "numerical failure: sweep cell scenario=sim1 family=nwj n=30 seed=0: nwj critic fit "
+        "diverged to non-finite parameters for pairs (0, 1), (0, 2), (1, 0), (2, 0)\n")
     assert not out.exists()
 
 
@@ -818,10 +818,23 @@ def test_baselines_command_table(tmp_path):
     assert truths["0.5"] == pytest.approx(-0.5 * math.log(1 - 0.25))
 
 
-def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys):
+def _patch_nwj_fits(monkeypatch, scale_ys=1.0, theta=None):
+    """Make every NWJ fit of the baselines command fail: fit on ``scale_ys``
+    times its y rows, or return a finite ``theta`` in every cell of Theta."""
+    real = baselines._newton
+
+    def newton(kind, xs, ys, seeds):
+        mat, *rest = real(kind, xs, scale_ys * ys, seeds)
+        return (mat if theta is None else np.full_like(mat, theta), *rest)
+
+    monkeypatch.setattr(baselines, "_newton", newton)
+
+
+def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys, monkeypatch):
+    # On 1e200 times y, the Hessian overflows and the Newton step is not finite.
+    _patch_nwj_fits(monkeypatch, scale_ys=1e200)
     out = tmp_path / "bench.csv"
-    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256",
-               "--step-size", "1e300", "--iterations", "5", "--out", str(out)])
+    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256", "--out", str(out)])
     assert rc == 4
     assert capsys.readouterr().err == (
         "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
@@ -829,10 +842,12 @@ def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys):
+def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys, monkeypatch):
+    # A finite critic of 1e308 in every cell overflows on the eval pairs.
+    _patch_nwj_fits(monkeypatch, theta=1e308)
     out = tmp_path / "bench.csv"
     rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "384", "--batch-size", "4",
-               "--step-size", "1e308", "--iterations", "1", "--out", str(out)])
+               "--out", str(out)])
     assert rc == 4
     assert capsys.readouterr().err == (
         "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
@@ -840,10 +855,22 @@ def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys):
-    # At this step rho=0.5 fails only in NWJ and rho=0.1 only in CPC.  The
-    # fits are stacked per objective, yet the failure named is the first
-    # in rho, seed, estimator order.
+def test_baselines_unconverged_nwj_fit_exits_4_naming_row(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(baselines, "_NEWTON_ITERATIONS", 1)
+    out = tmp_path / "bench.csv"
+    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256", "--out", str(out)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
+        "critic fit did not reach the Newton decrement tolerance\n")
+    assert not out.exists()
+
+
+def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys, monkeypatch):
+    # At this CPC step rho=0.1 fails in CPC and rho=0.5 does not; every NWJ
+    # row fails.  The fits are stacked per objective, yet the failure named
+    # is the first in rho, seed, estimator order.
+    _patch_nwj_fits(monkeypatch, theta=1e308)
     argv = ["--seeds", "0", "--n", "384", "--batch-size", "4", "--step-size", "1e308",
             "--iterations", "1"]
     out = tmp_path / "bench.csv"

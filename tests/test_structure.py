@@ -169,6 +169,21 @@ def test_brute_force_ranks_near_tied_trees_by_exact_sums(corpus):
             slow.root, slow.parent_vector(), slow.total_weight)
 
 
+
+@pytest.mark.parametrize("w", [
+    np.full((3, 3), 1e308),
+    np.array([[0.0, 1e308, -1e308], [1e308, 0.0, 1e308], [5.0, 1e308, 0.0]]),
+], ids=["all_1e308", "mixed_signs"])
+def test_brute_force_ranks_trees_whose_float_sums_overflow(w):
+    # Every tree's float sum, and the float slack, overflow; the oracle then
+    # ranks all trees by exact sums, without a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slow = brute_force_arborescence(w)
+    fast = max_arborescence(w)
+    assert (fast.root, fast.parent_vector(), fast.total_weight) == (
+        slow.root, slow.parent_vector(), slow.total_weight)
+
 def test_total_weight_is_the_correctly_rounded_sum():
     rng = np.random.default_rng(0)
     for _ in range(200):
