@@ -42,7 +42,7 @@ print(f"batch size {batch}, so every estimate is capped at "
 print(f"{'rho':>6} {'true I':>8} {'CPC mean':>9} {'CPC max':>8}")
 for rho in (0.5, 0.9, 0.99, 0.999):
     x, y = gaussian_pair(rho, 2048, 42)
-    spec = BatchSpec(batch_size=batch, iterations=800, step_size=0.2, seed=42)
+    spec = BatchSpec(batch_size=batch, seed=42)
     critic = fit_critic("quadratic", "cpc", x[:1024], y[:1024], spec=spec)
     vals = [cpc_estimate(critic, x[k:k + batch], y[k:k + batch])
             for k in range(1024, 2048, batch)]

@@ -6,8 +6,7 @@ exceed ``log(batch size)`` no matter the critic, and the NWJ estimator's
 variance at the optimal critic grows at least like ``(e^I - 1) / N``.
 
 Every critic scores in matrix form, ``phi(x)^T Theta psi(y)``, so a
-batch's scores are one ``(Phi Theta) Psi^T`` and a gradient one
-``Phi^T W Psi``.  ``bilinear`` takes ``phi(x) = [x, 1]`` and
+batch's scores are one ``(Phi Theta) Psi^T``.  ``bilinear`` takes ``phi(x) = [x, 1]`` and
 ``psi(y) = [y, 1]``; ``quadratic`` puts each side's degree-2 monomials
 before the 1.  A cell of Theta is free when the degrees of its phi and psi
 entries sum to at most 2, so the free cells weigh each degree-<=2 monomial
@@ -17,25 +16,25 @@ builds the optimal NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` of a
 correlated Gaussian pair, a quadratic in (x, y), as a ``quadratic`` Theta.
 Both estimators cap scores at ``+-DEFAULT_SCORE_CAP`` before exponentiation.
 
-NWJ fits are exact: Newton's method maximises the NWJ objective, which is
-concave in Theta (Nguyen, Wainwright & Jordan 2010), over the n joint pairs
-and the product pairs of the diagonal and ``_NWJ_PERMUTATIONS`` fixed
-permutations of the fit rows, with a backtracking line search, to a
-certified optimum: half the squared Newton decrement is at most
-``_NEWTON_TOLERANCE`` (Boyd & Vandenberghe 2004, 9.5).  CPC fits are a
-gradient ascent in mini-batch epochs: each epoch is one permutation of the
-n fit rows, cut into ``n // batch_size`` disjoint batches of distinct rows,
-and a step takes one batch.  A seed draws a block of steps in one
-generator call; the block's length depends on the problem's shape alone.
-:class:`BatchSpec`'s batch size, iterations and step size apply to CPC
-only; its seed to both.
+Every fit is exact: Newton's method maximises the critic's objective, which
+is concave in Theta, with a backtracking line search, to a certified
+optimum: half the squared Newton decrement is at most ``_NEWTON_TOLERANCE``
+(Boyd & Vandenberghe 2004, 9.5).  The NWJ objective (Nguyen, Wainwright &
+Jordan 2010) runs over the n joint pairs and the product pairs of the
+diagonal and ``_NWJ_PERMUTATIONS`` fixed permutations of the fit rows.  The
+CPC objective (Poole et al. 2019) runs over fixed batches: one permutation
+of the n fit rows, cut into ``n // batch_size`` batches of distinct rows.
+Each of its batch terms is a log-sum-exp of scores linear in Theta.  A CPC
+fit holds psi's constant column of Theta at 0: it adds the same to every
+score of a row, so it cannot change a CPC value.  :class:`BatchSpec`'s
+batch size applies to CPC only; its seed to both.
 
 Every fit is one solve over a stack of same-shape problems, and every
 fitted estimate goes through :func:`fit_and_estimate_stack`.
 :func:`fit_critic` is a stack of one; :func:`baseline_edge_weights` stacks
 the ordered pairs of the same dimensions, and ``usable-info baselines`` the
 ``(rho, seed)`` rows of an objective.  Each problem sees the floating-point
-operations of a lone fit, the draws of its own seed and its own stop, so a
+operations of a lone fit, the pairs of its own seed and its own stop, so a
 stacked fit equals a lone fit bit for bit; problems that share a seed draw
 once.
 
@@ -43,7 +42,7 @@ Samples are checked as the families check them (``families._real_matrix``):
 every entry point, and every problem of a stack, raises ``ValueError`` on
 an empty, mis-shaped or non-finite sample.  A numerical failure has one
 report: :func:`fit_and_estimate_stack` says for each problem whether its
-fit diverged (:data:`DIVERGED`), its NWJ fit stopped short of the
+fit diverged (:data:`DIVERGED`), its fit stopped short of the
 tolerance (:data:`NOT_CONVERGED`) or its critic scored an eval pair
 non-finitely (:data:`NON_FINITE_SCORES`), and :func:`baseline_edge_weights`
 raises one :class:`NumericalError` that names every failed pair and why.
@@ -77,24 +76,16 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_CAP = 50.0
-# CPC ascent steps per ordered pair in baseline_edge_weights: fewer than
-# BatchSpec's default, since an m-node tree fits m(m-1) critics.
-EDGE_WEIGHT_ITERATIONS = 200
-# A seed draws its CPC batches a block of steps at a time; one block holds at
-# most this many row indices, and at least one step.
-_BLOCK_FLOATS = 1 << 12
 # fit_and_estimate_stack fits its problems in chunks, so that the arrays of
-# one stacked chunk hold at most this many floats: _STACK_FLOATS for CPC, and
-# _NEWTON_FLOATS for NWJ.  NWJ chunks are small: every Newton step reads
-# their features again, and an NWJ stack then peaks no higher than a CPC one.
-_STACK_FLOATS = 1 << 22
+# one stacked Newton solve hold at most this many floats.  Chunks are small:
+# every Newton step reads their features again.
 _NEWTON_FLOATS = 1 << 17
 # An NWJ fit's product pairs are its n diagonal pairs and the pairs of this
 # many fixed permutations of its rows.
 _NWJ_PERMUTATIONS = 2
-# Newton's method on the NWJ objective stops once half the squared Newton
-# decrement is at most _NEWTON_TOLERANCE (Boyd & Vandenberghe 2004, 9.5),
-# and fails after _NEWTON_ITERATIONS steps without that.
+# Newton's method stops once half the squared Newton decrement is at most
+# _NEWTON_TOLERANCE (Boyd & Vandenberghe 2004, 9.5), and fails after
+# _NEWTON_ITERATIONS steps without that.
 _NEWTON_TOLERANCE = 1e-10
 _NEWTON_ITERATIONS = 50
 # Armijo backtracking: a step must gain this fraction of its predicted gain,
@@ -113,20 +104,15 @@ NON_FINITE_SCORES = "critic produced non-finite scores"
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """Critic-fit settings.  Batch size, iterations and step size set the CPC
-    ascent; an NWJ fit is a Newton solve and takes only the seed."""
+    """Critic-fit settings: the CPC batch size, of the fit's batches and the
+    estimate's, and the seed that draws a fit's batches or product pairs."""
 
     batch_size: int = 8
-    iterations: int = 300
-    step_size: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.iterations < 1 or not (math.isfinite(self.step_size)
-                                       and self.step_size > 0):
-            raise ValueError("iterations and step_size must be positive and finite")
 
 
 class Critic:
@@ -216,7 +202,7 @@ def cpc_estimate(critic: Critic, xs, ys) -> float:
     n = scores.shape[0]
     if n < 2 or scores.shape[1] != n:
         raise ValueError("need a batch of N >= 2 aligned pairs")
-    return float(_contrastive(_capped(scores[None]))[0][0])
+    return float(_contrastive(_capped(scores[None]))[0])
 
 
 def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys) -> float:
@@ -231,13 +217,12 @@ def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys) -> 
     return float(_nwj_value(joint, np.exp(prod))[0])
 
 
-def _contrastive(scores: np.ndarray):
-    """CPC values of capped (P, b, b) score matrices, and exp(scores - row max)
-    written over ``scores``."""
+def _contrastive(scores: np.ndarray) -> np.ndarray:
+    """CPC values of capped (P, b, b) score matrices; ``scores`` is overwritten."""
     row_max = scores.max(axis=2, keepdims=True)
     diag = np.diagonal(scores, axis1=1, axis2=2) - row_max[..., 0]
     exp = np.exp(np.subtract(scores, row_max, out=scores), out=scores)
-    return (diag - np.log(exp.mean(axis=2))).mean(axis=1), exp
+    return (diag - np.log(exp.mean(axis=2))).mean(axis=1)
 
 
 def _nwj_value(joint: np.ndarray, exp_prod: np.ndarray) -> np.ndarray:
@@ -281,15 +266,14 @@ def gaussian_oracle_critic(rho: float) -> Critic:
 def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None) -> Critic:
     """Fit a critic on aligned (x, y) samples.
 
-    ``objective`` is ``"cpc"``, a gradient ascent on contrastive batches of
-    ``spec.batch_size`` rows for ``spec.iterations`` steps of
-    ``spec.step_size``, or ``"nwj"``, Newton's method to the NWJ optimum
-    over the joint pairs and the product pairs of :func:`_product_rows`;
-    only ``spec.seed`` applies to NWJ.  Deterministic given ``spec.seed``;
-    fit settings and the final objective value land in the critic's
-    metadata.  A fit that left non-finite parameters, or an NWJ fit that
-    did not reach the Newton decrement tolerance, warns with
-    :data:`DIVERGED` or :data:`NOT_CONVERGED` as a ``FitWarning``.
+    ``objective`` is ``"cpc"``, on the fixed batches of ``spec.batch_size``
+    rows of :func:`_pair_rows`, or ``"nwj"``, on the joint pairs and the
+    product pairs of :func:`_product_rows`.  Either is Newton's method to
+    the objective's optimum, deterministic given ``spec.seed``.  The steps
+    taken, the last half squared Newton decrement and the final objective
+    value land in the critic's metadata.  A fit that left non-finite
+    parameters, or that did not reach the Newton decrement tolerance, warns
+    with :data:`DIVERGED` or :data:`NOT_CONVERGED` as a ``FitWarning``.
     """
     _check_objective(objective)
     if kind not in ("bilinear", "quadratic"):
@@ -299,30 +283,23 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
     ys = _real_matrix(ys, "ys")
     if ys.shape[0] != xs.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    mask = _mask(kind, xs.shape[1], ys.shape[1])
-    if objective == "cpc":
-        mat, value, grad = _ascend(kind, xs[None], ys[None], [spec.seed], spec)
-        grad = grad[0][mask]
-        settings = {"iterations": spec.iterations, "step_size": spec.step_size,
-                    "batch_size": spec.batch_size}
-        converged = True
-    else:
-        mat, value, grad, steps, decrement = _newton(kind, xs[None], ys[None], [spec.seed])
-        grad = grad[0]
-        settings = {"iterations": int(steps[0]), "decrement": float(decrement[0])}
-        converged = decrement[0] <= _NEWTON_TOLERANCE
-    theta = mat[0][mask]
+    mat, value, grad, steps, decrement = _newton(objective, kind, xs[None], ys[None],
+                                                 [spec.seed], spec.batch_size)
+    settings = {"batch_size": spec.batch_size} if objective == "cpc" else {}
+    theta = mat[0][_mask(kind, xs.shape[1], ys.shape[1])]
     fitted = Critic(kind, xs.shape[1], ys.shape[1], theta=theta, metadata={
         "objective": objective,
         "final_value": float(value[0]),
-        "final_grad_norm": float(np.linalg.norm(grad)),
+        "final_grad_norm": float(np.linalg.norm(grad[0])),
+        "iterations": int(steps[0]),
+        "decrement": float(decrement[0]),
         **settings,
         "seed": spec.seed,
         "score_cap": DEFAULT_SCORE_CAP,
     })
     if not np.all(np.isfinite(theta)):
         warnings.warn(DIVERGED, FitWarning)
-    elif not converged:
+    elif not decrement[0] <= _NEWTON_TOLERANCE:
         warnings.warn(NOT_CONVERGED, FitWarning)
     return fitted
 
@@ -330,73 +307,6 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
 def _check_objective(objective: str) -> None:
     if objective not in ("cpc", "nwj"):
         raise ValueError(f"unknown objective {objective!r}")
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _ascend(kind, xs, ys, seeds, spec: BatchSpec):
-    """CPC gradient ascent on a stack of P same-shape critic problems.
-
-    Problem p fits the aligned rows ``xs[p]`` (n, dx) and ``ys[p]`` (n, dy)
-    on the batches of ``default_rng(seeds[p])``.  Each step moves Theta's
-    free cells only.  Returns Theta (P, px, py) and the last step's
-    objective values (P,) and gradients (P, px, py).  numpy's overflow and
-    invalid warnings are silenced: a problem whose Theta ends non-finite is
-    what its callers report.
-    """
-    n_problems, n, dx = xs.shape
-    dy = ys.shape[2]
-    if n < spec.batch_size:
-        raise ValueError("not enough samples for one batch")
-    # Draws index each problem's own rows of the flattened (P*n, .) maps.
-    offsets = np.arange(n_problems)[:, None] * n
-    phi = _side(kind, xs).reshape(n_problems * n, -1)
-    psi = _side(kind, ys).reshape(n_problems * n, -1)
-    # Problems that share a seed take the same rows: one stream per distinct
-    # seed, its draws gathered into every problem that uses it.
-    streams = {seed: k for k, seed in enumerate(dict.fromkeys(seeds))}
-    gather = np.array([streams[seed] for seed in seeds])
-    steps = max(1, min(spec.iterations, _BLOCK_FLOATS // spec.batch_size))
-    draws = [_draws(np.random.default_rng(seed), n, spec.batch_size, steps) for seed in streams]
-    block = np.empty((len(draws), steps, spec.batch_size), dtype=np.int64)
-    mask = _mask(kind, dx, dy)
-    mat = np.zeros((n_problems,) + mask.shape)
-    for step in range(spec.iterations):
-        if step % steps == 0:
-            for k, stream in enumerate(draws):
-                block[k] = next(stream)
-        rows = block[:, step % steps][gather] + offsets
-        value, grad = _cpc_value_grad(mat, phi.take(rows, axis=0), psi.take(rows, axis=0))
-        # Indexed, not multiplied by the mask: 0 * inf would be NaN.
-        mat[:, mask] += spec.step_size * grad[:, mask]
-    return mat, value, grad
-
-
-def _draws(rng, n: int, size: int, steps: int):
-    """Yield one seed's CPC batches of ``size`` rows, ``steps`` at a time:
-    (steps, size).
-
-    An epoch is drawn only once the last is used up, so a step costs
-    O(size) draws however large n is.
-    """
-    batches = np.empty((0, size), dtype=np.int64)
-    while True:
-        if len(batches) < steps:
-            epochs = -(-(steps - len(batches)) // (n // size))
-            perms = rng.permuted(np.tile(np.arange(n), (epochs, 1)), axis=1)
-            batches = np.concatenate([batches, perms[:, :n - n % size].reshape(-1, size)])
-            del perms  # not held while the generator waits
-        joint, batches = batches[:steps], batches[steps:]
-        yield joint
-
-
-def _cpc_value_grad(mat, phi, psi):
-    """CPC values (P,) and gradients in Theta's shape on batches ``phi`` (P, b, px)
-    and ``psi`` (P, b, py); the gradient passes the score cap unchanged."""
-    b = phi.shape[1]
-    cap = DEFAULT_SCORE_CAP
-    value, exp = _contrastive(np.clip(phi @ mat @ psi.transpose(0, 2, 1), -cap, cap))
-    weights = (np.eye(b) - exp / exp.sum(axis=2, keepdims=True)) / b
-    return value, phi.transpose(0, 2, 1) @ weights @ psi
 
 
 def _product_rows(seed: int, n: int) -> np.ndarray:
@@ -409,66 +319,142 @@ def _product_rows(seed: int, n: int) -> np.ndarray:
                           + [rng.permutation(n) for _ in range(_NWJ_PERMUTATIONS)])
 
 
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _newton(kind, xs, ys, seeds):
-    """Newton's method on the NWJ objectives of a stack of P same-shape problems.
+def _pair_rows(objective: str, seed: int, n: int, batch_size: int):
+    """The pairs a fit of n rows scores, as its R fit rows (R,) and the y rows
+    (K R,) of its K blocks of pairs: pair k R + r is (x_(rows[r]),
+    y_(y_rows[k R + r])), and block 0 holds the joint pairs.
 
-    Problem p maximises, over Theta's free cells theta,
-    ``J = mean_i s(x_i, y_i) - e^-1 mean_(i,j) exp s(x_i, y_j)``, the first
-    mean over its n joint pairs and the second over its N product pairs
-    ``(i, _product_rows(seeds[p], n)[k])``.  Each product pair's free cells of
-    ``phi psi^T`` form a column of F (q, N), so the scores are ``theta F``,
-    the gradient is the joint columns' mean minus ``e^-1 F exp(s) / N`` and
-    the Hessian is ``-e^-1 F diag(exp s) F^T / N``: J is concave.  A step
-    solves the Newton system by least squares and backtracks until it gains
-    ``_ARMIJO`` of its predicted gain; a problem stops once half its squared
-    Newton decrement is at most ``_NEWTON_TOLERANCE``.  Each problem steps
-    and stops on its own, so a stacked fit equals a lone fit bit for bit.
+    NWJ takes rows 0..n-1 and the blocks of :func:`_product_rows`.  CPC
+    takes the rows of ``n // b`` batches, one permutation of the n rows
+    drawn from ``default_rng(seed)`` with the remainder dropped, and b
+    blocks: block k pairs each row with the row k places after it in its
+    batch, cyclically, so that row r's b pairs are its batch's."""
+    if objective == "nwj":
+        return np.arange(n), _product_rows(seed, n)
+    if n < batch_size:
+        raise ValueError("not enough samples for one batch")
+    batches = np.random.default_rng(seed).permutation(n)[:n - n % batch_size]
+    batches = batches.reshape(-1, batch_size)
+    # shifted[k, i] is the place k after place i of a batch.
+    shifted = (np.arange(batch_size) + np.arange(batch_size)[:, None]) % batch_size
+    return batches.ravel(), batches[:, shifted].transpose(1, 0, 2).ravel()
+
+
+def _pair_features(kind, xs, ys, rows, y_rows, cells) -> np.ndarray:
+    """The fitted ``cells`` of phi psi^T of every pair of a stack of P
+    problems, the pairs on the last axis: (P, q, K R).  Problem p's pairs
+    are those of :func:`_pair_rows` with ``rows[p]`` and ``y_rows[p]``."""
+    n_problems, n_rows = rows.shape
+    stack = np.arange(n_problems)[:, None]
+    # A CPC fit moves no cell of psi's last entry, its constant 1.
+    width = cells.shape[1] - (not cells[:, -1].any())
+    cells = cells[:, :width]
+    psi = _side(kind, ys)[stack, y_rows][..., :width]
+    outer = (_side(kind, xs[stack, rows]).transpose(0, 2, 1)[:, :, None, None, :]
+             * psi.transpose(0, 2, 1).reshape(n_problems, 1, width, -1, n_rows))
+    del psi
+    feats = outer.reshape(n_problems, -1, outer.shape[3] * n_rows)
+    return feats if cells.all() else feats[:, cells.ravel()]
+
+
+def _cells(objective: str, kind: str, x_dim: int, y_dim: int) -> np.ndarray:
+    """The cells of Theta a fit moves: the free cells, less psi's constant
+    column for CPC, whose cells add the same to every score of a row."""
+    cells = _mask(kind, x_dim, y_dim)
+    if objective == "cpc":
+        cells = cells.copy()
+        cells[:, -1] = False
+    return cells
+
+
+def _value_and_weights(objective: str, scores: np.ndarray, blocks: int):
+    """Objective values (P,) at the pair scores (P, K R) of K blocks, and
+    each pair's weight w (P, K R) in the gradient ``joint - F w``.
+
+    NWJ: the mean joint score less e^-1 times the mean exp-score; w is
+    ``e^-1 exp(s) / (K R)``.  CPC: the mean over rows r of ``s_rr -
+    logsumexp_j s_rj + log b``; w is the softmax weight of a row's pairs
+    over R.  A CPC row is shifted by its joint score, which keeps its sum of
+    exponentials at least 1."""
+    n_rows = scores.shape[1] // blocks
+    if objective == "nwj":
+        exp = np.exp(scores)
+        return _nwj_value(scores[:, :n_rows], exp), math.exp(-1.0) / scores.shape[1] * exp
+    rows = scores.reshape(len(scores), blocks, n_rows)
+    exp = np.exp(rows - rows[:, :1])
+    total = exp.sum(axis=1)
+    return (math.log(blocks) - np.log(total).mean(axis=1),
+            (exp / (n_rows * total[:, None])).reshape(scores.shape))
+
+
+def _derivatives(objective: str, feats, joint, scores, blocks: int):
+    """The objective values (P,), gradients (P, q) and negated Hessians
+    (P, q, q) of a stack at the scores (P, K R) of its pairs' features
+    ``feats`` (P, q, K R), ``joint`` being the joint pairs' mean feature (P, q).
+
+    With the weights w of :func:`_value_and_weights`, the gradient is
+    ``joint - F w`` and the negated Hessian ``F diag(w) F^T``, less ``R G
+    G^T`` for CPC, whose G (q, R) holds each row's sum of its pairs' w times
+    their features.  Both negated Hessians are positive semidefinite: the
+    objectives are concave."""
+    value, weights = _value_and_weights(objective, scores, blocks)
+    grad = joint - (feats @ weights[..., None])[..., 0]
+    weighted = feats * weights[:, None]
+    hess = weighted @ feats.transpose(0, 2, 1)
+    if objective == "cpc":
+        sums = weighted.reshape(weighted.shape[:2] + (blocks, -1)).sum(axis=2)
+        hess -= sums.shape[2] * (sums @ sums.transpose(0, 2, 1))
+    return value, grad, hess
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _newton(objective, kind, xs, ys, seeds, batch_size: int):
+    """Newton's method on the objectives of a stack of P same-shape problems.
+
+    Problem p maximises its objective over the cells of :func:`_cells`,
+    theta, on the pairs that :func:`_pair_rows` draws from ``seeds[p]``.
+    Each pair's cells of ``phi psi^T`` form a column of F (q, N), so the
+    scores are ``theta F``; :func:`_derivatives` gives the gradient and
+    Hessian.  A step solves the Newton system by least squares and
+    backtracks until it gains ``_ARMIJO`` of its predicted gain; a problem
+    stops once half its squared Newton decrement is at most
+    ``_NEWTON_TOLERANCE``.  Each problem steps and stops on its own, so a
+    stacked fit equals a lone fit bit for bit.
 
     A converged problem still takes the full step it last computed, which
     costs no Hessian and, this close to the optimum, gains digits of Theta.
 
-    Returns Theta (P, px, py), J there (P,), the gradient (P, q) at the
-    iterate that computed the last step, the steps taken (P,) and that
-    iterate's half squared Newton decrement (P,).  A problem converged when
-    the decrement is at most the tolerance; it diverged when its Theta is
-    non-finite;
-    otherwise it stopped at ``_NEWTON_ITERATIONS`` steps or at a line search
-    that found no gain.
+    Returns Theta (P, px, py), the objective there (P,), the gradient (P, q)
+    at the iterate that computed the last step, the steps taken (P,) and
+    that iterate's half squared Newton decrement (P,).  A problem converged
+    when the decrement is at most the tolerance; it diverged when its Theta
+    is non-finite; otherwise it stopped at ``_NEWTON_ITERATIONS`` steps or at
+    a line search that found no gain.
     """
     n_problems, n, dx = xs.shape
-    mask = _mask(kind, dx, ys.shape[2])
-    rows = {seed: _product_rows(seed, n) for seed in dict.fromkeys(seeds)}
-    psi = _side(kind, ys)[np.arange(n_problems)[:, None], np.stack([rows[s] for s in seeds])]
-    # Product pair k n + i is (x_i, y_j), j the k-th block's row i; its
-    # phi psi^T, with the pairs on the last axis.
-    outer = (_side(kind, xs).transpose(0, 2, 1)[:, :, None, None, :]
-             * psi.transpose(0, 2, 1).reshape(n_problems, 1, psi.shape[2], -1, n))
-    del psi
-    n_pairs = outer.shape[3] * n
-    feats = outer.reshape(n_problems, -1, n_pairs)
-    if not mask.all():
-        feats = feats[:, mask.ravel()]
-    del outer
-    joint = feats[:, :, :n] @ np.full(n, 1.0 / n)
+    cells = _cells(objective, kind, dx, ys.shape[2])
+    drawn = {seed: _pair_rows(objective, seed, n, batch_size) for seed in dict.fromkeys(seeds)}
+    rows, y_rows = (np.stack(a) for a in zip(*(drawn[seed] for seed in seeds)))
+    feats = _pair_features(kind, xs, ys, rows, y_rows, cells)
+    n_rows = rows.shape[1]
+    blocks = y_rows.shape[1] // n_rows
+    value_of = functools.partial(_value_and_weights, objective, blocks=blocks)
+    joint = feats[:, :, :n_rows] @ np.full(n_rows, 1.0 / n_rows)
     theta = np.zeros(joint.shape)
     out = (np.zeros(theta.shape), np.full(n_problems, np.nan), np.full(theta.shape, np.nan),
            np.zeros(n_problems, dtype=int), np.full(n_problems, np.inf))
     live = np.arange(n_problems)
     for it in range(_NEWTON_ITERATIONS + 1):
         scores = (theta[:, None] @ feats)[:, 0]
-        exp = np.exp(scores)
-        weights = math.exp(-1.0) / n_pairs * exp
-        grad = joint - (feats @ weights[..., None])[..., 0]
-        step = _least_squares_step((feats * weights[:, None]) @ feats.transpose(0, 2, 1), grad)
+        value, grad, hess = _derivatives(objective, feats, joint, scores, blocks)
+        step = _least_squares_step(hess, grad)
         decrement = 0.5 * (grad * step).sum(axis=1)
         diverged = ~np.isfinite(decrement)
         converged = decrement <= _NEWTON_TOLERANCE
         # A converged problem takes its full Newton step: a slope of -inf
         # passes any finite value.
         searching = ~diverged & (converged | (it < _NEWTON_ITERATIONS))
-        length, value = _line_search(scores, (step[:, None] @ feats)[:, 0], n,
-                                     _nwj_value(scores[:, :n], exp),
+        length, value = _line_search(scores, (step[:, None] @ feats)[:, 0], value_of, value,
                                      np.where(converged, -np.inf, 2.0 * decrement), searching)
         # A non-finite step is taken, so that the problem's Theta reports it.
         theta += np.where(diverged, 1.0, length)[:, None] * step
@@ -480,8 +466,8 @@ def _newton(kind, xs, ys, seeds):
             if stop.all():
                 break
             live, feats, joint, theta = live[~stop], feats[~stop], joint[~stop], theta[~stop]
-    mat = np.zeros((n_problems,) + mask.shape)
-    mat[:, mask] = out[0]
+    mat = np.zeros((n_problems,) + cells.shape)
+    mat[:, cells] = out[0]
     return (mat,) + out[1:]
 
 
@@ -507,18 +493,17 @@ def _least_squares_step(hess, grad):
     return step
 
 
-def _line_search(scores, moves, n: int, value, slope, searching):
+def _line_search(scores, moves, value_of, value, slope, searching):
     """Armijo backtracking for the rows of ``searching``: each row's step
-    length t in 1, 1/2, 1/4, ... at which the NWJ value of ``scores + t *
-    moves`` (P, N) gains at least ``_ARMIJO * t * slope`` over ``value``, and
-    the value there.  A row that searches ``_BACKTRACKS`` lengths in vain,
-    or does not search, gets length 0 and keeps ``value``."""
+    length t in 1, 1/2, 1/4, ... at which the objective ``value_of`` of
+    ``scores + t * moves`` (P, N) gains at least ``_ARMIJO * t * slope`` over
+    ``value``, and the value there.  A row that searches ``_BACKTRACKS``
+    lengths in vain, or does not search, gets length 0 and keeps ``value``."""
     length = np.ones(len(value))
     gained = value.copy()
     pending = searching.copy()
     for _ in range(_BACKTRACKS):
-        trial = scores + length[:, None] * moves
-        trial_value = _nwj_value(trial[:, :n], np.exp(trial))
+        trial_value = value_of(scores + length[:, None] * moves)[0]
         passed = pending & (trial_value >= value + _ARMIJO * length * slope)
         gained[passed] = trial_value[passed]
         pending &= ~passed
@@ -539,21 +524,22 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     """Fit a bilinear critic per problem of a stack of P, then estimate on its eval pairs.
 
     Problem p fits on ``fit_xs[p]`` (n, dx) and ``fit_ys[p]`` (n, dy) with
-    ``seeds[p]`` in place of ``spec.seed``, then estimates on ``eval_xs[p]``
-    (k, dx) and ``eval_ys[p]`` (k, dy).  ``"cpc"`` averages
+    ``seeds[p]`` in place of ``spec.seed``, as :func:`fit_critic` does; a CPC
+    fit needs at least ``spec.batch_size`` rows.  It then estimates on
+    ``eval_xs[p]`` (k, dx) and ``eval_ys[p]`` (k, dy).  ``"cpc"`` averages
     :func:`cpc_estimate` over consecutive full batches of
     ``spec.batch_size`` eval pairs, so it never exceeds the log batch size.
     ``"nwj"`` takes product pairs ``(eval_xs[p], eval_ys[p, perms[p]])``,
     with ``perms[p]`` drawn from ``seeds[p]`` when ``perms`` is omitted; so
     when eval and fit rows are the same, these product pairs are among the
     fit's.  A lone problem is a stack of one.  The problems are fitted and
-    evaluated in chunks of at most ``_STACK_FLOATS`` floats (CPC) or
-    ``_NEWTON_FLOATS`` (NWJ), each chunk one stacked ascent or Newton solve.
+    evaluated in chunks of at most ``_NEWTON_FLOATS`` floats, each chunk one
+    stacked Newton solve.
 
     Returns the values (P,) and, for each problem, ``None`` or why it
     failed: :data:`DIVERGED` when its critic fit left non-finite
-    parameters, else :data:`NOT_CONVERGED` when its NWJ fit stopped short
-    of the Newton decrement tolerance, else :data:`NON_FINITE_SCORES` when
+    parameters, else :data:`NOT_CONVERGED` when its fit stopped short of
+    the Newton decrement tolerance, else :data:`NON_FINITE_SCORES` when
     its critic scored an eval pair non-finitely.  A failed problem's value
     is NaN.
     """
@@ -571,35 +557,27 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
         raise ValueError("not enough samples for one batch")
     if objective == "cpc" and n_eval < spec.batch_size:
         raise ValueError("not enough eval samples for one batch")
-    if objective == "cpc":
-        # Floats one problem holds at once, at most: its fit and eval maps and
-        # their products, and a block of draws.  Score grids are made one
-        # problem at a time.
-        floats = 2 * (n_fit + n_eval) * (dx + dy + 2) + _BLOCK_FLOATS
-    else:
-        if perms is None:
-            perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
-        # The product pairs' features and their weighted copy, six per-pair
-        # vectors, and the eval maps and scores.
-        floats = ((_NWJ_PERMUTATIONS + 1) * n_fit * (2 * (dx + 1) * (dy + 1) + 6)
-                  + 3 * n_eval * (dx + dy + 2))
-    size = max(1, (_STACK_FLOATS if objective == "cpc" else _NEWTON_FLOATS) // floats)
+    if objective == "nwj" and perms is None:
+        perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
+    # Floats one problem holds at once, at most: its pairs' features and their
+    # weighted copy, six per-pair vectors, and the eval maps and scores.
+    pairs = ((_NWJ_PERMUTATIONS + 1) * n_fit if objective == "nwj"
+             else (n_fit - n_fit % spec.batch_size) * spec.batch_size)
+    floats = pairs * (2 * (dx + 1) * (dy + 1) + 6) + 3 * n_eval * (dx + dy + 2)
+    size = max(1, _NEWTON_FLOATS // floats)
     values = np.empty(n_problems)
     failures = []
     for k in range(0, n_problems, size):
         chunk = slice(k, k + size)
-        if objective == "cpc":
-            mat = _ascend("bilinear", fit_xs[chunk], fit_ys[chunk], seeds[chunk], spec)[0]
-            converged = np.ones(len(mat), dtype=bool)
-        else:
-            mat, *_, decrement = _newton("bilinear", fit_xs[chunk], fit_ys[chunk], seeds[chunk])
-            converged = decrement <= _NEWTON_TOLERANCE
+        mat, *_, decrement = _newton(objective, "bilinear", fit_xs[chunk], fit_ys[chunk],
+                                     seeds[chunk], spec.batch_size)
         diverged = ~np.all(np.isfinite(mat), axis=(1, 2))
         values[chunk], non_finite = _estimates(
             objective, mat, eval_xs[chunk], eval_ys[chunk],
             None if perms is None else perms[chunk], spec.batch_size)
-        failures += [DIVERGED if d else NOT_CONVERGED if not c else NON_FINITE_SCORES if f
-                     else None for d, c, f in zip(diverged, converged, non_finite)]
+        failures += [DIVERGED if d else NOT_CONVERGED if not c <= _NEWTON_TOLERANCE
+                     else NON_FINITE_SCORES if f else None
+                     for d, c, f in zip(diverged, decrement, non_finite)]
     values[[why is not None for why in failures]] = np.nan
     return values, failures
 
@@ -633,7 +611,7 @@ def _estimates(objective, mat, xs, ys, perms, batch_size: int):
             scores = ((_side("bilinear", xs[p, :used]) @ mat[p]).reshape(batches)
                       @ _side("bilinear", ys[p, :used]).reshape(batches).transpose(0, 2, 1))
             non_finite[p] = not np.all(np.isfinite(scores))
-            values[p] = _contrastive(_capped(scores))[0].mean()
+            values[p] = _contrastive(_capped(scores)).mean()
         return values, non_finite
     x_theta = _side("bilinear", xs) @ mat
     psi = _side("bilinear", ys)
@@ -656,7 +634,7 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
     m = _check_aligned(variables)
     _check_objective(method)
     variables = [_real_matrix(v, "ys") for v in variables]
-    spec = BatchSpec(iterations=EDGE_WEIGHT_ITERATIONS)
+    spec = BatchSpec()
     seeds = {(i, j): int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
              for i in range(m) for j in range(m) if i != j}
     groups: dict = {}

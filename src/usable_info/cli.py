@@ -538,8 +538,7 @@ def _cmd_baselines(args) -> int:
         rows += [(rho, seed, n, spec.batch_size, estimator, value, true_info)
                  for estimator, value in values.items()]
     rows.sort(key=lambda r: (r[0], r[1], r[4]))
-    effective = {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": spec.batch_size,
-                 "iterations": spec.iterations, "step_size": spec.step_size}
+    effective = {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": spec.batch_size}
     write_rows_csv(args.out, effective,
                    ["rho", "seed", "n", "batch_size", "estimator", "value",
                     "true_information"],
@@ -709,12 +708,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_ListOf(_seed))
     p.add_argument("--n", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size",
-                   help="CPC batch size, for its ascent and its estimate")
-    p.add_argument("--iterations", type=int,
-                   help="CPC ascent steps; NWJ is fitted by Newton's method to "
-                        "its optimum and ignores this")
-    p.add_argument("--step-size", type=float, dest="step_size",
-                   help="CPC ascent step size; NWJ ignores it")
+                   help="CPC batch size, of its fit's batches and of its estimate's; "
+                        "NWJ ignores it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_baselines)
 

@@ -202,7 +202,7 @@ def test_criterion_7_cpc_saturation():
     y = rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(2048)
     x = x.reshape(-1, 1)
     y = y.reshape(-1, 1)
-    spec = BatchSpec(batch_size=8, iterations=800, step_size=0.2, seed=107)
+    spec = BatchSpec(batch_size=8, seed=107)
     critic = fit_critic("quadratic", "cpc", x[:1024], y[:1024], spec=spec)
     vals = np.asarray([cpc_estimate(critic, x[k:k + 8], y[k:k + 8])
                        for k in range(1024, 2048, 8)])

@@ -806,7 +806,7 @@ def test_sweep_with_baseline_families(tmp_path):
 def test_baselines_command_table(tmp_path):
     out = tmp_path / "bench.csv"
     rc = main(["baselines", "--rhos", "0.5,0.9", "--seeds", "0,1",
-               "--n", "512", "--iterations", "100", "--out", str(out)])
+               "--n", "512", "--out", str(out)])
     assert rc == 0
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0] == "rho,seed,n,batch_size,estimator,value,true_information"
@@ -818,70 +818,104 @@ def test_baselines_command_table(tmp_path):
     assert truths["0.5"] == pytest.approx(-0.5 * math.log(1 - 0.25))
 
 
-def _patch_nwj_fits(monkeypatch, scale_ys=1.0, theta=None):
-    """Make every NWJ fit of the baselines command fail: fit on ``scale_ys``
-    times its y rows, or return a finite ``theta`` in every cell of Theta."""
+def _patch_fits(monkeypatch, objective, scale_ys=1.0, theta=None, iterations=None,
+                below=None):
+    """Make the ``objective`` fits of the baselines command fail: fit on
+    ``scale_ys`` times its y rows, return a finite ``theta`` in every cell of
+    Theta, or stop after ``iterations`` Newton steps.  With ``below``, only
+    the problems whose fit rows correlate below it fail."""
     real = baselines._newton
 
-    def newton(kind, xs, ys, seeds):
-        mat, *rest = real(kind, xs, scale_ys * ys, seeds)
-        return (mat if theta is None else np.full_like(mat, theta), *rest)
+    def newton(fitted, kind, xs, ys, seeds, batch_size):
+        if fitted != objective:
+            return real(fitted, kind, xs, ys, seeds, batch_size)
+        fail = np.array([below is None or np.corrcoef(x[:, 0], y[:, 0])[0, 1] < below
+                         for x, y in zip(xs, ys)])
+        with monkeypatch.context() as patch:
+            if iterations is not None:
+                patch.setattr(baselines, "_NEWTON_ITERATIONS", iterations)
+            mat, *rest = real(fitted, kind, xs,
+                              np.where(fail[:, None, None], scale_ys * ys, ys), seeds,
+                              batch_size)
+        if theta is not None:
+            mat[fail] = theta
+        return (mat, *rest)
 
     monkeypatch.setattr(baselines, "_newton", newton)
 
 
+def _failed_row(tmp_path, capsys, argv, why):
+    """Run ``baselines`` on ``argv``; check that it exits 4 with the one
+    failure line ``why`` and writes nothing."""
+    out = tmp_path / "bench.csv"
+    assert main(["baselines", *argv, "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"numerical failure: baselines {why}\n"
+    assert not out.exists()
+
+
 def test_baselines_diverged_critic_fit_exits_4_naming_row(tmp_path, capsys, monkeypatch):
     # On 1e200 times y, the Hessian overflows and the Newton step is not finite.
-    _patch_nwj_fits(monkeypatch, scale_ys=1e200)
-    out = tmp_path / "bench.csv"
-    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256", "--out", str(out)])
-    assert rc == 4
-    assert capsys.readouterr().err == (
-        "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
-        "critic fit diverged to non-finite parameters\n")
-    assert not out.exists()
+    for objective in ("cpc", "nwj"):
+        _patch_fits(monkeypatch, objective, scale_ys=1e200)
+        _failed_row(tmp_path, capsys, ["--rhos", "0.5", "--seeds", "0", "--n", "256"],
+                    f"rho=0.5 seed=0 estimator={objective}: "
+                    "critic fit diverged to non-finite parameters")
+        monkeypatch.undo()
 
 
 def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys, monkeypatch):
     # A finite critic of 1e308 in every cell overflows on the eval pairs.
-    _patch_nwj_fits(monkeypatch, theta=1e308)
-    out = tmp_path / "bench.csv"
-    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "384", "--batch-size", "4",
-               "--out", str(out)])
-    assert rc == 4
-    assert capsys.readouterr().err == (
-        "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
-        "critic produced non-finite scores\n")
-    assert not out.exists()
+    for objective in ("cpc", "nwj"):
+        _patch_fits(monkeypatch, objective, theta=1e308)
+        _failed_row(tmp_path, capsys,
+                    ["--rhos", "0.5", "--seeds", "0", "--n", "384", "--batch-size", "4"],
+                    f"rho=0.5 seed=0 estimator={objective}: critic produced non-finite scores")
+        monkeypatch.undo()
 
 
 def test_baselines_unconverged_nwj_fit_exits_4_naming_row(tmp_path, capsys, monkeypatch):
+    _patch_fits(monkeypatch, "nwj", iterations=1)
+    _failed_row(tmp_path, capsys, ["--rhos", "0.5", "--seeds", "0", "--n", "256"],
+                "rho=0.5 seed=0 estimator=nwj: "
+                "critic fit did not reach the Newton decrement tolerance")
+
+
+def test_baselines_unconverged_cpc_fit_exits_4_naming_row(tmp_path, capsys, monkeypatch):
+    # Both objectives stop short; CPC comes first in a row.
     monkeypatch.setattr(baselines, "_NEWTON_ITERATIONS", 1)
-    out = tmp_path / "bench.csv"
-    rc = main(["baselines", "--rhos", "0.5", "--seeds", "0", "--n", "256", "--out", str(out)])
-    assert rc == 4
-    assert capsys.readouterr().err == (
-        "numerical failure: baselines rho=0.5 seed=0 estimator=nwj: "
-        "critic fit did not reach the Newton decrement tolerance\n")
-    assert not out.exists()
+    _failed_row(tmp_path, capsys, ["--rhos", "0.5", "--seeds", "0", "--n", "256"],
+                "rho=0.5 seed=0 estimator=cpc: "
+                "critic fit did not reach the Newton decrement tolerance")
 
 
 def test_baselines_names_the_first_failing_row_in_loop_order(tmp_path, capsys, monkeypatch):
-    # At this CPC step rho=0.1 fails in CPC and rho=0.5 does not; every NWJ
-    # row fails.  The fits are stacked per objective, yet the failure named
-    # is the first in rho, seed, estimator order.
-    _patch_nwj_fits(monkeypatch, theta=1e308)
-    argv = ["--seeds", "0", "--n", "384", "--batch-size", "4", "--step-size", "1e308",
-            "--iterations", "1"]
-    out = tmp_path / "bench.csv"
+    # rho=0.1 fails in CPC and rho=0.5 does not; every NWJ row fails.  The
+    # fits are stacked per objective, yet the failure named is the first in
+    # rho, seed, estimator order.
+    _patch_fits(monkeypatch, "nwj", theta=1e308)
+    _patch_fits(monkeypatch, "cpc", theta=1e308, below=0.3)
     for rhos, failing in (("0.1", "rho=0.1 seed=0 estimator=cpc"),
                           ("0.5", "rho=0.5 seed=0 estimator=nwj"),
                           ("0.5,0.1", "rho=0.5 seed=0 estimator=nwj"),
                           ("0.1,0.5", "rho=0.1 seed=0 estimator=cpc")):
-        assert main(["baselines", "--rhos", rhos, *argv, "--out", str(out)]) == 4
-        assert capsys.readouterr().err == (
-            f"numerical failure: baselines {failing}: critic produced non-finite scores\n")
-        assert not out.exists()
+        _failed_row(tmp_path, capsys,
+                    ["--rhos", rhos, "--seeds", "0", "--n", "384", "--batch-size", "4"],
+                    f"{failing}: critic produced non-finite scores")
+
+
+@pytest.mark.parametrize("flag, value", [("--iterations", "20"), ("--step-size", "0.05")])
+def test_baselines_step_flags_and_config_keys_are_gone(tmp_path, capsys, flag, value):
+    # Every critic fit is a Newton solve, so there are no steps to count or size.
+    out = tmp_path / "bench.csv"
+    argv = ["baselines", "--rhos", "0.5", "--seeds", "0", "--out", str(out)]
+    assert main(argv + [flag, value]) == 2
+    assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    key = flag[2:].replace("-", "_")
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({key: float(value)}))
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: unknown config key {key!r}\n"
+    assert not out.exists()
 
 
 def _baselines_by_row(rhos, seeds, n, spec):
@@ -912,14 +946,12 @@ def _baselines_by_row(rhos, seeds, n, spec):
 @pytest.mark.parametrize("batch_size", [8, 5])
 def test_baselines_table_matches_per_row_fits(tmp_path, batch_size):
     rhos, seeds, n = [0.5, 0.99, 0.3], [2, 0, 2, 1], 301
-    spec = BatchSpec(batch_size=batch_size, iterations=40, step_size=0.1)
+    spec = BatchSpec(batch_size=batch_size)
     got = tmp_path / "bench.csv"
     assert main(["baselines", "--rhos", "0.5,0.99,0.3", "--seeds", "2,0,2,1",
-                 "--n", str(n), "--batch-size", str(batch_size), "--iterations", "40",
-                 "--step-size", "0.1", "--out", str(got)]) == 0
+                 "--n", str(n), "--batch-size", str(batch_size), "--out", str(got)]) == 0
     want = tmp_path / "want.csv"
-    write_rows_csv(want, {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": batch_size,
-                          "iterations": 40, "step_size": 0.1},
+    write_rows_csv(want, {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": batch_size},
                    ["rho", "seed", "n", "batch_size", "estimator", "value",
                     "true_information"], _baselines_by_row(rhos, seeds, n, spec))
     assert got.read_bytes() == want.read_bytes()
@@ -982,7 +1014,7 @@ def test_baselines_rhos_take_a_leading_negative_item(tmp_path):
     tables = []
     for rhos in (["--rhos", "-0.5,0.5"], ["--rhos=-0.5,0.5"]):
         out = tmp_path / f"bench{len(tables)}.csv"
-        assert main(["baselines", *rhos, "--seeds", "0", "--n", "64", "--iterations", "5",
+        assert main(["baselines", *rhos, "--seeds", "0", "--n", "64",
                      "--out", str(out)]) == 0
         tables.append(out.read_text())
     assert tables[0] == tables[1]
@@ -1219,15 +1251,12 @@ CONFIG_CASES = {
          "--families", "linear_gaussian,polynomial_gaussian:2", "--m", "3", "--d", "2"]),
     "baselines-arrays": (
         "baselines",
-        {"rhos": [0.5, 0.9], "seeds": [0], "n": 128, "batch_size": 4, "iterations": 20},
-        ["--rhos", "0.5,0.9", "--seeds", "0", "--n", "128", "--batch-size", "4",
-         "--iterations", "20"]),
+        {"rhos": [0.5, 0.9], "seeds": [0], "n": 128, "batch_size": 4},
+        ["--rhos", "0.5,0.9", "--seeds", "0", "--n", "128", "--batch-size", "4"]),
     "baselines": (
         "baselines",
-        {"rhos": "0.5,0.9", "seeds": "0", "n": 128, "batch_size": 4, "iterations": 20,
-         "step_size": 0.02},
-        ["--rhos", "0.5,0.9", "--seeds", "0", "--n", "128", "--batch-size", "4",
-         "--iterations", "20", "--step-size", "0.02"]),
+        {"rhos": "0.5,0.9", "seeds": "0", "n": 128, "batch_size": 4},
+        ["--rhos", "0.5,0.9", "--seeds", "0", "--n", "128", "--batch-size", "4"]),
 }
 # --out is required on the command line for these, so a config cannot set it.
 REQUIRED_OUT = {"simulate": "data.csv", "sweep": "sweep.csv", "baselines": "bench.csv"}
