@@ -27,7 +27,8 @@ of the n fit rows, cut into ``n // batch_size`` batches of distinct rows.
 Each of its batch terms is a log-sum-exp of scores linear in Theta.  A CPC
 fit holds psi's constant column of Theta at 0: it adds the same to every
 score of a row, so it cannot change a CPC value.  :class:`BatchSpec`'s
-batch size applies to CPC only; its seed to both.
+batch size applies to CPC only; its seed to both.  ``families`` fits a
+real-x ``categorical_softmax`` by the same loop, :func:`_maximise`.
 
 Every fit is one solve over a stack of same-shape problems, and every
 fitted estimate goes through :func:`fit_and_estimate_stack`.
@@ -409,12 +410,27 @@ def _derivatives(objective: str, feats, joint, scores, blocks: int):
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _newton(objective, kind, xs, ys, seeds, batch_size: int):
+    """:func:`_maximise` on a stack of P critic problems, problem p moving the
+    cells of :func:`_cells` on the pairs :func:`_pair_rows` draws from
+    ``seeds[p]``; Theta (P, px, py) replaces its first result."""
+    n_problems, n, dx = xs.shape
+    cells = _cells(objective, kind, dx, ys.shape[2])
+    drawn = {seed: _pair_rows(objective, seed, n, batch_size) for seed in dict.fromkeys(seeds)}
+    rows, y_rows = (np.stack(a) for a in zip(*(drawn[seed] for seed in seeds)))
+    theta, *rest = _maximise(objective, _pair_features(kind, xs, ys, rows, y_rows, cells),
+                             y_rows.shape[1] // rows.shape[1])
+    mat = np.zeros((n_problems,) + cells.shape)
+    mat[:, cells] = theta
+    return (mat, *rest)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _maximise(objective, feats, blocks: int):
     """Newton's method on the objectives of a stack of P same-shape problems.
 
-    Problem p maximises its objective over the cells of :func:`_cells`,
-    theta, on the pairs that :func:`_pair_rows` draws from ``seeds[p]``.
-    Each pair's cells of ``phi psi^T`` form a column of F (q, N), so the
-    scores are ``theta F``; :func:`_derivatives` gives the gradient and
+    ``feats`` (P, q, K R) holds each pair's features as a column of F, in
+    ``blocks`` = K blocks of R pairs with block 0 the joint pairs, so the
+    scores of parameters theta (q,) are ``theta F``; :func:`_derivatives` gives the gradient and
     Hessian.  A step solves the Newton system by least squares and
     backtracks until it gains ``_ARMIJO`` of its predicted gain; a problem
     stops once half its squared Newton decrement is at most
@@ -422,22 +438,17 @@ def _newton(objective, kind, xs, ys, seeds, batch_size: int):
     stacked fit equals a lone fit bit for bit.
 
     A converged problem still takes the full step it last computed, which
-    costs no Hessian and, this close to the optimum, gains digits of Theta.
+    costs no Hessian and, this close to the optimum, gains digits of theta.
 
-    Returns Theta (P, px, py), the objective there (P,), the gradient (P, q)
+    Returns theta (P, q), the objective there (P,), the gradient (P, q)
     at the iterate that computed the last step, the steps taken (P,) and
     that iterate's half squared Newton decrement (P,).  A problem converged
-    when the decrement is at most the tolerance; it diverged when its Theta
+    when the decrement is at most the tolerance; it diverged when its theta
     is non-finite; otherwise it stopped at ``_NEWTON_ITERATIONS`` steps or at
     a line search that found no gain.
     """
-    n_problems, n, dx = xs.shape
-    cells = _cells(objective, kind, dx, ys.shape[2])
-    drawn = {seed: _pair_rows(objective, seed, n, batch_size) for seed in dict.fromkeys(seeds)}
-    rows, y_rows = (np.stack(a) for a in zip(*(drawn[seed] for seed in seeds)))
-    feats = _pair_features(kind, xs, ys, rows, y_rows, cells)
-    n_rows = rows.shape[1]
-    blocks = y_rows.shape[1] // n_rows
+    n_problems = feats.shape[0]
+    n_rows = feats.shape[2] // blocks
     value_of = functools.partial(_value_and_weights, objective, blocks=blocks)
     joint = feats[:, :, :n_rows] @ np.full(n_rows, 1.0 / n_rows)
     theta = np.zeros(joint.shape)
@@ -456,7 +467,7 @@ def _newton(objective, kind, xs, ys, seeds, batch_size: int):
         searching = ~diverged & (converged | (it < _NEWTON_ITERATIONS))
         length, value = _line_search(scores, (step[:, None] @ feats)[:, 0], value_of, value,
                                      np.where(converged, -np.inf, 2.0 * decrement), searching)
-        # A non-finite step is taken, so that the problem's Theta reports it.
+        # A non-finite step is taken, so that the problem's theta reports it.
         theta += np.where(diverged, 1.0, length)[:, None] * step
         stop = ~searching | converged | (length == 0.0)
         steps = it + (diverged | (length > 0.0))
@@ -466,9 +477,7 @@ def _newton(objective, kind, xs, ys, seeds, batch_size: int):
             if stop.all():
                 break
             live, feats, joint, theta = live[~stop], feats[~stop], joint[~stop], theta[~stop]
-    mat = np.zeros((n_problems,) + cells.shape)
-    mat[:, cells] = out[0]
-    return (mat,) + out[1:]
+    return out
 
 
 def _least_squares_step(hess, grad):

@@ -729,7 +729,6 @@ def _family_flags(p) -> None:
     p.add_argument("--clip-b", type=float, dest="clip_b")
     p.add_argument("--norm-radius", type=float, dest="norm_radius")
     p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--step-size", type=float, dest="step_size")
     p.add_argument("--tolerance", type=float)
 
 

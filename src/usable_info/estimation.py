@@ -147,9 +147,9 @@ def empirical_information(
 ) -> InfoEstimate:
     """In-sample information estimate, optionally with a PAC half-width.
 
-    Negative values can occur when an iterative conditional fit stops
-    short of the marginal optimum; they are reported raw unless
-    ``clamp=True``, which zeroes them and sets ``clamped_nonnegative``.
+    Negative values occur when a conditional fit stops short of the
+    marginal optimum, or under a clip bound that bites; they are reported
+    raw unless ``clamp=True``, which zeroes them and sets ``clamped_nonnegative``.
     """
     n = np.atleast_1d(np.asarray(xs)).shape[0]
     n_y = np.atleast_1d(np.asarray(ys)).shape[0]

@@ -27,14 +27,14 @@ determination.  Fitting a covariance would break both identities.
 All fits minimise the empirical negative log-likelihood.  Closed-form
 families solve exactly (sample mean, empirical pmf, ordinary least
 squares); ``laplace_mean`` runs Weiszfeld iteration for the geometric
-median; norm-constrained linear maps and ``categorical_softmax`` on a
-real x use gradient descent and report a diagnostic when they stop on
-the iteration cap rather than the tolerance.  On a categorical x,
-``categorical_softmax`` one-hot encodes x and adds a bias, which holds
-every conditional pmf, so its fit is the ``tabular`` count; an empty
-(x, y) cell gets probability 0, the limit of its logits.  So does a
-class that never occurs in the fitted sample, and the descent runs over
-the classes that do occur.
+median, and norm-constrained linear maps projected gradient descent;
+both report a diagnostic when they stop on the iteration cap.  On a real
+x, ``categorical_softmax`` runs the critics' Newton solver (``baselines``)
+to a certified optimum.  On a categorical x, it one-hot encodes x and
+adds a bias, which holds every conditional pmf, so its fit is the
+``tabular`` count; an empty (x, y) cell gets probability 0, the limit of
+its logits.  So does a class that never occurs in the fitted sample, and
+the Newton fit runs over the classes that do occur.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ _PMF_TOL = 1e-12
 
 
 class FitWarning(UserWarning):
-    """An iterative fit stopped at its iteration cap before the tolerance."""
+    """An iterative fit stopped before it reached its tolerance."""
 
 
 # --------------------------------------------------------------------- #
@@ -118,23 +118,17 @@ class VariableSpec:
 
 @dataclass(frozen=True)
 class FitMode:
-    """Iteration cap, step and stopping tolerance of an iterative fit.
-
-    Gradient descent (``categorical_softmax`` on a real x, norm-constrained
-    linear maps) and ``laplace_mean``'s Weiszfeld iteration read it; exact
-    fits ignore it, ``categorical_softmax`` on a categorical x among them.
-    ``step_size=None`` picks a safe step from the design curvature.
-    """
+    """Iteration cap and stopping tolerance of an iterative fit: the
+    projected descent of norm-constrained linear maps, or ``laplace_mean``'s
+    Weiszfeld iteration.  Every other fit, the Newton fit of
+    ``categorical_softmax`` among them, ignores it."""
 
     max_iters: int = 5000
-    step_size: float | None = None
     tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.step_size is not None and not _positive_finite(self.step_size):
-            raise ValueError("step_size must be positive and finite")
         if not _positive_finite(self.tolerance):
             raise ValueError("tolerance must be positive and finite")
 
@@ -150,7 +144,9 @@ class FamilyConfig:
     ``clip_b`` bounds every log-density to [-B, B] at evaluation time
     (fits are unaffected).  ``norm_radius`` constrains the spectral norm
     of the stacked linear map (W, b) and switches the linear/polynomial
-    conditional fit to projected gradient descent.
+    conditional fit to projected gradient descent.  ``fit`` is the
+    :class:`FitMode` of that descent and of ``laplace_mean``, by default
+    ``FitMode()``.
     """
 
     kind: str
@@ -374,7 +370,8 @@ class SoftmaxMap(ConditionalPredictor):
     """Multinomial logistic conditional over a finite symbol set.
 
     ``classes`` marks which of the C symbols the rows of ``theta`` score,
-    in order; every other symbol has probability 0.
+    in order; every other symbol has probability 0.  A fit holds the last
+    row at 0, since adding one vector to every row changes no pmf.
     """
 
     def __init__(self, theta, classes, x_dim: int,
@@ -485,9 +482,8 @@ def fit_marginal(config: FamilyConfig, ys) -> MarginalPredictor:
 
     y = _real_matrix(ys, "ys", config.y_spec)
     if config.kind == "laplace_mean":
-        fit = config.fit
-        mu = (geometric_median(y) if fit is None
-              else geometric_median(y, tol=fit.tolerance, max_iters=fit.max_iters))
+        fit = config.fit or FitMode()
+        mu = geometric_median(y, tol=fit.tolerance, max_iters=fit.max_iters)
         return LaplaceMean(mu, clip=config.clip_b)
     # gaussian_mean, linear_gaussian, polynomial_gaussian
     mu = y.mean(axis=0)
@@ -503,9 +499,10 @@ def fit_conditional(config: FamilyConfig, xs, ys) -> ConditionalPredictor:
 
     ``tabular``, and ``categorical_softmax`` on a categorical x, count;
     least-squares kinds solve exactly (minimum-norm solution when the
-    design is rank-deficient); ``categorical_softmax`` on a real x and
-    norm-constrained linear maps run gradient descent.  A constant-map
-    kind's conditional fit is its marginal fit wrapped to ignore x.
+    design is rank-deficient); ``categorical_softmax`` on a real x runs
+    Newton's method, and norm-constrained linear maps projected gradient
+    descent.  A constant-map kind's conditional fit is its marginal fit
+    wrapped to ignore x.
     """
     if config.kind in _CONSTANT_KINDS:
         if np.asarray(xs).shape[0] != np.asarray(ys).shape[0]:
@@ -616,7 +613,7 @@ def _project_linear_fit(design, y, weight, bias, radius, mode: FitMode):
     n = design.shape[0]
     gram = design.T @ design / n
     lam = float(np.linalg.eigvalsh(gram)[-1])
-    step = mode.step_size if mode.step_size is not None else 1.0 / (2.0 * lam + 1e-12)
+    step = 1.0 / (2.0 * lam + 1e-12)
     params = _spectral_project(np.hstack([weight, bias[:, None]]), radius)
     converged = False
     it = 0
@@ -641,46 +638,39 @@ def _project_linear_fit(design, y, weight, bias, radius, mode: FitMode):
 
 
 def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
+    """Newton's method over the C' classes present: the mean log-likelihood
+    plus log C' is the CPC objective whose block k pairs each row with the
+    class k places after its own, cyclically.  The last class's logits stay
+    0, as CPC holds psi's constant column."""
+    from .baselines import _NEWTON_TOLERANCE, _maximise  # baselines imports families
+
     yi, cy = _categorical_symbols(ys, "ys", config.y_spec)
     x = _real_matrix(xs, "xs", config.x_spec)
     if x.shape[0] != yi.shape[0]:
         raise ValueError("xs and ys have different lengths")
-    mode = config.fit or FitMode()
-
     n = x.shape[0]
     feats = np.hstack([x, np.ones((n, 1))])
-    gram = feats.T @ feats / n
-    lam = float(np.linalg.eigvalsh(gram)[-1])
-    step = mode.step_size if mode.step_size is not None else 1.0 / (lam + 1e-12)
     # An absent class's maximum-likelihood logit is -inf: fit only those present.
     classes = np.bincount(yi, minlength=cy) > 0
-    onehot = np.zeros((n, int(classes.sum())))
-    onehot[np.arange(n), (np.cumsum(classes) - 1)[yi]] = 1.0
-    theta = np.zeros((onehot.shape[1], feats.shape[1]))
-    converged = False
-    it = 0
-    grad_norm = math.inf
-    for it in range(1, mode.max_iters + 1):
-        logits = feats @ theta.T
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        grad = (probs - onehot).T @ feats / n
-        grad_norm = float(np.linalg.norm(grad))
-        if grad_norm <= mode.tolerance:
-            converged = True
-            break
-        theta -= step * grad
-    diagnostics = {"iterations": it, "converged": converged,
-                   "grad_norm": grad_norm, "step_size": step}
+    k = int(classes.sum())
+    theta = np.zeros((k, feats.shape[1]))
+    steps, decrement = 0, 0.0
+    if k > 1:
+        # shifted[b, r]: the class of row r's pair in block b, block 0 its own.
+        shifted = ((np.cumsum(classes) - 1)[yi] + np.arange(k)[:, None]) % k
+        blocks, rows = np.nonzero(shifted < k - 1)
+        pairs = np.zeros((k - 1, feats.shape[1], k, n))
+        pairs[shifted[blocks, rows], :, blocks, rows] = feats[rows]
+        free, _, _, (steps,), (decrement,) = _maximise("cpc", pairs.reshape(1, -1, k * n), k)
+        theta[:-1] = free.reshape(k - 1, -1)
+    converged = bool(decrement <= _NEWTON_TOLERANCE)
     if not converged:
-        warnings.warn(
-            f"softmax fit stopped after {it} iterations "
-            f"(gradient norm {grad_norm:.3e} > tolerance {mode.tolerance:.3e})",
-            FitWarning,
-        )
-    return SoftmaxMap(theta, classes, x_dim=x.shape[1],
-                      clip=config.clip_b, diagnostics=diagnostics)
+        warnings.warn(f"softmax fit stopped after {steps} Newton steps (half squared "
+                      f"decrement {decrement:.3e} > tolerance {_NEWTON_TOLERANCE:.3e})",
+                      FitWarning)
+    return SoftmaxMap(theta, classes, x_dim=x.shape[1], clip=config.clip_b,
+                      diagnostics={"iterations": int(steps), "converged": converged,
+                                   "decrement": float(decrement)})
 
 
 # --------------------------------------------------------------------- #

@@ -356,16 +356,17 @@ def test_categorical_cardinality_below_two_exits_3(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
+def test_estimate_nonconvergence_exits_4(tmp_path, capsys, monkeypatch):
+    # One Newton step cannot certify this softmax fit's optimum.
     rng = np.random.default_rng(3)
     ds = Dataset(variables=[rng.normal(size=(40, 1)),
                             rng.integers(0, 2, 40)],
                  specs=[VariableSpec.real(1), VariableSpec.categorical(2)])
     path = tmp_path / "d.csv"
     write_dataset_csv(ds, path)
+    monkeypatch.setattr(baselines, "_NEWTON_ITERATIONS", 1)
     rc = main(["estimate", "--data", str(path), "--x-cols", "var0",
                "--y-cols", "var1", "--family", "categorical_softmax",
-               "--max-iters", "1", "--tolerance", "1e-15",
                "--out", str(tmp_path / "e.json")])
     assert rc == 4
     assert "numerical failure" in capsys.readouterr().err
@@ -373,7 +374,6 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--norm-radius", "1", "--step-size", "nan"], "step_size must be positive and finite"),
     (["--norm-radius", "1", "--tolerance", "nan"], "tolerance must be positive and finite"),
     (["--family", "laplace_mean", "--tolerance", "inf"],
      "tolerance must be positive and finite"),
@@ -556,10 +556,10 @@ def test_run_records_carry_the_fit_settings(correlated_csv, tmp_path, form):
         assert main([command, *argv, "--out", str(out)]) == 0
         records[command] = json.loads(out.read_text())["config"]
     for config in records.values():
-        assert (config["max_iters"], config["step_size"], config["tolerance"]) == (
-            3000, None, 1e-4)
+        assert (config["max_iters"], config["tolerance"]) == (3000, 1e-4)
+        assert "step_size" not in config
     assert records["tree"] == {"data": str(path), "truth": str(truth), "clip_b": None,
-                               "order": None, **family, "step_size": None}
+                               "order": None, **family}
 
 
 def test_tree_sim_config_from_config_file(tmp_path):
@@ -918,6 +918,25 @@ def test_baselines_step_flags_and_config_keys_are_gone(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["tree", "estimate"])
+def test_family_step_size_flag_and_config_key_are_gone(correlated_csv, tmp_path, capsys,
+                                                       command):
+    # The projected descent always takes its safe step, and softmax is a Newton fit.
+    path, _ = correlated_csv
+    out = tmp_path / "out.json"
+    argv = [command, "--data", str(path), "--family", "linear_gaussian",
+            "--norm-radius", "1", "--out", str(out)]
+    if command == "estimate":
+        argv += ["--x-cols", "var0", "--y-cols", "var1"]
+    assert main(argv + ["--step-size", "0.01"]) == 2
+    assert "error: unrecognized arguments: --step-size 0.01" in capsys.readouterr().err
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"step_size": 0.01}))
+    assert main(argv + ["--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: unknown config key 'step_size'\n"
+    assert not out.exists()
+
+
 def _baselines_by_row(rhos, seeds, n, spec):
     """The baselines table as one stack of one per row and objective: the
     oracle of the stacked command."""
@@ -1199,12 +1218,12 @@ CONFIG_CASES = {
     "estimate-radii": (
         "estimate",
         {"data": "../data.csv", "x_cols": "var0", "y_cols": "var1", "family": "linear_gaussian",
-         "norm_radius": 1.0, "clip_b": 50, "max_iters": 3000, "step_size": 0.01,
+         "norm_radius": 1.0, "clip_b": 50, "max_iters": 3000,
          "tolerance": 1e-6, "pac": True, "delta": 0.1, "pac_b": 50, "kx": 1, "ky": 1,
          "out": "est.json"},
         ["--data", "../data.csv", "--x-cols", "var0", "--y-cols", "var1",
          "--family", "linear_gaussian", "--norm-radius", "1", "--clip-b", "50",
-         "--max-iters", "3000", "--step-size", "0.01", "--tolerance", "1e-6", "--pac",
+         "--max-iters", "3000", "--tolerance", "1e-6", "--pac",
          "--delta", "0.1", "--pac-b", "50", "--kx", "1", "--ky", "1", "--out", "est.json"]),
     "estimate-rademacher": (
         "estimate",
@@ -1225,10 +1244,10 @@ CONFIG_CASES = {
     "tree-sim_config": (
         "tree",
         {"sim_config": "../sim.json", "seed": 11, "family": "linear_gaussian",
-         "norm_radius": 1.0, "max_iters": 3000, "step_size": 0.01, "tolerance": 1e-6,
+         "norm_radius": 1.0, "max_iters": 3000, "tolerance": 1e-6,
          "out": "tree.json"},
         ["--sim-config", "../sim.json", "--seed", "11", "--family", "linear_gaussian",
-         "--norm-radius", "1", "--max-iters", "3000", "--step-size", "0.01",
+         "--norm-radius", "1", "--max-iters", "3000",
          "--tolerance", "1e-6", "--out", "tree.json"]),
     "sweep": (
         "sweep",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from usable_info import baselines
 from usable_info.errors import NumericalError
 from usable_info.estimation import (
     empirical_conditional_entropy,
@@ -12,6 +13,8 @@ from usable_info.estimation import (
     empirical_information,
 )
 from usable_info.families import (
+    _CATEGORICAL_KINDS,
+    FAMILY_KINDS,
     FamilyConfig,
     FitMode,
     FitWarning,
@@ -22,6 +25,7 @@ from usable_info.families import (
     laplace_log_normalizer,
     log_density,
 )
+from usable_info.synth import SimulationConfig, simulate
 
 LOG_PI = math.log(math.pi)
 
@@ -198,27 +202,100 @@ def test_rank_deficient_design_uses_minimum_norm_solution():
 
 
 def test_softmax_conditional_learns_separable_labels():
+    # The optimum is not attained: the fit certifies once the in-sample
+    # negative log-likelihood is within the tolerance of its infimum, 0.
     rng = np.random.default_rng(3)
     xs = np.concatenate([rng.normal(-2.0, 0.3, 60), rng.normal(2.0, 0.3, 60)])
     ys = np.concatenate([np.zeros(60, int), np.ones(60, int)])
-    cfg = FamilyConfig("categorical_softmax", fit=FitMode(max_iters=4000, tolerance=1e-3))
-    pred = fit_conditional(cfg, xs, ys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        pred = fit_conditional(FamilyConfig("categorical_softmax"), xs, ys)
+    assert pred.diagnostics["converged"]
+    assert -pred.log_densities(xs, ys).mean() < 1e-9
     probs_lo = np.exp(pred._log_probs([-2.0]))[0]
     probs_hi = np.exp(pred._log_probs([2.0]))[0]
     assert probs_lo[0] > 0.9
     assert probs_hi[1] > 0.9
 
 
-def test_softmax_nonconvergence_warns_with_diagnostic():
+def test_softmax_nonconvergence_warns_with_diagnostic(monkeypatch):
+    # Separable labels take many Newton steps; two cannot certify the fit.
+    monkeypatch.setattr(baselines, "_NEWTON_ITERATIONS", 2)
     rng = np.random.default_rng(4)
     xs = rng.normal(size=50)
     ys = (xs > 0).astype(int)
-    cfg = FamilyConfig("categorical_softmax",
-                       fit=FitMode(max_iters=2, tolerance=1e-12))
-    with pytest.warns(FitWarning):
-        pred = fit_conditional(cfg, xs, ys)
+    with pytest.warns(FitWarning, match=r"^softmax fit stopped after 2 Newton steps "
+                                        r"\(half squared decrement .* > tolerance 1\.000e-10\)$"):
+        pred = fit_conditional(FamilyConfig("categorical_softmax"), xs, ys)
     assert pred.diagnostics["converged"] is False
     assert pred.diagnostics["iterations"] == 2
+    assert pred.diagnostics["decrement"] > 1e-10
+
+
+def _softmax_data(n, scale=1.0):
+    """n rows of a 2-d real x and a 3-class y with logits [0, 2 x_0, -1.5 x_1]."""
+    rng = np.random.default_rng(0)
+    xs = rng.normal(size=(n, 2))
+    logits = np.column_stack([np.zeros(n), 2.0 * xs[:, 0], -1.5 * xs[:, 1]])
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    ys = (probs.cumsum(axis=1) > rng.random((n, 1))).argmax(axis=1)
+    return scale * xs, ys
+
+
+def test_softmax_fit_matches_the_scipy_optimum():
+    optimize = pytest.importorskip("scipy.optimize")
+    xs, ys = _softmax_data(300)
+    pred = fit_conditional(FamilyConfig("categorical_softmax"), xs, ys)
+    assert pred.diagnostics["converged"]
+    design = np.hstack([xs, np.ones((300, 1))])
+    onehot = np.eye(3)[ys]
+
+    def nll(free):
+        # The last class's logits are 0, as in the fit.
+        logits = design @ np.vstack([free.reshape(2, 3), np.zeros(3)]).T
+        top = logits.max(axis=1, keepdims=True)
+        log_probs = logits - top - np.log(np.exp(logits - top).sum(axis=1, keepdims=True))
+        grad = (np.exp(log_probs) - onehot).T @ design / 300
+        return -np.mean(log_probs[np.arange(300), ys]), grad[:2].ravel()
+
+    def hess(free):
+        logits = design @ np.vstack([free.reshape(2, 3), np.zeros(3)]).T
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = (probs / probs.sum(axis=1, keepdims=True))[:, :2]
+        cov = probs[:, :, None] * (np.eye(2) - probs[:, None, :])
+        return np.einsum("nab,ni,nj->aibj", cov, design, design).reshape(6, 6) / 300
+
+    best = optimize.minimize(nll, np.zeros(6), jac=True, hess=hess, method="trust-exact",
+                             options={"gtol": 1e-13})
+    assert -pred.log_densities(xs, ys).mean() == pytest.approx(best.fun, abs=1e-10)
+    want = np.exp(pred._log_probs(xs))
+    logits = design @ np.vstack([best.x.reshape(2, 3), np.zeros(3)]).T
+    got = np.exp(logits - logits.max(axis=1, keepdims=True))
+    assert np.allclose(want, got / got.sum(axis=1, keepdims=True), rtol=0, atol=1e-8)
+
+
+def test_softmax_estimate_is_invariant_to_rescaling_x():
+    # The family is closed under invertible affine maps of x, and the Newton
+    # system is solved on a unit diagonal, so no scale of x is special.
+    config = FamilyConfig("categorical_softmax")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        values = [empirical_information(config, *_softmax_data(500, scale)).point_estimate
+                  for scale in (1.0, 1e6, 1e-6)]
+    assert values[0] == pytest.approx(0.3255975980665795, abs=1e-9)
+    assert values[1:] == pytest.approx([values[0]] * 2, abs=1e-9)
+
+
+def test_softmax_with_one_class_present_is_the_constant_pmf():
+    xs = np.random.default_rng(5).normal(size=(40, 2))
+    ys = np.full(40, 2)
+    config = FamilyConfig("categorical_softmax", y_spec=VariableSpec.categorical(4))
+    pred = fit_conditional(config, xs, ys)
+    assert pred.diagnostics == {"iterations": 0, "converged": True, "decrement": 0.0}
+    assert np.array_equal(pred.at(xs[0]).pmf, [0.0, 0.0, 1.0, 0.0])
+    assert np.array_equal(pred.log_densities(xs, ys), np.zeros(40))
+    assert empirical_information(config, xs, ys).point_estimate == 0.0
 
 
 # ------------------------------------------------------------------ #
@@ -294,8 +371,7 @@ def _probe_pairs(kind, rng):
 def test_optional_ignorance(kind, order):
     rng = np.random.default_rng(11)
     xs, ys = _probe_pairs(kind, rng)
-    fit = FitMode(max_iters=500) if kind == "categorical_softmax" else None
-    cfg = FamilyConfig(kind, order=order, fit=fit)
+    cfg = FamilyConfig(kind, order=order)
     pred = fit_conditional(cfg, xs, ys)
     probe_xs, probe_ys = _probe_pairs(kind, np.random.default_rng(12))
     anchor = xs[0]
@@ -371,20 +447,19 @@ def test_categorical_softmax_marginal_is_shannon_entropy():
     assert h == pytest.approx(_shannon(np.bincount(ys)), abs=1e-9)
 
 
-def _onehot_descent(xs, cardinality, ys, y_spec, clip_b=None):
-    """Softmax descent on x's one-hot matrix passed as a real x: the design
-    ``[onehot, 1]`` of softmax on a categorical x, fitted by gradient
-    descent.  The tolerance is tight because a clip bound that bites makes
-    the in-sample mean first order in the residual gradient."""
+def _onehot_fit(xs, cardinality, ys, y_spec, clip_b=None):
+    """Softmax on x's one-hot matrix passed as a real x: the design
+    ``[onehot, 1]`` of softmax on a categorical x, fitted by Newton's
+    method.  The design's columns are collinear, which the ridge of the
+    Newton system absorbs."""
     onehot = np.eye(cardinality)[xs]
-    cfg = FamilyConfig("categorical_softmax", y_spec=y_spec, clip_b=clip_b,
-                       fit=FitMode(tolerance=1e-12))
+    cfg = FamilyConfig("categorical_softmax", y_spec=y_spec, clip_b=clip_b)
     return onehot, fit_conditional(cfg, onehot, ys)
 
 
 def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
     # One-hot x plus a bias is a saturated model, so the fit is the
-    # empirical conditional pmf, counted; the descent converges to it.
+    # empirical conditional pmf, counted; the Newton fit converges to it.
     rng = np.random.default_rng(14)
     xs = rng.integers(0, 3, 300)
     ys = (xs + (rng.random(300) < 0.35) * rng.integers(1, 3, 300)) % 3
@@ -397,7 +472,7 @@ def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
     assert (empirical_information(softmax, xs, ys).point_estimate
             == empirical_information(tabular, xs, ys).point_estimate)
     pred = fit_conditional(softmax, xs, ys)
-    _, oracle = _onehot_descent(xs, 3, ys, spec)
+    _, oracle = _onehot_fit(xs, 3, ys, spec)
     assert oracle.diagnostics["converged"]
     for x in range(3):
         assert np.array_equal(pred.at(x).pmf, counts[x] / counts[x].sum())
@@ -407,6 +482,8 @@ def test_softmax_on_categorical_x_matches_the_plug_in_conditional():
 
 @pytest.mark.parametrize("clip_b", [None, 1.0])
 def test_counted_softmax_fit_matches_the_one_hot_descent(clip_b):
+    # A clip bound that bites makes the in-sample mean first order in the
+    # fit's error, so this needs the certified optimum.
     rng = np.random.default_rng(16)
     xs = rng.integers(0, 4, 600)
     ys = (xs + rng.choice(4, 600, p=[0.55, 0.25, 0.12, 0.08])) % 4
@@ -416,7 +493,7 @@ def test_counted_softmax_fit_matches_the_one_hot_descent(clip_b):
     spec = VariableSpec.categorical(4)
     pred = fit_conditional(FamilyConfig("categorical_softmax", x_spec=spec, y_spec=spec,
                                         clip_b=clip_b), xs, ys)
-    onehot, oracle = _onehot_descent(xs, 4, ys, spec, clip_b=clip_b)
+    onehot, oracle = _onehot_fit(xs, 4, ys, spec, clip_b=clip_b)
     assert oracle.diagnostics["converged"]
     counted = pred.log_densities(xs, ys)
     if clip_b is not None:
@@ -427,7 +504,7 @@ def test_counted_softmax_fit_matches_the_one_hot_descent(clip_b):
 
 def test_softmax_on_categorical_x_with_an_empty_cell_gives_the_plug_in_value():
     # An empty (x, y) cell has maximum-likelihood logit -inf, which a
-    # descent only approaches; the counted fit reaches it, whatever FitMode.
+    # Newton fit only approaches; the counted fit reaches it, whatever FitMode.
     rng = np.random.default_rng(0)
     xs = rng.integers(0, 4, 2000)
     ys = np.where(rng.random(2000) < 0.9, xs, (xs + 1) % 4)
@@ -467,7 +544,7 @@ def test_softmax_gives_a_class_that_never_occurs_probability_zero():
     softmax = FamilyConfig("categorical_softmax", x_spec=VariableSpec.categorical(3),
                            y_spec=y_spec)
     pred = fit_conditional(softmax, xs, ys)
-    _, oracle = _onehot_descent(xs, 3, ys, y_spec)
+    _, oracle = _onehot_fit(xs, 3, ys, y_spec)
     assert oracle.diagnostics["converged"]
     for x in range(3):
         assert np.array_equal(pred.at(x).pmf, counts[x] / counts[x].sum())
@@ -501,14 +578,13 @@ _CATEGORICAL_FITS = {
     "softmax y": (
         "ys",
         lambda spec, s: fit_conditional(
-            FamilyConfig("categorical_softmax", y_spec=spec, fit=FitMode(max_iters=1)),
+            FamilyConfig("categorical_softmax", y_spec=spec),
             np.zeros((s.size, 1)), s),
         lambda pred: pred.classes.shape[0],
     ),
 }
 
 
-@pytest.mark.filterwarnings("ignore::usable_info.families.FitWarning")
 @pytest.mark.parametrize("case", sorted(_CATEGORICAL_FITS))
 def test_categorical_fits_share_one_symbol_rule(case):
     name, fit, cardinality = _CATEGORICAL_FITS[case]
@@ -623,8 +699,22 @@ def test_geometric_median_rejects_bad_iteration_settings(kwargs):
         geometric_median(pts, **kwargs)
 
 
+@pytest.mark.parametrize("kind", FAMILY_KINDS)
+def test_no_fit_mode_is_the_default_fit_mode(kind):
+    # laplace_mean's Weiszfeld iteration read its own defaults without a FitMode.
+    dataset, _ = simulate(SimulationConfig("sim2", n=300, seed=1, m=7, d=2))
+    xs, ys = dataset.variables[0], dataset.variables[1]
+    if kind == "tabular":
+        xs = (xs[:, 0] > np.median(xs[:, 0])).astype(int)
+    if kind in _CATEGORICAL_KINDS:
+        ys = (ys[:, 0] > np.median(ys[:, 0])).astype(int) + (ys[:, 1] > 0)
+    order = 2 if kind == "polynomial_gaussian" else None
+    default = empirical_information(FamilyConfig(kind, order=order), xs, ys)
+    assert default == empirical_information(
+        FamilyConfig(kind, order=order, fit=FitMode()), xs, ys)
+
+
 @pytest.mark.parametrize("settings", [
-    {"step_size": math.nan}, {"step_size": math.inf}, {"step_size": -1.0},
     {"tolerance": math.nan}, {"tolerance": math.inf}, {"tolerance": 0.0},
     {"max_iters": 0},
 ])
