@@ -374,6 +374,7 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("flags,message", [
+    (["--norm-radius", "1", "--tolerance=-inf"], "tolerance must be positive and finite"),
     (["--norm-radius", "1", "--tolerance", "nan"], "tolerance must be positive and finite"),
     (["--family", "laplace_mean", "--tolerance", "inf"],
      "tolerance must be positive and finite"),
