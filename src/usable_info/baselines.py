@@ -37,7 +37,14 @@ the ordered pairs of the same dimensions, and ``usable-info baselines`` the
 ``(rho, seed)`` rows of an objective.  Each problem sees the floating-point
 operations of a lone fit, the pairs of its own seed and its own stop, so a
 stacked fit equals a lone fit bit for bit; problems that share a seed draw
-once.
+once.  A solve holds each problem's pair features, one contiguous row per
+moved cell of Theta, and a few vectors per pair: the scores, pair weights
+and value carried from the trial its line search accepted, a step's score
+moves and a trial's.  It builds one problem's Hessian at a time in one
+shared buffer, and compacts finished problems out in place.
+:func:`fit_and_estimate_stack` cuts a stack into chunks of as many problems
+as ``_NEWTON_FLOATS`` floats hold by that count, and scores all of a
+chunk's eval pairs at once.
 
 Samples are checked as the families check them (``families._real_matrix``):
 every entry point, and every problem of a stack, raises ``ValueError`` on
@@ -78,8 +85,11 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_CAP = 50.0
 # fit_and_estimate_stack fits its problems in chunks, so that the arrays of
-# one stacked Newton solve hold at most this many floats.  Chunks are small:
-# every Newton step reads their features again.
+# one stacked Newton solve hold at most this many floats (1 MB).  Most of them
+# are the pair features, one float per pair and moved cell, which every Newton
+# step reads four times; the rest are a few vectors per pair.  Every step of a
+# solve costs the same numpy calls however many problems it holds, so the
+# fuller the chunks, the fewer the calls; the budget bounds the memory.
 _NEWTON_FLOATS = 1 << 17
 # An NWJ fit's product pairs are its n diagonal pairs and the pairs of this
 # many fixed permutations of its rows.
@@ -343,18 +353,19 @@ def _pair_rows(objective: str, seed: int, n: int, batch_size: int):
 
 def _pair_features(kind, xs, ys, rows, y_rows, cells) -> np.ndarray:
     """The fitted ``cells`` of phi psi^T of every pair of a stack of P
-    problems, the pairs on the last axis: (P, q, K R).  Problem p's pairs
-    are those of :func:`_pair_rows` with ``rows[p]`` and ``y_rows[p]``."""
+    problems, the pairs on the last axis: (P, q, K R), C-contiguous, so that
+    each pass over a problem's features reads them in order.  Problem p's
+    pairs are those of :func:`_pair_rows` with ``rows[p]`` and ``y_rows[p]``."""
     n_problems, n_rows = rows.shape
-    stack = np.arange(n_problems)[:, None]
     # A CPC fit moves no cell of psi's last entry, its constant 1.
     width = cells.shape[1] - (not cells[:, -1].any())
     cells = cells[:, :width]
-    psi = _side(kind, ys)[stack, y_rows][..., :width]
-    outer = (_side(kind, xs[stack, rows]).transpose(0, 2, 1)[:, :, None, None, :]
-             * psi.transpose(0, 2, 1).reshape(n_problems, 1, width, -1, n_rows))
-    del psi
-    feats = outer.reshape(n_problems, -1, outer.shape[3] * n_rows)
+    phi = np.take_along_axis(_side(kind, xs).transpose(0, 2, 1), rows[:, None], axis=2)
+    psi = np.take_along_axis(_side(kind, ys)[..., :width].transpose(0, 2, 1), y_rows[:, None],
+                             axis=2)
+    feats = np.empty((n_problems, cells.size, y_rows.shape[1]))
+    np.multiply(phi[:, :, None, None], psi.reshape(n_problems, 1, width, -1, n_rows),
+                out=feats.reshape(n_problems, cells.shape[0], width, -1, n_rows))
     return feats if cells.all() else feats[:, cells.ravel()]
 
 
@@ -376,36 +387,42 @@ def _value_and_weights(objective: str, scores: np.ndarray, blocks: int):
     ``e^-1 exp(s) / (K R)``.  CPC: the mean over rows r of ``s_rr -
     logsumexp_j s_rj + log b``; w is the softmax weight of a row's pairs
     over R.  A CPC row is shifted by its joint score, which keeps its sum of
-    exponentials at least 1."""
+    exponentials at least 1.  The weights are the one new (P, K R) array."""
     n_rows = scores.shape[1] // blocks
     if objective == "nwj":
         exp = np.exp(scores)
-        return _nwj_value(scores[:, :n_rows], exp), math.exp(-1.0) / scores.shape[1] * exp
+        value = _nwj_value(scores[:, :n_rows], exp)
+        return value, np.multiply(exp, math.exp(-1.0) / scores.shape[1], out=exp)
     rows = scores.reshape(len(scores), blocks, n_rows)
-    exp = np.exp(rows - rows[:, :1])
+    exp = np.subtract(rows, rows[:, :1])
+    np.exp(exp, out=exp)
     total = exp.sum(axis=1)
-    return (math.log(blocks) - np.log(total).mean(axis=1),
-            (exp / (n_rows * total[:, None])).reshape(scores.shape))
+    value = math.log(blocks) - np.log(total).mean(axis=1)
+    return value, np.divide(exp, n_rows * total[:, None], out=exp).reshape(scores.shape)
 
 
-def _derivatives(objective: str, feats, joint, scores, blocks: int):
-    """The objective values (P,), gradients (P, q) and negated Hessians
-    (P, q, q) of a stack at the scores (P, K R) of its pairs' features
-    ``feats`` (P, q, K R), ``joint`` being the joint pairs' mean feature (P, q).
+def _derivatives(objective: str, feats, joint, weights, blocks: int):
+    """The gradients (P, q) and negated Hessians (P, q, q) of a stack whose
+    pairs' features are ``feats`` (P, q, K R), at the pair weights ``weights``
+    (P, K R) of :func:`_value_and_weights`, ``joint`` being the joint pairs'
+    mean feature (P, q).
 
-    With the weights w of :func:`_value_and_weights`, the gradient is
-    ``joint - F w`` and the negated Hessian ``F diag(w) F^T``, less ``R G
-    G^T`` for CPC, whose G (q, R) holds each row's sum of its pairs' w times
-    their features.  Both negated Hessians are positive semidefinite: the
-    objectives are concave."""
-    value, weights = _value_and_weights(objective, scores, blocks)
+    The gradient is ``joint - F w`` and the negated Hessian ``F diag(w)
+    F^T``, less ``R G G^T`` for CPC, whose G (q, R) holds each row's sum of
+    its pairs' w times their features.  Both negated Hessians are positive
+    semidefinite: the objectives are concave.  The problems' ``F diag(w)``
+    share one (q, K R) buffer, one problem at a time."""
     grad = joint - (feats @ weights[..., None])[..., 0]
-    weighted = feats * weights[:, None]
-    hess = weighted @ feats.transpose(0, 2, 1)
-    if objective == "cpc":
-        sums = weighted.reshape(weighted.shape[:2] + (blocks, -1)).sum(axis=2)
-        hess -= sums.shape[2] * (sums @ sums.transpose(0, 2, 1))
-    return value, grad, hess
+    n_problems, q, n_pairs = feats.shape
+    hess = np.empty((n_problems, q, q))
+    weighted = np.empty((q, n_pairs))
+    for f, w, h in zip(feats, weights, hess):
+        np.multiply(f, w, out=weighted)
+        np.matmul(weighted, f.T, out=h)
+        if objective == "cpc":
+            sums = weighted.reshape(q, blocks, -1).sum(axis=1)
+            h -= sums.shape[1] * (sums @ sums.T)
+    return grad, hess
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -417,8 +434,11 @@ def _newton(objective, kind, xs, ys, seeds, batch_size: int):
     cells = _cells(objective, kind, dx, ys.shape[2])
     drawn = {seed: _pair_rows(objective, seed, n, batch_size) for seed in dict.fromkeys(seeds)}
     rows, y_rows = (np.stack(a) for a in zip(*(drawn[seed] for seed in seeds)))
-    theta, *rest = _maximise(objective, _pair_features(kind, xs, ys, rows, y_rows, cells),
-                             y_rows.shape[1] // rows.shape[1])
+    del drawn
+    feats = _pair_features(kind, xs, ys, rows, y_rows, cells)
+    blocks = y_rows.shape[1] // rows.shape[1]
+    del rows, y_rows
+    theta, *rest = _maximise(objective, feats, blocks)
     mat = np.zeros((n_problems,) + cells.shape)
     mat[:, cells] = theta
     return (mat, *rest)
@@ -430,12 +450,16 @@ def _maximise(objective, feats, blocks: int):
 
     ``feats`` (P, q, K R) holds each pair's features as a column of F, in
     ``blocks`` = K blocks of R pairs with block 0 the joint pairs, so the
-    scores of parameters theta (q,) are ``theta F``; :func:`_derivatives` gives the gradient and
-    Hessian.  A step solves the Newton system by least squares and
-    backtracks until it gains ``_ARMIJO`` of its predicted gain; a problem
-    stops once half its squared Newton decrement is at most
+    scores of parameters theta (q,) are ``theta F``; :func:`_derivatives`
+    gives the gradient and Hessian.  A step solves the Newton system by
+    least squares and backtracks until it gains ``_ARMIJO`` of its predicted
+    gain; a problem stops once half its squared Newton decrement is at most
     ``_NEWTON_TOLERANCE``.  Each problem steps and stops on its own, so a
-    stacked fit equals a lone fit bit for bit.
+    stacked fit equals a lone fit bit for bit.  Each problem carries its
+    scores, value and pair weights from the trial its line search accepted,
+    starting from theta = 0 and scores of 0, so no step recomputes
+    ``theta F``.  Finished problems are compacted out of ``feats`` in place,
+    so it is overwritten.
 
     A converged problem still takes the full step it last computed, which
     costs no Hessian and, this close to the optimum, gains digits of theta.
@@ -447,17 +471,18 @@ def _maximise(objective, feats, blocks: int):
     is non-finite; otherwise it stopped at ``_NEWTON_ITERATIONS`` steps or at
     a line search that found no gain.
     """
-    n_problems = feats.shape[0]
-    n_rows = feats.shape[2] // blocks
+    n_problems, _, n_pairs = feats.shape
+    n_rows = n_pairs // blocks
     value_of = functools.partial(_value_and_weights, objective, blocks=blocks)
     joint = feats[:, :, :n_rows] @ np.full(n_rows, 1.0 / n_rows)
     theta = np.zeros(joint.shape)
+    scores = np.zeros((n_problems, n_pairs))
+    value, weights = value_of(scores)
     out = (np.zeros(theta.shape), np.full(n_problems, np.nan), np.full(theta.shape, np.nan),
            np.zeros(n_problems, dtype=int), np.full(n_problems, np.inf))
     live = np.arange(n_problems)
     for it in range(_NEWTON_ITERATIONS + 1):
-        scores = (theta[:, None] @ feats)[:, 0]
-        value, grad, hess = _derivatives(objective, feats, joint, scores, blocks)
+        grad, hess = _derivatives(objective, feats, joint, weights, blocks)
         step = _least_squares_step(hess, grad)
         decrement = 0.5 * (grad * step).sum(axis=1)
         diverged = ~np.isfinite(decrement)
@@ -465,8 +490,8 @@ def _maximise(objective, feats, blocks: int):
         # A converged problem takes its full Newton step: a slope of -inf
         # passes any finite value.
         searching = ~diverged & (converged | (it < _NEWTON_ITERATIONS))
-        length, value = _line_search(scores, (step[:, None] @ feats)[:, 0], value_of, value,
-                                     np.where(converged, -np.inf, 2.0 * decrement), searching)
+        length = _line_search(scores, (step[:, None] @ feats)[:, 0], value_of, value, weights,
+                              np.where(converged, -np.inf, 2.0 * decrement), searching)
         # A non-finite step is taken, so that the problem's theta reports it.
         theta += np.where(diverged, 1.0, length)[:, None] * step
         stop = ~searching | converged | (length == 0.0)
@@ -476,8 +501,20 @@ def _maximise(objective, feats, blocks: int):
                 where[live[stop]] = now[stop]
             if stop.all():
                 break
-            live, feats, joint, theta = live[~stop], feats[~stop], joint[~stop], theta[~stop]
+            live, joint, theta, value, feats, scores, weights = _compact(
+                (live, joint, theta, value, feats, scores, weights), ~stop)
     return out
+
+
+def _compact(arrays, keep):
+    """The rows ``keep`` of each array, moved in order to its front in place:
+    views of the first ``keep.sum()`` rows."""
+    kept = np.flatnonzero(keep)
+    for new, old in enumerate(kept):
+        if new != old:
+            for a in arrays:
+                a[new] = a[old]
+    return [a[:len(kept)] for a in arrays]
 
 
 def _least_squares_step(hess, grad):
@@ -502,25 +539,31 @@ def _least_squares_step(hess, grad):
     return step
 
 
-def _line_search(scores, moves, value_of, value, slope, searching):
+def _line_search(scores, moves, value_of, value, weights, slope, searching):
     """Armijo backtracking for the rows of ``searching``: each row's step
     length t in 1, 1/2, 1/4, ... at which the objective ``value_of`` of
     ``scores + t * moves`` (P, N) gains at least ``_ARMIJO * t * slope`` over
-    ``value``, and the value there.  A row that searches ``_BACKTRACKS``
-    lengths in vain, or does not search, gets length 0 and keeps ``value``."""
+    ``value``.  A row that passes takes the trial's scores, value and pair
+    weights into ``scores``, ``value`` and ``weights`` in place.  A row that
+    searches ``_BACKTRACKS`` lengths in vain, or does not search, gets length
+    0 and keeps its own."""
     length = np.ones(len(value))
-    gained = value.copy()
     pending = searching.copy()
+    trial = np.empty(scores.shape)
     for _ in range(_BACKTRACKS):
-        trial_value = value_of(scores + length[:, None] * moves)[0]
+        np.multiply(length[:, None], moves, out=trial)
+        trial += scores
+        trial_value, trial_weights = value_of(trial)
         passed = pending & (trial_value >= value + _ARMIJO * length * slope)
-        gained[passed] = trial_value[passed]
+        value[passed] = trial_value[passed]
+        np.copyto(scores, trial, where=passed[:, None])
+        np.copyto(weights, trial_weights, where=passed[:, None])
         pending &= ~passed
         if not pending.any():
             break
         length[pending] *= 0.5
     length[pending | ~searching] = 0.0
-    return length, gained
+    return length
 
 
 # --------------------------------------------------------------------- #
@@ -568,12 +611,16 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
         raise ValueError("not enough eval samples for one batch")
     if objective == "nwj" and perms is None:
         perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
-    # Floats one problem holds at once, at most: its pairs' features and their
-    # weighted copy, six per-pair vectors, and the eval maps and scores.
+    # Floats one problem holds at once, at most: per pair, a feature for each
+    # moved cell and either five vectors while it is solved (scores, weights,
+    # score moves, a line-search trial and the trial's weights) or psi's
+    # gathered entries and y row while its features are built; then its eval
+    # maps and scores.  A solve also holds one problem's weighted features.
     pairs = ((_NWJ_PERMUTATIONS + 1) * n_fit if objective == "nwj"
              else (n_fit - n_fit % spec.batch_size) * spec.batch_size)
-    floats = pairs * (2 * (dx + 1) * (dy + 1) + 6) + 3 * n_eval * (dx + dy + 2)
-    size = max(1, _NEWTON_FLOATS // floats)
+    moved = int(_cells(objective, "bilinear", dx, dy).sum())
+    floats = pairs * (moved + max(5, dy + 2)) + 3 * n_eval * (dx + dy + 2)
+    size = max(1, (_NEWTON_FLOATS - pairs * moved) // floats)
     values = np.empty(n_problems)
     failures = []
     for k in range(0, n_problems, size):
@@ -608,20 +655,19 @@ def _estimates(objective, mat, xs, ys, perms, batch_size: int):
 
     ``mat`` is Theta (P, px, py); problem p evaluates on ``xs[p]``,
     ``ys[p]`` and, for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
-    CPC scores one problem's batches at once.  numpy's overflow and invalid
-    warnings are silenced, as the second array reports them.
+    CPC scores every problem's batches in one product, and logs one capped
+    record per problem.  numpy's overflow and invalid warnings are silenced,
+    as the second array reports them.
     """
     n_problems, n = xs.shape[:2]
     if objective == "cpc":
-        # One problem's score grids at a time: its full batches, (n // b, b, b).
-        used, batches = n - n % batch_size, (-1, batch_size, mat.shape[2])
-        values, non_finite = np.empty(n_problems), np.empty(n_problems, dtype=bool)
-        for p in range(n_problems):
-            scores = ((_side("bilinear", xs[p, :used]) @ mat[p]).reshape(batches)
-                      @ _side("bilinear", ys[p, :used]).reshape(batches).transpose(0, 2, 1))
-            non_finite[p] = not np.all(np.isfinite(scores))
-            values[p] = _contrastive(_capped(scores)).mean()
-        return values, non_finite
+        # Every problem's score grids at once: its full batches, (P, n // b, b, b).
+        used, batches = n - n % batch_size, (n_problems, -1, batch_size, mat.shape[2])
+        scores = ((_side("bilinear", xs[:, :used]) @ mat).reshape(batches)
+                  @ _side("bilinear", ys[:, :used]).reshape(batches).swapaxes(2, 3))
+        non_finite = ~np.isfinite(scores).all(axis=(1, 2, 3))
+        values = _contrastive(_capped(scores).reshape((-1,) + scores.shape[2:]))
+        return values.reshape(n_problems, -1).mean(axis=1), non_finite
     x_theta = _side("bilinear", xs) @ mat
     psi = _side("bilinear", ys)
     joint = _row_scores(x_theta, psi)

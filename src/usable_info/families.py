@@ -641,7 +641,10 @@ def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
     """Newton's method over the C' classes present: the mean log-likelihood
     plus log C' is the CPC objective whose block k pairs each row with the
     class k places after its own, cyclically.  The last class's logits stay
-    0, as CPC holds psi's constant column."""
+    0, as CPC holds psi's constant column.  A fit left with non-finite
+    parameters warns that it diverged, in the critics' words for
+    ``baselines.DIVERGED``; one that stops short of the tolerance warns
+    with its steps and decrement."""
     from .baselines import _NEWTON_TOLERANCE, _maximise  # baselines imports families
 
     yi, cy = _categorical_symbols(ys, "ys", config.y_spec)
@@ -664,7 +667,9 @@ def _fit_softmax_conditional(config: FamilyConfig, xs, ys) -> SoftmaxMap:
         free, _, _, (steps,), (decrement,) = _maximise("cpc", pairs.reshape(1, -1, k * n), k)
         theta[:-1] = free.reshape(k - 1, -1)
     converged = bool(decrement <= _NEWTON_TOLERANCE)
-    if not converged:
+    if not np.isfinite(theta).all():
+        warnings.warn("softmax fit diverged to non-finite parameters", FitWarning)
+    elif not converged:
         warnings.warn(f"softmax fit stopped after {steps} Newton steps (half squared "
                       f"decrement {decrement:.3e} > tolerance {_NEWTON_TOLERANCE:.3e})",
                       FitWarning)

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,11 +441,14 @@ def _reference_capped(scores, cap=50.0):
     return np.clip(scores, -cap, cap)
 
 
-def _reference_cpc_estimate(critic, xs, ys):
+def _reference_cpc_scores(critic, xs, ys):
     n = xs.shape[0]
-    scores = _reference_scores(critic, np.repeat(xs, n, axis=0),
-                               np.tile(ys, (n, 1))).reshape(n, n)
-    scores = _reference_capped(scores)
+    return _reference_scores(critic, np.repeat(xs, n, axis=0),
+                             np.tile(ys, (n, 1))).reshape(n, n)
+
+
+def _reference_cpc_value(scores):
+    """The CPC estimate of one batch's capped score grid."""
     row_max = scores.max(axis=1, keepdims=True)
     log_mean = row_max[:, 0] + np.log(np.exp(scores - row_max).mean(axis=1))
     return float(np.mean(np.diag(scores) - log_mean))
@@ -458,9 +462,11 @@ def _reference_nwj_estimate(critic, joint_xs, joint_ys, product_xs, product_ys):
 
 def _reference_estimate(method, critic, xs, ys, perm, batch_size=8):
     if method == "cpc":
-        return float(np.mean([
-            _reference_cpc_estimate(critic, xs[k:k + batch_size], ys[k:k + batch_size])
+        # One cap record for all the batches.
+        grids = _reference_capped(np.stack([
+            _reference_cpc_scores(critic, xs[k:k + batch_size], ys[k:k + batch_size])
             for k in range(0, xs.shape[0] - batch_size + 1, batch_size)]))
+        return float(np.mean([_reference_cpc_value(grid) for grid in grids]))
     return _reference_nwj_estimate(critic, xs, ys, xs, ys[perm])
 
 
@@ -611,7 +617,8 @@ def test_matrix_form_equals_feature_form(kind, dims):
     rows, y_rows = baselines._pair_rows("cpc", 3, 16, 8)
     feats = baselines._pair_features(kind, xs[None], ys[None], rows[None], y_rows[None], cells)
     joint = feats[:, :, :16].mean(axis=2)
-    value, grad, hess = baselines._derivatives("cpc", feats, joint, theta[free] @ feats, 8)
+    value, weights = baselines._value_and_weights("cpc", theta[free] @ feats, 8)
+    grad, hess = baselines._derivatives("cpc", feats, joint, weights, 8)
     want_value, want_grad = negated(theta[free])
     _assert_close(value[0], -want_value, rtol=1e-12)
     _assert_close(grad[0], -want_grad, rtol=1e-12)
@@ -867,6 +874,29 @@ def test_capped_scores_of_fitted_critics_on_the_benchmark_cells(objective, caplo
     assert records == {cell: capped.get(cell, 0) for cell in records}
 
 
+def test_cpc_estimates_log_one_capped_record_per_problem(caplog):
+    # Theta's (x, y) cell at 200 caps scores in several of problem 0's 8
+    # batches of 64 rows.  It logs one record, which counts them all, as an
+    # NWJ problem does; problem 1's zero Theta caps none.
+    rng = np.random.default_rng(0)
+    xs, ys = rng.normal(size=(2, 64, 1)), rng.normal(size=(2, 64, 1))
+    mat = np.zeros((2, 2, 2))
+    mat[0, 0, 0] = 200.0
+    capped = np.abs(200.0 * xs[0].reshape(8, 8, 1) * ys[0].reshape(8, 1, 8)) > 50.0
+    assert np.count_nonzero(capped.any(axis=(1, 2))) > 1
+    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
+        values, non_finite = baselines._estimates("cpc", mat, xs, ys, None, 8)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"capped {np.count_nonzero(capped)} critic scores at +-50"]
+    assert not non_finite.any()
+    critic = Critic("bilinear", 1, 1, theta=mat[0].ravel())
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
+        assert values[0] == pytest.approx(_reference_estimate("cpc", critic, xs[0], ys[0], None),
+                                          rel=1e-12)
+    assert _capped_records(caplog) == 1
+
+
 def test_nwj_fit_product_pairs_hold_the_default_eval_pairs():
     # Fit and eval rows are the same for an edge weight, so the first fitted
     # permutation is the estimate's: its product pairs are among the fit's.
@@ -885,6 +915,33 @@ def test_baseline_edge_weights_do_not_depend_on_stack_chunks(method, monkeypatch
     whole = baseline_edge_weights(variables, method, seed=2).w
     monkeypatch.setattr(baselines, "_NEWTON_FLOATS", 1)
     assert baseline_edge_weights(variables, method, seed=2).w.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("objective, solves", [("cpc", 14), ("nwj", 7)])
+def test_a_stack_fits_within_its_float_budget(objective, solves, monkeypatch):
+    # A sweep cell's stack (sim2, m=7, d=2, n=300): its 42 pairs are fitted in
+    # chunks of as many problems as _NEWTON_FLOATS holds.  numpy reports its
+    # arrays to tracemalloc, so the peak counts every array the call makes.
+    variables = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300, seed=1))[0].variables
+    pairs = [(i, j) for i in range(7) for j in range(7) if i != j]
+    xs = np.stack([variables[i] for i, _ in pairs])
+    ys = np.stack([variables[j] for _, j in pairs])
+    chunks = []
+    real = baselines._newton
+    monkeypatch.setattr(baselines, "_newton", lambda *args: chunks.append(1) or real(*args))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fit_and_estimate_stack(objective, xs, ys, xs, ys, list(range(42)), BatchSpec())
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(chunks) == solves
+    assert peak <= 8 * baselines._NEWTON_FLOATS
 
 
 def _stack_problems(n, dims=(1, 1)):

@@ -232,6 +232,20 @@ def test_softmax_nonconvergence_warns_with_diagnostic(monkeypatch):
     assert pred.diagnostics["decrement"] > 1e-10
 
 
+def test_softmax_whose_design_overflows_warns_that_it_diverged():
+    # x * 1e200 overflows the first Hessian, so the fit is left with
+    # non-finite parameters: the critics' DIVERGED state, in their words.
+    rng = np.random.default_rng(0)
+    xs = 1e200 * rng.normal(size=(50, 2))
+    ys = rng.integers(0, 3, 50)
+    with pytest.warns(FitWarning) as caught:
+        pred = fit_conditional(FamilyConfig("categorical_softmax"), xs, ys)
+    assert [str(w.message) for w in caught] == [
+        baselines.DIVERGED.replace("critic", "softmax")]
+    assert not np.isfinite(pred.theta).all()
+    assert pred.diagnostics["converged"] is False
+
+
 def _softmax_data(n, scale=1.0):
     """n rows of a 2-d real x and a 3-class y with logits [0, 2 x_0, -1.5 x_1]."""
     rng = np.random.default_rng(0)
