@@ -14,7 +14,9 @@ of z = [x, y] once; the other cells stay 0.  ``Critic.theta`` lists the
 free cells in Theta's row-major order.  :func:`gaussian_oracle_critic`
 builds the optimal NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` of a
 correlated Gaussian pair, a quadratic in (x, y), as a ``quadratic`` Theta.
-Both estimators cap scores at ``+-DEFAULT_SCORE_CAP`` before exponentiation.
+The held-out estimates (:func:`cpc_estimate`, :func:`nwj_estimate` and
+:func:`fit_and_estimate_stack`) cap scores at ``+-DEFAULT_SCORE_CAP`` before
+exponentiation.
 
 Every fit is exact: Newton's method maximises the critic's objective, which
 is concave in Theta, with a backtracking line search, to a certified
@@ -30,30 +32,25 @@ score of a row, so it cannot change a CPC value.  :class:`BatchSpec`'s
 batch size applies to CPC only; its seed to both.  ``families`` fits a
 real-x ``categorical_softmax`` by the same loop, :func:`_maximise`.
 
-Every fit is one solve over a stack of same-shape problems, and every
-fitted estimate goes through :func:`fit_and_estimate_stack`.
-:func:`fit_critic` is a stack of one; :func:`baseline_edge_weights` stacks
-the ordered pairs of the same dimensions, and ``usable-info baselines`` the
-``(rho, seed)`` rows of an objective.  Each problem sees the floating-point
+Every fit is one solve over a stack of same-shape problems, and
+:func:`fit_critic` is a stack of one.  :func:`_fitted_chunks` fits a stack
+in chunks; :func:`baseline_edge_weights` stacks the ordered pairs of the
+same dimensions and takes each fit's value as the weight, the in-sample
+optimum, as a family's weight is its in-sample fit.  ``usable-info
+baselines`` stacks the ``(rho, seed)`` rows in
+:func:`fit_and_estimate_stack`, which estimates on held-out pairs, to
+measure each estimator's bias.  Each problem sees the floating-point
 operations of a lone fit, the pairs of its own seed and its own stop, so a
 stacked fit equals a lone fit bit for bit; problems that share a seed draw
 once.  A solve holds each problem's pair features, one contiguous row per
-moved cell of Theta, and a few vectors per pair: the scores, pair weights
-and value carried from the trial its line search accepted, a step's score
-moves and a trial's.  It builds one problem's Hessian at a time in one
-shared buffer, and compacts finished problems out in place.
-:func:`fit_and_estimate_stack` cuts a stack into chunks of as many problems
-as ``_NEWTON_FLOATS`` floats hold by that count, and scores all of a
-chunk's eval pairs at once.
+moved cell of Theta, and builds one problem's Hessian at a time.
 
 Samples are checked as the families check them (``families._real_matrix``):
 every entry point, and every problem of a stack, raises ``ValueError`` on
 an empty, mis-shaped or non-finite sample.  A numerical failure has one
-report: :func:`fit_and_estimate_stack` says for each problem whether its
-fit diverged (:data:`DIVERGED`), its fit stopped short of the
-tolerance (:data:`NOT_CONVERGED`) or its critic scored an eval pair
-non-finitely (:data:`NON_FINITE_SCORES`), and :func:`baseline_edge_weights`
-raises one :class:`NumericalError` that names every failed pair and why.
+report, a reason per problem (:func:`_failure`), and
+:func:`baseline_edge_weights` raises one :class:`NumericalError` that names
+every failed pair and why.
 """
 
 from __future__ import annotations
@@ -84,12 +81,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_SCORE_CAP = 50.0
-# fit_and_estimate_stack fits its problems in chunks, so that the arrays of
-# one stacked Newton solve hold at most this many floats (1 MB).  Most of them
-# are the pair features, one float per pair and moved cell, which every Newton
-# step reads four times; the rest are a few vectors per pair.  Every step of a
-# solve costs the same numpy calls however many problems it holds, so the
-# fuller the chunks, the fewer the calls; the budget bounds the memory.
+# _fitted_chunks fits a stack in chunks of as many problems as this many floats
+# (1 MB) hold: every step of a solve costs the same numpy calls however many
+# problems it holds.  A problem holds, per pair, a feature for each moved cell
+# and either five vectors while solved (scores, weights, score moves, a trial
+# and its weights) or psi's gathered entries and y row while its features are
+# built; a solve also holds one problem's weighted features.  Per-row arrays
+# are not counted: an NWJ chunk of 9 sim2 n=300 problems peaks at 1.07 MB.
 _NEWTON_FLOATS = 1 << 17
 # An NWJ fit's product pairs are its n diagonal pairs and the pairs of this
 # many fixed permutations of its rows.
@@ -107,7 +105,7 @@ _BACKTRACKS = 60
 # nonsingular where coordinates are constant or duplicated, and moves the
 # step only along directions whose curvature is below it.
 _RIDGE = 1e-12
-# Why a stacked problem failed, as fit_and_estimate_stack reports it.
+# Why a fit failed (_failure), and why an estimate did.
 DIVERGED = "critic fit diverged to non-finite parameters"
 NOT_CONVERGED = "critic fit did not reach the Newton decrement tolerance"
 NON_FINITE_SCORES = "critic produced non-finite scores"
@@ -278,13 +276,16 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
     """Fit a critic on aligned (x, y) samples.
 
     ``objective`` is ``"cpc"``, on the fixed batches of ``spec.batch_size``
-    rows of :func:`_pair_rows`, or ``"nwj"``, on the joint pairs and the
-    product pairs of :func:`_product_rows`.  Either is Newton's method to
+    rows, or ``"nwj"``, on the joint pairs and the product pairs, both of
+    :func:`_pair_rows`.  Either is Newton's method to
     the objective's optimum, deterministic given ``spec.seed``.  The steps
     taken, the last half squared Newton decrement and the final objective
-    value land in the critic's metadata.  A fit that left non-finite
-    parameters, or that did not reach the Newton decrement tolerance, warns
-    with :data:`DIVERGED` or :data:`NOT_CONVERGED` as a ``FitWarning``.
+    value land in the critic's metadata.  A failed fit warns with its
+    reason from :func:`_failure` as a ``FitWarning``.
+
+    A separable CPC fit, whose critic ranks every row's own pair first in its
+    batch, is certified while Theta grows: its value approaches the
+    supremum, ``log(batch_size)``, which no finite Theta attains.
     """
     _check_objective(objective)
     if kind not in ("bilinear", "quadratic"):
@@ -308,11 +309,18 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
         "seed": spec.seed,
         "score_cap": DEFAULT_SCORE_CAP,
     })
-    if not np.all(np.isfinite(theta)):
-        warnings.warn(DIVERGED, FitWarning)
-    elif not decrement[0] <= _NEWTON_TOLERANCE:
-        warnings.warn(NOT_CONVERGED, FitWarning)
+    why = _failure(mat[0], value[0], decrement[0])
+    if why is not None:
+        warnings.warn(why, FitWarning)
     return fitted
+
+
+def _failure(mat, value, decrement):
+    """Why a fit failed, or None: its Theta ``mat`` is non-finite, its half
+    squared Newton ``decrement`` above the tolerance, or its ``value`` non-finite."""
+    return (DIVERGED if not np.all(np.isfinite(mat)) else NOT_CONVERGED
+            if not decrement <= _NEWTON_TOLERANCE else None if np.isfinite(value)
+            else NON_FINITE_SCORES)
 
 
 def _check_objective(objective: str) -> None:
@@ -320,31 +328,24 @@ def _check_objective(objective: str) -> None:
         raise ValueError(f"unknown objective {objective!r}")
 
 
-def _product_rows(seed: int, n: int) -> np.ndarray:
-    """The y rows of an NWJ fit's product pairs with x rows 0..n-1, repeated:
-    the diagonal, then ``_NWJ_PERMUTATIONS`` permutations drawn from
-    ``default_rng(seed)`` as :func:`fit_and_estimate_stack` draws its default
-    eval permutation.  Shape ((_NWJ_PERMUTATIONS + 1) * n,)."""
-    rng = np.random.default_rng(seed)
-    return np.concatenate([np.arange(n)]
-                          + [rng.permutation(n) for _ in range(_NWJ_PERMUTATIONS)])
-
-
 def _pair_rows(objective: str, seed: int, n: int, batch_size: int):
     """The pairs a fit of n rows scores, as its R fit rows (R,) and the y rows
     (K R,) of its K blocks of pairs: pair k R + r is (x_(rows[r]),
     y_(y_rows[k R + r])), and block 0 holds the joint pairs.
 
-    NWJ takes rows 0..n-1 and the blocks of :func:`_product_rows`.  CPC
-    takes the rows of ``n // b`` batches, one permutation of the n rows
-    drawn from ``default_rng(seed)`` with the remainder dropped, and b
-    blocks: block k pairs each row with the row k places after it in its
-    batch, cyclically, so that row r's b pairs are its batch's."""
+    Both draw from ``default_rng(seed)``.  NWJ takes rows 0..n-1, then the
+    diagonal and ``_NWJ_PERMUTATIONS`` permutations of them.  CPC takes the
+    rows of ``n // b`` batches, one permutation of the n rows with the
+    remainder dropped, and b blocks: block k pairs each row with the row k
+    places after it in its batch, cyclically, so that row r's b pairs are its
+    batch's."""
+    rng = np.random.default_rng(seed)
     if objective == "nwj":
-        return np.arange(n), _product_rows(seed, n)
+        return np.arange(n), np.concatenate(
+            [np.arange(n)] + [rng.permutation(n) for _ in range(_NWJ_PERMUTATIONS)])
     if n < batch_size:
         raise ValueError("not enough samples for one batch")
-    batches = np.random.default_rng(seed).permutation(n)[:n - n % batch_size]
+    batches = rng.permutation(n)[:n - n % batch_size]
     batches = batches.reshape(-1, batch_size)
     # shifted[k, i] is the place k after place i of a batch.
     shifted = (np.arange(batch_size) + np.arange(batch_size)[:, None]) % batch_size
@@ -575,25 +576,17 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
                            spec: BatchSpec, perms=None):
     """Fit a bilinear critic per problem of a stack of P, then estimate on its eval pairs.
 
-    Problem p fits on ``fit_xs[p]`` (n, dx) and ``fit_ys[p]`` (n, dy) with
-    ``seeds[p]`` in place of ``spec.seed``, as :func:`fit_critic` does; a CPC
-    fit needs at least ``spec.batch_size`` rows.  It then estimates on
-    ``eval_xs[p]`` (k, dx) and ``eval_ys[p]`` (k, dy).  ``"cpc"`` averages
-    :func:`cpc_estimate` over consecutive full batches of
-    ``spec.batch_size`` eval pairs, so it never exceeds the log batch size.
-    ``"nwj"`` takes product pairs ``(eval_xs[p], eval_ys[p, perms[p]])``,
-    with ``perms[p]`` drawn from ``seeds[p]`` when ``perms`` is omitted; so
-    when eval and fit rows are the same, these product pairs are among the
-    fit's.  A lone problem is a stack of one.  The problems are fitted and
-    evaluated in chunks of at most ``_NEWTON_FLOATS`` floats, each chunk one
-    stacked Newton solve.
+    Problem p fits on ``fit_xs[p]`` (n, dx) and ``fit_ys[p]`` (n, dy) as
+    :func:`fit_critic` does, with ``seeds[p]`` for ``spec.seed``, and
+    estimates on ``eval_xs[p]`` (k, dx) and ``eval_ys[p]`` (k, dy).
+    ``"cpc"`` averages :func:`cpc_estimate` over consecutive full batches of
+    ``spec.batch_size`` eval pairs, so it never exceeds the log batch size;
+    ``"nwj"`` takes product pairs ``(eval_xs[p], eval_ys[p, perms[p]])``;
+    CPC ignores ``perms``.
 
-    Returns the values (P,) and, for each problem, ``None`` or why it
-    failed: :data:`DIVERGED` when its critic fit left non-finite
-    parameters, else :data:`NOT_CONVERGED` when its fit stopped short of
-    the Newton decrement tolerance, else :data:`NON_FINITE_SCORES` when
-    its critic scored an eval pair non-finitely.  A failed problem's value
-    is NaN.
+    Returns the values (P,) and, for each problem, its fit's
+    :func:`_failure`, else :data:`NON_FINITE_SCORES` if its critic scored
+    an eval pair non-finitely, else None.  A failed problem's value is NaN.
     """
     _check_objective(objective)
     fit_xs, fit_ys = _real_stack(fit_xs, "fit_xs"), _real_stack(fit_ys, "fit_ys")
@@ -602,40 +595,43 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
     dy = fit_ys.shape[2]
     n_eval = eval_xs.shape[1]
     if (fit_ys.shape[:2] != (n_problems, n_fit) or eval_xs.shape != (n_problems, n_eval, dx)
-            or eval_ys.shape != (n_problems, n_eval, dy) or len(seeds) != n_problems
-            or (perms is not None and np.shape(perms) != (n_problems, n_eval))):
+            or eval_ys.shape != (n_problems, n_eval, dy) or len(seeds) != n_problems):
         raise ValueError("fit and eval stacks do not match")
+    if objective == "nwj" and np.shape(perms) != (n_problems, n_eval):
+        raise ValueError("an NWJ estimate needs perms, one eval permutation per problem")
     if objective == "cpc" and n_fit < spec.batch_size:
         raise ValueError("not enough samples for one batch")
     if objective == "cpc" and n_eval < spec.batch_size:
         raise ValueError("not enough eval samples for one batch")
-    if objective == "nwj" and perms is None:
-        perms = np.stack([np.random.default_rng(s).permutation(n_eval) for s in seeds])
-    # Floats one problem holds at once, at most: per pair, a feature for each
-    # moved cell and either five vectors while it is solved (scores, weights,
-    # score moves, a line-search trial and the trial's weights) or psi's
-    # gathered entries and y row while its features are built; then its eval
-    # maps and scores.  A solve also holds one problem's weighted features.
-    pairs = ((_NWJ_PERMUTATIONS + 1) * n_fit if objective == "nwj"
-             else (n_fit - n_fit % spec.batch_size) * spec.batch_size)
-    moved = int(_cells(objective, "bilinear", dx, dy).sum())
-    floats = pairs * (moved + max(5, dy + 2)) + 3 * n_eval * (dx + dy + 2)
-    size = max(1, (_NEWTON_FLOATS - pairs * moved) // floats)
-    values = np.empty(n_problems)
-    failures = []
-    for k in range(0, n_problems, size):
-        chunk = slice(k, k + size)
-        mat, *_, decrement = _newton(objective, "bilinear", fit_xs[chunk], fit_ys[chunk],
-                                     seeds[chunk], spec.batch_size)
-        diverged = ~np.all(np.isfinite(mat), axis=(1, 2))
+    values, failures = np.empty(n_problems), []
+    chunks = _fitted_chunks(objective, fit_xs, fit_ys, seeds, spec.batch_size,
+                            3 * n_eval * (dx + dy + 2))
+    for chunk, mat, _, fit_failures in chunks:
         values[chunk], non_finite = _estimates(
             objective, mat, eval_xs[chunk], eval_ys[chunk],
             None if perms is None else perms[chunk], spec.batch_size)
-        failures += [DIVERGED if d else NOT_CONVERGED if not c <= _NEWTON_TOLERANCE
-                     else NON_FINITE_SCORES if f else None
-                     for d, c, f in zip(diverged, decrement, non_finite)]
+        failures += [why or (NON_FINITE_SCORES if f else None)
+                     for why, f in zip(fit_failures, non_finite)]
     values[[why is not None for why in failures]] = np.nan
     return values, failures
+
+
+def _fitted_chunks(objective, xs, ys, seeds, batch_size: int, eval_floats: int = 0):
+    """Fit a bilinear critic per problem p of a stack (P, n, d), seeded by
+    ``seeds[p]``, in chunks of ``_NEWTON_FLOATS`` floats plus ``eval_floats``
+    per problem (an estimate's eval maps and scores).  Yields, per chunk, its
+    slice, Thetas (p, px, py), values (p,) and each problem's :func:`_failure`."""
+    n_problems, n, dx = xs.shape
+    # Every seed draws as many pairs, and _pair_rows refuses too few CPC rows.
+    pairs = _pair_rows(objective, 0, n, batch_size)[1].size
+    moved = int(_cells(objective, "bilinear", dx, ys.shape[2]).sum())
+    floats = pairs * (moved + max(5, ys.shape[2] + 2)) + eval_floats
+    size = max(1, (_NEWTON_FLOATS - pairs * moved) // floats)
+    for k in range(0, n_problems, size):
+        chunk = slice(k, k + size)
+        mat, value, _, _, decrement = _newton(objective, "bilinear", xs[chunk], ys[chunk],
+                                              seeds[chunk], batch_size)
+        yield chunk, mat, value, list(map(_failure, mat, value, decrement))
 
 
 def _real_stack(stack, name: str) -> np.ndarray:
@@ -677,19 +673,19 @@ def _estimates(objective, mat, xs, ys, perms, batch_size: int):
 
 
 def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix:
-    """CPC or NWJ estimate for every ordered variable pair.
+    """CPC or NWJ weight for every ordered variable pair: the value of its
+    critic's fit on all its samples, seeded from ``(seed, i, j)``.
 
-    Pair ``(i, j)`` fits and evaluates on all its samples as
-    :func:`fit_and_estimate_stack` does, seeded from ``(seed, i, j)`` so
-    that each weight is reproducible on its own.  Pairs of the same
-    dimensions share one stack.  Each variable is checked as ``ys``, in
-    index order, as :func:`structure.edge_weights` checks it; failed pairs
-    raise one :class:`NumericalError` that names each with its reason.
+    Each objective is 0 at a critic of its family (Theta = 0 for CPC, the
+    constant 1 for NWJ), so no weight is below 0 beyond the fit's tolerance,
+    and CPC's is at most ``log(batch_size)``.  Pairs of the same dimensions
+    share a stack.  Each variable is checked as ``ys``, in index order, as
+    :func:`structure.edge_weights` checks it; failed pairs raise one
+    :class:`NumericalError` naming each with its reason.
     """
     m = _check_aligned(variables)
     _check_objective(method)
     variables = [_real_matrix(v, "ys") for v in variables]
-    spec = BatchSpec()
     seeds = {(i, j): int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
              for i in range(m) for j in range(m) if i != j}
     groups: dict = {}
@@ -700,11 +696,13 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
     for pairs in groups.values():
         xs = np.stack([variables[i] for i, _ in pairs])
         ys = np.stack([variables[j] for _, j in pairs])
-        w[tuple(zip(*pairs))], failures = fit_and_estimate_stack(
-            method, xs, ys, xs, ys, [seeds[p] for p in pairs], spec)
-        for pair, why in zip(pairs, failures):
-            if why is not None:
-                failed.setdefault(why, []).append(pair)
+        chunks = _fitted_chunks(method, xs, ys, [seeds[p] for p in pairs],
+                                BatchSpec().batch_size)
+        for chunk, _, values, failures in chunks:
+            for pair, value, why in zip(pairs[chunk], values, failures):
+                w[pair] = value
+                if why is not None:
+                    failed.setdefault(why, []).append(pair)
     if failed:
         raise NumericalError(f"{method} " + "; ".join(
             f"{why} for pairs " + ", ".join(map(str, sorted(failed[why])))

@@ -18,8 +18,8 @@ weight is 0 by definition.  Any other config fits each ordered pair on its
 own, the closed form's oracle.  All check each variable as ``ys`` first.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
-the correctness oracle for the fast arborescence.  Weights may be negative
-(e.g. NWJ baseline estimates); nothing here assumes otherwise.
+the correctness oracle for the fast arborescence.  Nothing here assumes the
+weights are non-negative.
 
 Tie-breaking is deterministic everywhere: among equal-weight optima the
 smallest ``(root, parent vector)`` wins lexicographically, so rerunning on

@@ -277,8 +277,8 @@ def test_batch_spec_rejects_bad_sizes_and_steps(settings):
 # The per-pair references, one problem at a time, with the critic's features
 # built explicitly as monomials of (x, y).  Each fit is checked against
 # scipy's optimum of the same objective: Theta at THETA_RTOL (relative to the
-# largest entry), the objective at VALUE_ATOL and the estimates of the two
-# critics at WEIGHT_ATOL nats.
+# largest entry), the objective, and so an edge weight, at VALUE_ATOL and the
+# held-out estimates of the two critics at WEIGHT_ATOL nats.
 THETA_RTOL = 1e-6
 VALUE_ATOL = 1e-10
 WEIGHT_ATOL = 1e-8
@@ -471,13 +471,12 @@ def _reference_estimate(method, critic, xs, ys, perm, batch_size=8):
 
 
 def _reference_pair_weight(method, variables, seed, i, j):
-    """One edge weight the long way: per-pair seed, fit, then estimate."""
+    """One edge weight the long way: per-pair seed, then scipy's optimum of
+    the objective on all the pair's samples."""
     pair_seed = int(np.random.SeedSequence((seed, i, j)).generate_state(1)[0])
     spec = BatchSpec(batch_size=8, seed=pair_seed)
     xs, ys = _as_columns(variables[i]), _as_columns(variables[j])
-    critic = _reference_fit_critic("bilinear", method, xs, ys, spec)
-    perm = np.random.default_rng(pair_seed).permutation(ys.shape[0])
-    return _reference_estimate(method, critic, xs, ys, perm)
+    return _reference_fit_critic("bilinear", method, xs, ys, spec).metadata["final_value"]
 
 
 def _reference_weights(method, variables, seed):
@@ -500,7 +499,7 @@ def test_baseline_edge_weights_match_per_pair_reference(method):
     for i in range(3):
         for j in range(3):
             want = 0.0 if i == j else _reference_pair_weight(method, variables, 3, i, j)
-            _assert_estimates_close(got[i, j], want)
+            assert abs(got[i, j] - want) <= VALUE_ATOL
 
 
 def test_baseline_edge_weights_need_aligned_variables():
@@ -646,11 +645,18 @@ def test_every_batch_holds_distinct_rows(n, size, seed):
 @pytest.mark.parametrize("perm", [None, "given"])
 @pytest.mark.parametrize("objective", ["cpc", "nwj"])
 def test_fit_and_estimate_matches_reference_bitwise(objective, perm, caplog):
-    # Despite its id, this compares at the tolerances of the references, as above.
+    # Despite its id, this compares at the tolerances of the references, as
+    # above.  CPC takes no eval permutation, and NWJ has no default one.
     x, y = _pair(0.99, 600, 11)
     x = 4.0 * x
     spec = BatchSpec(seed=5)
     order = np.random.default_rng(3).permutation(300) if perm else None
+    if objective == "nwj" and order is None:
+        with pytest.raises(ValueError, match="^an NWJ estimate needs perms, one eval "
+                                             "permutation per problem$"):
+            fit_and_estimate_stack(objective, x[None, :300], y[None, :300], x[None, 300:],
+                                   y[None, 300:], [spec.seed], spec)
+        return
     with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
         values, failures = fit_and_estimate_stack(
             objective, x[None, :300], y[None, :300], x[None, 300:], y[None, 300:], [spec.seed],
@@ -660,8 +666,6 @@ def test_fit_and_estimate_matches_reference_bitwise(objective, perm, caplog):
         fast_records = _capped_records(caplog)
         caplog.clear()
         critic = _reference_fit_critic("bilinear", objective, x[:300], y[:300], spec)
-        if order is None:
-            order = np.random.default_rng(spec.seed).permutation(300)
         want = _reference_estimate(objective, critic, x[300:], y[300:], order)
         assert fast_records == _capped_records(caplog)
     _assert_estimates_close(got, want)
@@ -674,14 +678,15 @@ def test_baseline_edge_weights_match_reference_with_mixed_dims(method, n):
     x = rng.normal(size=(n, 2))
     variables = [x, x[:, :1] + 0.5 * rng.normal(size=(n, 1)), rng.normal(size=n)]
     got = baseline_edge_weights(variables, method, seed=4).w
-    _assert_estimates_close(got, _reference_weights(method, variables, 4))
+    np.testing.assert_allclose(got, _reference_weights(method, variables, 4), rtol=0,
+                               atol=VALUE_ATOL)
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
 def test_baseline_edge_weights_match_reference_on_sim2(method, caplog):
     # All 42 pairs, var0's too: it reaches |x| ~ 10, where the ascents used
-    # to pin scores at the cap.  The Newton fits cap none.  Each pair's fit
-    # is scipy's optimum: Theta, the objective and the weight.
+    # to pin scores at the cap.  Each pair's fit is scipy's optimum: Theta
+    # and the objective, which is the weight, bit for bit the lone fit's.
     variables = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300, seed=1))[0].variables
     with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
         got = baseline_edge_weights(variables, method, seed=1).w
@@ -693,11 +698,42 @@ def test_baseline_edge_weights_match_reference_on_sim2(method, caplog):
                 fit = fit_critic("bilinear", method, variables[i], variables[j], spec)
                 want = _reference_fit_critic("bilinear", method, variables[i], variables[j], spec)
                 _assert_close(fit.theta, want.theta)
-                assert abs(fit.metadata["final_value"] - want.metadata["final_value"]) <= (
-                    VALUE_ATOL)
-                perm = np.random.default_rng(spec.seed).permutation(300)
-                _assert_estimates_close(got[i, j], _reference_estimate(
-                    method, want, variables[i], variables[j], perm))
+                assert abs(got[i, j] - want.metadata["final_value"]) <= VALUE_ATOL
+                assert got[i, j] == fit.metadata["final_value"]
+
+
+@pytest.mark.parametrize("method", ["cpc", "nwj"])
+def test_critic_edge_weights_on_sim2_are_not_negative(method):
+    # A weight is its certified fit's value, and each objective is 0 at a
+    # critic of its family (Theta = 0 for CPC, the constant 1 for NWJ), so no
+    # weight falls below 0.  A CPC value is at most log of its batch size, 8.
+    for n in (30, 300):
+        for seed in range(6):
+            config = SimulationConfig(scenario="sim2", m=7, d=2, n=n, seed=seed)
+            w = baseline_edge_weights(simulate(config)[0].variables, method, seed).w
+            assert w.min() >= 0.0, (n, seed, w.min())
+            if method == "cpc":
+                assert w.max() <= math.log(8.0), (n, seed, w.max())
+
+
+def test_a_separable_cpc_fit_is_certified_near_its_supremum():
+    # The quadratic critic can rank every row's own pair first in its batch,
+    # so the CPC objective's supremum, log 5, is attained by no finite Theta.
+    # The fit is still certified: its decrement falls below the tolerance
+    # while Theta grows, past 300 here, and its value approaches log 5.  That
+    # value is the objective at the fitted Theta, as an edge weight is.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(8, 2))
+    y = 0.5 * x[:, :1] + rng.normal(size=(8, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FitWarning)
+        critic = fit_critic("quadratic", "cpc", x, y, BatchSpec(batch_size=5, seed=9))
+    value = critic.metadata["final_value"]
+    assert critic.metadata["decrement"] <= baselines._NEWTON_TOLERANCE
+    assert math.isfinite(value) and value <= math.log(5.0)
+    assert math.log(5.0) - value < 1e-9
+    negated, _, free = _reference_cpc_objective("quadratic", x, y, 9, 5)
+    assert abs(-negated(critic.theta[free])[0] - value) <= VALUE_ATOL
 
 
 def _raises_one_numerical_error(call) -> str:
@@ -723,27 +759,28 @@ def test_diverged_fits_name_their_pairs(method):
                        "(0, 1), (0, 2), (1, 0), (2, 0)")
 
 
-@pytest.mark.parametrize("method,scale,newton_iterations,theta,message", [
-    # Each fit returns a finite Theta of 1e308 in every cell, which overflows
-    # on every pair's scores.
-    ("cpc", 1.0, None, 1e308, "cpc critic produced non-finite scores for pairs "
-                              "(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)"),
+@pytest.mark.parametrize("method,scale,newton_iterations,value,message", [
+    # Each fit returns its finite Theta with an objective of -inf, as a last
+    # full step whose exp-scores overflow would leave it.  The weight is the
+    # fitted value, so it must not reach the weight matrix.
+    ("cpc", 1.0, None, -np.inf, "cpc critic produced non-finite scores for pairs "
+                                "(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)"),
     # var0's pairs diverge at once; the others stop after one Newton step.
     ("nwj", 1e300, 1, None, "nwj critic fit diverged to non-finite parameters for pairs "
                             "(0, 1), (0, 2), (1, 0), (2, 0); critic fit did not reach the "
                             "Newton decrement tolerance for pairs (1, 2), (2, 1)"),
 ], ids=["cpc-scores", "nwj-both"])
 def test_failed_pairs_raise_one_error_naming_each_with_its_reason(method, scale,
-                                                                  newton_iterations, theta,
+                                                                  newton_iterations, value,
                                                                   message, monkeypatch):
     if newton_iterations is not None:
         monkeypatch.setattr(baselines, "_NEWTON_ITERATIONS", newton_iterations)
-    if theta is not None:
+    if value is not None:
         real = baselines._newton
 
         def fit(*args):
-            mat, *rest = real(*args)
-            return (np.full_like(mat, theta), *rest)
+            mat, fitted, *rest = real(*args)
+            return (mat, np.full_like(fitted, value), *rest)
 
         monkeypatch.setattr(baselines, "_newton", fit)
     rng = np.random.default_rng(0)
@@ -758,7 +795,7 @@ def test_nwj_fit_that_stops_short_of_the_tolerance_is_a_named_failure(monkeypatc
     monkeypatch.setattr(baselines, "_NEWTON_ITERATIONS", 2)
     x, y = _pair(0.9, 200, 5)
     values, failures = fit_and_estimate_stack("nwj", x[None], y[None], x[None], y[None], [5],
-                                              BatchSpec())
+                                              BatchSpec(), perms=np.arange(200)[None])
     assert failures == [baselines.NOT_CONVERGED] and math.isnan(values[0])
     with pytest.warns(FitWarning, match="^critic fit did not reach the Newton decrement "
                                         "tolerance$"):
@@ -777,18 +814,19 @@ def test_nwj_weights_of_constant_and_duplicated_coordinates(level):
     x = rng.normal(size=(200, 2))
     variables = [x, np.hstack([x[:, :1], x[:, :1]]), np.full((200, 1), level)]
     w = baseline_edge_weights(variables, "nwj", 0).w
-    assert np.all(np.isfinite(w)) and np.all(w > -baselines.DEFAULT_SCORE_CAP)
-    assert w[0, 1] > 0.1 and w[1, 0] > 0.1
+    # A weight is its fit's value, which is 0 at the constant critic 1: here
+    # it falls below 0 only by rounding, as far as -2.2e-16.
+    assert np.all(np.isfinite(w)) and np.all(w >= -1e-15)
+    assert w[0, 1] > 0.09 and w[1, 0] > 0.09
     # Nothing is known of or from a constant.
     np.testing.assert_allclose(np.concatenate([w[2], w[:, 2]]), 0.0, atol=1e-12)
     for i in range(3):
         for j in range(3):
             if i != j:
                 seed = int(np.random.SeedSequence((0, i, j)).generate_state(1)[0])
-                lone = fit_and_estimate_stack("nwj", variables[i][None], variables[j][None],
-                                              variables[i][None], variables[j][None], [seed],
-                                              BatchSpec())
-                assert lone[1] == [None] and lone[0].tobytes() == w[i, j].tobytes()
+                lone = fit_critic("bilinear", "nwj", variables[i], variables[j],
+                                  BatchSpec(seed=seed))
+                assert lone.metadata["final_value"] == w[i, j]
 
 
 @pytest.mark.parametrize("scale", [1e-7, 1e4, 1e7])
@@ -808,7 +846,8 @@ def test_cpc_weights_ignore_scale_duplicates_and_constants():
     # Newton's method is affine invariant and the solve is scaled to a unit
     # diagonal, so rescaling a variable or duplicating a coordinate moves no
     # weight.  A constant target scores every pair of a row alike, so it
-    # scores exactly 0; a constant source has nothing to tell.
+    # scores 0 up to the rounding of log b; a constant source has nothing to
+    # tell.
     rng = np.random.default_rng(0)
     x = rng.standard_normal((200, 2))
     y = 0.8 * x[:, :1] + 0.6 * rng.standard_normal((200, 1))
@@ -821,11 +860,10 @@ def test_cpc_weights_ignore_scale_duplicates_and_constants():
         np.testing.assert_allclose(w[:2, :2], want, rtol=0, atol=1e-8)
         for i, j in zip(*np.nonzero(~np.eye(len(variables), dtype=bool))):
             seed = int(np.random.SeedSequence((0, i, j)).generate_state(1)[0])
-            lone = fit_and_estimate_stack("cpc", variables[i][None], variables[j][None],
-                                          variables[i][None], variables[j][None], [seed],
-                                          BatchSpec())
-            assert lone[1] == [None] and lone[0].tobytes() == w[i, j].tobytes()
-    assert w[0, 2] == w[1, 2] == 0.0
+            lone = fit_critic("bilinear", "cpc", variables[i], variables[j],
+                              BatchSpec(seed=seed))
+            assert lone.metadata["final_value"] == w[i, j]
+    np.testing.assert_allclose(w[:, 2], 0.0, atol=1e-15)
     np.testing.assert_allclose(w[2], 0.0, atol=1e-12)
 
 
@@ -844,20 +882,21 @@ def test_cpc_fit_that_stops_short_of_the_tolerance_is_a_named_failure(monkeypatc
 
 @pytest.mark.parametrize("objective", ["cpc", "nwj"])
 def test_capped_scores_of_fitted_critics_on_the_benchmark_cells(objective, caplog):
-    # The baselines grid (n=2048, fit on the first half) and the sweep's sim2
-    # cells (m=7, d=2) at sizes 30 and 300, as edge weights.  No fitted NWJ
-    # critic scores beyond the cap, nor does CPC on the grid.  At n=30 the
-    # CPC optimum over 3 batches is steep: one eval score is capped in each of
-    # pairs (1, 4) and (3, 1) at seed 1, and (1, 5) and (5, 1) at seed 1001.
-    # The oracle critic is capped at rho 0.99.
+    # The baselines grid (n=2048, fit on the first half, NWJ on the grid's
+    # permutations) and the sweep's sim2 cells (m=7, d=2) at sizes 30 and
+    # 300, as edge weights.  No fitted critic scores an eval pair beyond the
+    # cap, and an edge weight scores none: it is its fit's value.  The oracle
+    # critic is capped at rho 0.99.
     rhos, seeds = (0.5, 0.9, 0.99, 0.999), (0, 1, 2)
     pairs = [_pair(rho, 2048, seed) for rho in rhos for seed in seeds]
     xs, ys = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
     records = {}
     with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
+        perms = np.stack([np.random.default_rng(seed).permutation(1024)
+                          for _ in rhos for seed in seeds])
         values, failures = fit_and_estimate_stack(
             objective, xs[:, :1024], ys[:, :1024], xs[:, 1024:], ys[:, 1024:],
-            [seed for _ in rhos for seed in seeds], BatchSpec())
+            [seed for _ in rhos for seed in seeds], BatchSpec(), perms=perms)
         assert failures == [None] * len(pairs)
         assert _capped_records(caplog) == 0
         for n in (30, 300):
@@ -870,8 +909,7 @@ def test_capped_scores_of_fitted_critics_on_the_benchmark_cells(objective, caplo
         x, y = _pair(0.99, 2048, 0)
         nwj_estimate(gaussian_oracle_critic(0.99), x, y, x, y[::-1])
         assert _capped_records(caplog) == 1
-    capped = {(30, 1): 2, (30, 1001): 2} if objective == "cpc" else {}
-    assert records == {cell: capped.get(cell, 0) for cell in records}
+    assert records == {cell: 0 for cell in records}
 
 
 def test_cpc_estimates_log_one_capped_record_per_problem(caplog):
@@ -895,15 +933,6 @@ def test_cpc_estimates_log_one_capped_record_per_problem(caplog):
         assert values[0] == pytest.approx(_reference_estimate("cpc", critic, xs[0], ys[0], None),
                                           rel=1e-12)
     assert _capped_records(caplog) == 1
-
-
-def test_nwj_fit_product_pairs_hold_the_default_eval_pairs():
-    # Fit and eval rows are the same for an edge weight, so the first fitted
-    # permutation is the estimate's: its product pairs are among the fit's.
-    rows = baselines._product_rows(42, 50)
-    assert rows.shape == ((baselines._NWJ_PERMUTATIONS + 1) * 50,)
-    assert np.array_equal(rows[:50], np.arange(50))
-    assert np.array_equal(rows[50:100], np.random.default_rng(42).permutation(50))
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
@@ -935,13 +964,27 @@ def test_a_stack_fits_within_its_float_budget(objective, solves, monkeypatch):
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        fit_and_estimate_stack(objective, xs, ys, xs, ys, list(range(42)), BatchSpec())
+        fit_and_estimate_stack(objective, xs, ys, xs, ys, list(range(42)), BatchSpec(),
+                               perms=np.tile(np.arange(300), (42, 1)))
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
     assert len(chunks) == solves
     assert peak <= 8 * baselines._NEWTON_FLOATS
+
+
+@pytest.mark.parametrize("method, solves", [("cpc", 11), ("nwj", 5)])
+def test_edge_weight_chunks_budget_no_eval_pairs(method, solves, monkeypatch):
+    # The same sweep cell as edge weights: a weight is its fit's value, so a
+    # chunk holds no eval pairs and fits more problems than the 14 and 7
+    # solves of the estimates above.
+    variables = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300, seed=1))[0].variables
+    chunks = []
+    real = baselines._newton
+    monkeypatch.setattr(baselines, "_newton", lambda *args: chunks.append(1) or real(*args))
+    baseline_edge_weights(variables, method, 1)
+    assert len(chunks) == solves
 
 
 def _stack_problems(n, dims=(1, 1)):
@@ -989,9 +1032,10 @@ def test_stacked_estimates_do_not_depend_on_chunk_size(objective, monkeypatch):
     xs, ys = _stack_problems(64, dims=(2, 2))
     xs[1] *= 1e200  # one problem diverges; its report must not move either
     spec = BatchSpec()
-    whole = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
+    perms = np.stack([np.random.default_rng(p).permutation(64) for p in range(3)])
+    whole = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec, perms=perms)
     monkeypatch.setattr(baselines, "_NEWTON_FLOATS", 1)
-    chunked = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec)
+    chunked = fit_and_estimate_stack(objective, xs, ys, xs, ys, [5, 5, 6], spec, perms=perms)
     assert whole[1] == chunked[1] == [None, baselines.DIVERGED, None]
     assert whole[0].tobytes() == chunked[0].tobytes()
     assert math.isnan(whole[0][1])
@@ -1003,7 +1047,7 @@ def test_stacked_estimates_report_non_finite_scores_per_problem():
     eval_xs, eval_ys = xs.copy(), ys.copy()
     eval_xs[2, 5] = eval_ys[2, 5] = 1e308
     values, failures = fit_and_estimate_stack("nwj", xs, ys, eval_xs, eval_ys, [1, 2, 3],
-                                              BatchSpec())
+                                              BatchSpec(), perms=np.tile(np.arange(64), (3, 1)))
     assert failures == [None, None, baselines.NON_FINITE_SCORES]
     assert np.isfinite(values[:2]).all() and math.isnan(values[2])
 
@@ -1017,9 +1061,10 @@ def test_stacked_estimates_validate_their_stacks():
         fit_and_estimate_stack("cpc", xs, ys[:2], xs, ys, [0, 1, 2], spec)
     with pytest.raises(ValueError, match="do not match"):
         fit_and_estimate_stack("nwj", xs, ys, xs, ys[:, :-1], [0, 1, 2], spec)
-    with pytest.raises(ValueError, match="do not match"):
-        fit_and_estimate_stack("nwj", xs, ys, xs, ys, [0, 1, 2], spec,
-                               perms=np.tile(np.arange(31), (3, 1)))
+    for perms in (np.tile(np.arange(31), (3, 1)), None):
+        with pytest.raises(ValueError, match="^an NWJ estimate needs perms, one eval "
+                                             "permutation per problem$"):
+            fit_and_estimate_stack("nwj", xs, ys, xs, ys, [0, 1, 2], spec, perms=perms)
     with pytest.raises(ValueError, match="not enough eval samples for one batch"):
         fit_and_estimate_stack("cpc", xs, ys, xs[:, :7], ys[:, :7], [0, 1, 2], spec)
     # Too few fit rows is reported first.

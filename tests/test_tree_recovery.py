@@ -27,18 +27,18 @@ _FAMILIES = {"linear": FamilyConfig("linear_gaussian"),
 # Wrong undirected edges summed over the six seeds' trees, out of 6 * (M - 1)
 # = 36, in ESTIMATORS order; the mean wrong-edge ratio is the count / 36.
 RECORDED = {
-    ("sim1", 30): (0, 0, 1, 13),
+    ("sim1", 30): (0, 0, 5, 15),
     ("sim1", 300): (0, 0, 0, 0),
-    ("sim2", 30): (21, 22, 17, 18),
-    ("sim2", 300): (10, 13, 0, 1),
-    ("sim3", 30): (12, 20, 17, 15),
+    ("sim2", 30): (21, 22, 22, 19),
+    ("sim2", 300): (10, 13, 0, 0),
+    ("sim3", 30): (12, 20, 15, 16),
     ("sim3", 300): (0, 0, 0, 0),
-    ("sim4", 30): (0, 0, 6, 22),
-    ("sim4", 300): (0, 0, 0, 9),
-    ("sim5", 30): (27, 23, 25, 23),
-    ("sim5", 300): (22, 25, 16, 17),
-    ("sim6", 30): (21, 25, 19, 22),
-    ("sim6", 300): (6, 10, 5, 10),
+    ("sim4", 30): (0, 0, 8, 21),
+    ("sim4", 300): (0, 0, 0, 8),
+    ("sim5", 30): (27, 23, 26, 26),
+    ("sim5", 300): (22, 25, 14, 18),
+    ("sim6", 30): (21, 25, 20, 23),
+    ("sim6", 300): (6, 10, 8, 11),
 }
 
 
