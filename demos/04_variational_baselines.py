@@ -37,7 +37,7 @@ print("1. CPC saturates at log(batch size)")
 print("=" * 72)
 
 batch = 8
-print(f"batch size {batch}, so every estimate is capped at "
+print(f"batch size {batch}, so every estimate is bounded by "
       f"log {batch} = {math.log(batch):.3f} nats\n")
 print(f"{'rho':>6} {'true I':>8} {'CPC mean':>9} {'CPC max':>8}")
 for rho in (0.5, 0.9, 0.99, 0.999):

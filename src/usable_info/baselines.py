@@ -15,8 +15,10 @@ free cells in Theta's row-major order.  :func:`gaussian_oracle_critic`
 builds the optimal NWJ critic ``1 + log[p(x,y) / (p(x)p(y))]`` of a
 correlated Gaussian pair, a quadratic in (x, y), as a ``quadratic`` Theta.
 The held-out estimates (:func:`cpc_estimate`, :func:`nwj_estimate` and
-:func:`fit_and_estimate_stack`) cap scores at ``+-DEFAULT_SCORE_CAP`` before
-exponentiation.
+:func:`fit_and_estimate_stack`) score with the estimators' formulas as
+written, uncapped.  CPC subtracts each row's largest score before it
+exponentiates, so its exponentials cannot overflow; an NWJ exp-score can.
+A non-finite estimate is a failure, :data:`NON_FINITE_SCORES`, not a value.
 
 Every fit is exact: Newton's method maximises the critic's objective, which
 is concave in Theta, with a backtracking line search, to a certified
@@ -56,7 +58,6 @@ every failed pair and why.
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -78,9 +79,6 @@ __all__ = [
     "gaussian_oracle_critic",
 ]
 
-logger = logging.getLogger(__name__)
-
-DEFAULT_SCORE_CAP = 50.0
 # _fitted_chunks fits a stack in chunks of as many problems as this many floats
 # (1 MB) hold: every step of a solve costs the same numpy calls however many
 # problems it holds.  A problem holds, per pair, a feature for each moved cell
@@ -197,37 +195,42 @@ def _finite(scores: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------- #
 
 
+@np.errstate(over="ignore")
 def cpc_estimate(critic: Critic, xs, ys) -> float:
     """Contrastive estimate on one batch of N aligned pairs.
 
-    Scores are exponentiated (after capping at ``+-DEFAULT_SCORE_CAP``)
-    so the contrastive ratio is positive; computed in log space as
+    Scores are exponentiated so the contrastive ratio is positive;
+    computed in log space, less each row's largest score, as
 
         mean_i [ s(x_i, y_i) - logmeanexp_j s(x_i, y_j) ]
 
-    The result never exceeds log N.
+    The result never exceeds log N.  A non-finite score, or a row whose
+    scores span more than the float range and so a value of -inf, raises
+    :class:`NumericalError` with :data:`NON_FINITE_SCORES`.
     """
     scores = critic.score_matrix(xs, ys)
     n = scores.shape[0]
     if n < 2 or scores.shape[1] != n:
         raise ValueError("need a batch of N >= 2 aligned pairs")
-    return float(_contrastive(_capped(scores[None]))[0])
+    return float(_finite(_contrastive(scores[None]))[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def nwj_estimate(critic: Critic, joint_xs, joint_ys, product_xs, product_ys) -> float:
     """NWJ estimate: mean score on joint pairs minus e^-1 mean exp-score
     on product-of-marginals pairs.
 
-    Scores are capped at ``+-DEFAULT_SCORE_CAP`` before exponentiation;
-    hitting the cap is logged because it biases the estimate.
+    A non-finite score, or an exp-score that overflows and so a value of
+    -inf, raises :class:`NumericalError` with :data:`NON_FINITE_SCORES`.
     """
-    joint = _capped(critic.score(joint_xs, joint_ys)[None])
-    prod = _capped(critic.score(product_xs, product_ys)[None])
-    return float(_nwj_value(joint, np.exp(prod))[0])
+    joint = critic.score(joint_xs, joint_ys)
+    prod = critic.score(product_xs, product_ys)
+    return float(_finite(_nwj_value(joint[None], np.exp(prod[None]))[0]))
 
 
 def _contrastive(scores: np.ndarray) -> np.ndarray:
-    """CPC values of capped (P, b, b) score matrices; ``scores`` is overwritten."""
+    """CPC values of (P, b, b) score matrices; ``scores`` is overwritten.  Each
+    row's largest score is subtracted first, so no exponential exceeds 1."""
     row_max = scores.max(axis=2, keepdims=True)
     diag = np.diagonal(scores, axis1=1, axis2=2) - row_max[..., 0]
     exp = np.exp(np.subtract(scores, row_max, out=scores), out=scores)
@@ -235,19 +238,8 @@ def _contrastive(scores: np.ndarray) -> np.ndarray:
 
 
 def _nwj_value(joint: np.ndarray, exp_prod: np.ndarray) -> np.ndarray:
-    """NWJ values from capped joint scores and exp'd product scores, each (P, n)."""
+    """NWJ values from joint scores and exp'd product scores, each (P, n)."""
     return joint.mean(axis=1) - math.exp(-1.0) * exp_prod.mean(axis=1)
-
-
-def _capped(scores: np.ndarray) -> np.ndarray:
-    """Scores clipped to the cap in place; one log record per stacked problem
-    that hit it."""
-    cap = DEFAULT_SCORE_CAP
-    clipped = np.count_nonzero((scores > cap) | (scores < -cap),
-                               axis=tuple(range(1, scores.ndim)))
-    for count in clipped[clipped > 0]:
-        logger.info("capped %d critic scores at +-%g", count, cap)
-    return np.clip(scores, -cap, cap, out=scores)
 
 
 def gaussian_oracle_critic(rho: float) -> Critic:
@@ -307,7 +299,6 @@ def fit_critic(kind: str, objective: str, xs, ys, spec: BatchSpec | None = None)
         "decrement": float(decrement[0]),
         **settings,
         "seed": spec.seed,
-        "score_cap": DEFAULT_SCORE_CAP,
     })
     why = _failure(mat[0], value[0], decrement[0])
     if why is not None:
@@ -586,7 +577,8 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
 
     Returns the values (P,) and, for each problem, its fit's
     :func:`_failure`, else :data:`NON_FINITE_SCORES` if its critic scored
-    an eval pair non-finitely, else None.  A failed problem's value is NaN.
+    an eval pair non-finitely or its estimate is non-finite (an NWJ
+    exp-score can overflow), else None.  A failed problem's value is NaN.
     """
     _check_objective(objective)
     fit_xs, fit_ys = _real_stack(fit_xs, "fit_xs"), _real_stack(fit_ys, "fit_ys")
@@ -647,13 +639,15 @@ def _real_stack(stack, name: str) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")
 def _estimates(objective, mat, xs, ys, perms, batch_size: int):
     """The estimates of :func:`fit_and_estimate_stack` from fitted Thetas,
-    and whether any of a problem's scores was non-finite: two (P,) arrays.
+    and whether any of a problem's scores, or its estimate, was non-finite:
+    two (P,) arrays.
 
     ``mat`` is Theta (P, px, py); problem p evaluates on ``xs[p]``,
     ``ys[p]`` and, for NWJ, takes product pairs ``(xs[p], ys[p, perms[p]])``.
-    CPC scores every problem's batches in one product, and logs one capped
-    record per problem.  numpy's overflow and invalid warnings are silenced,
-    as the second array reports them.
+    CPC scores every problem's batches in one product.  Finite scores can
+    still give an estimate of -inf: an NWJ exp-score that overflows, or a
+    CPC row whose scores span more than the float range.  numpy's overflow
+    and invalid warnings are silenced, as the second array reports them.
     """
     n_problems, n = xs.shape[:2]
     if objective == "cpc":
@@ -661,15 +655,17 @@ def _estimates(objective, mat, xs, ys, perms, batch_size: int):
         used, batches = n - n % batch_size, (n_problems, -1, batch_size, mat.shape[2])
         scores = ((_side("bilinear", xs[:, :used]) @ mat).reshape(batches)
                   @ _side("bilinear", ys[:, :used]).reshape(batches).swapaxes(2, 3))
-        non_finite = ~np.isfinite(scores).all(axis=(1, 2, 3))
-        values = _contrastive(_capped(scores).reshape((-1,) + scores.shape[2:]))
-        return values.reshape(n_problems, -1).mean(axis=1), non_finite
-    x_theta = _side("bilinear", xs) @ mat
-    psi = _side("bilinear", ys)
-    joint = _row_scores(x_theta, psi)
-    prod = _row_scores(x_theta, psi[np.arange(n_problems)[:, None], perms])
-    non_finite = ~(np.all(np.isfinite(joint), axis=1) & np.all(np.isfinite(prod), axis=1))
-    return _nwj_value(_capped(joint), np.exp(_capped(prod))), non_finite
+        finite = np.isfinite(scores).all(axis=(1, 2, 3))
+        values = _contrastive(scores.reshape((-1,) + scores.shape[2:]))
+        values = values.reshape(n_problems, -1).mean(axis=1)
+    else:
+        x_theta = _side("bilinear", xs) @ mat
+        psi = _side("bilinear", ys)
+        joint = _row_scores(x_theta, psi)
+        prod = _row_scores(x_theta, psi[np.arange(n_problems)[:, None], perms])
+        finite = np.isfinite(joint).all(axis=1) & np.isfinite(prod).all(axis=1)
+        values = _nwj_value(joint, np.exp(prod))
+    return values, ~(finite & np.isfinite(values))
 
 
 def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix:

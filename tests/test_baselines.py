@@ -118,12 +118,14 @@ def test_gaussian_oracle_critic_matches_density_ratio(rho):
     assert critic.metadata == {"rho": rho, "oracle": True}
 
 
-def test_score_cap_prevents_overflow():
-    critic = _constant_critic(1e4)
+def test_an_overflowing_nwj_exp_score_is_a_named_failure():
+    # Every score is 1e4, finite, but its exp-score overflows: the estimate
+    # would be -inf.  It is reported, with no numpy warning ahead of it.
     x, y = _pair(0.1, 8, 4)
-    got = nwj_estimate(critic, x, y, x, y)
-    assert np.isfinite(got)
-    assert got == pytest.approx(50.0 - math.exp(49.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{baselines.NON_FINITE_SCORES}$"):
+            nwj_estimate(_constant_critic(1e4), x, y, x, y)
 
 
 # ------------------------------------------------------------------ #
@@ -162,6 +164,22 @@ def test_nonfinite_critic_output_rejected():
     critic = Critic("bilinear", 1, 1, theta=np.full(4, np.nan))
     with pytest.raises(NumericalError):
         critic.score(np.zeros((3, 1)), np.zeros((3, 1)))
+
+
+def test_a_cpc_row_beyond_the_float_range_is_a_named_failure():
+    # Row 1 scores +-1.7e308, finite, but its own pair's score less the row's
+    # largest overflows to -inf, and so would the estimate.  Problem 1 of the
+    # stack has a zero Theta and stays finite.
+    x, y = np.ones((2, 1)), np.array([[1.7e8], [-1.7e8]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match=f"^{baselines.NON_FINITE_SCORES}$"):
+            cpc_estimate(Critic("bilinear", 1, 1, theta=[1e300, 0.0, 0.0, 0.0]), x, y)
+        mat = np.zeros((2, 2, 2))
+        mat[0, 0, 0] = 1e300
+        values, non_finite = baselines._estimates("cpc", mat, np.stack([x, x]),
+                                                  np.stack([y, y]), None, 2)
+    assert non_finite.tolist() == [True, False] and values[1] == 0.0
 
 
 # ------------------------------------------------------------------ #
@@ -215,20 +233,21 @@ def test_fitted_estimates_near_zero_on_independent_data(objective):
 
 
 def test_cpc_saturates_below_log_batch_on_strong_dependence():
-    # True information exceeds log(8), yet every batch estimate is capped
-    # at log(8) even for the richer quadratic critic.
-    rho = 0.999
-    true_info = -0.5 * math.log(1.0 - rho * rho)
-    assert true_info > math.log(8.0)
-    x, y = _pair(rho, 2048, 9)
-    spec = BatchSpec(batch_size=8, seed=9)
-    critic = fit_critic("quadratic", "cpc", x[:1024], y[:1024], spec=spec)
-    vals = [cpc_estimate(critic, x[k:k + 8], y[k:k + 8])
-            for k in range(1024, 2048, 8)]
-    vals = np.asarray(vals)
-    assert np.all(vals <= math.log(8.0) + 1e-9)
-    assert vals.mean() < math.log(8.0)
-    assert vals.mean() > 0.8  # it does learn something
+    # At rho 0.999 the true information exceeds log(8), yet every batch
+    # estimate is bounded by log(8) even for the richer quadratic critic.
+    # Below that bound the held-out mean still rises with the dependence.
+    means = []
+    for rho in (0.9, 0.99, 0.999):
+        x, y = _pair(rho, 2048, 9)
+        spec = BatchSpec(batch_size=8, seed=9)
+        critic = fit_critic("quadratic", "cpc", x[:1024], y[:1024], spec=spec)
+        vals = np.asarray([cpc_estimate(critic, x[k:k + 8], y[k:k + 8])
+                           for k in range(1024, 2048, 8)])
+        assert np.all(vals <= math.log(8.0) + 1e-9), rho
+        means.append(vals.mean())
+    assert -0.5 * math.log(1.0 - 0.999 ** 2) > math.log(8.0)
+    assert means[0] < means[1] < means[2] < math.log(8.0), means
+    assert means[2] > 0.8  # it does learn something
 
 
 def test_nwj_oracle_variance_grows_with_dependence():
@@ -282,7 +301,6 @@ def test_batch_spec_rejects_bad_sizes_and_steps(settings):
 THETA_RTOL = 1e-6
 VALUE_ATOL = 1e-10
 WEIGHT_ATOL = 1e-8
-_baselines_log = logging.getLogger("usable_info.baselines")
 
 
 def _assert_close(got, want, rtol=THETA_RTOL):
@@ -434,13 +452,6 @@ def _reference_scores(critic, xs, ys):
     return out
 
 
-def _reference_capped(scores, cap=50.0):
-    clipped = np.count_nonzero(np.abs(scores) > cap)
-    if clipped:
-        _baselines_log.info("capped %d critic scores at +-%g", clipped, cap)
-    return np.clip(scores, -cap, cap)
-
-
 def _reference_cpc_scores(critic, xs, ys):
     n = xs.shape[0]
     return _reference_scores(critic, np.repeat(xs, n, axis=0),
@@ -448,25 +459,24 @@ def _reference_cpc_scores(critic, xs, ys):
 
 
 def _reference_cpc_value(scores):
-    """The CPC estimate of one batch's capped score grid."""
+    """The CPC estimate of one batch's score grid."""
     row_max = scores.max(axis=1, keepdims=True)
     log_mean = row_max[:, 0] + np.log(np.exp(scores - row_max).mean(axis=1))
     return float(np.mean(np.diag(scores) - log_mean))
 
 
 def _reference_nwj_estimate(critic, joint_xs, joint_ys, product_xs, product_ys):
-    joint = _reference_capped(_reference_scores(critic, joint_xs, joint_ys))
-    prod = _reference_capped(_reference_scores(critic, product_xs, product_ys))
+    joint = _reference_scores(critic, joint_xs, joint_ys)
+    prod = _reference_scores(critic, product_xs, product_ys)
     return float(joint.mean() - math.exp(-1.0) * np.exp(prod).mean())
 
 
 def _reference_estimate(method, critic, xs, ys, perm, batch_size=8):
     if method == "cpc":
-        # One cap record for all the batches.
-        grids = _reference_capped(np.stack([
-            _reference_cpc_scores(critic, xs[k:k + batch_size], ys[k:k + batch_size])
+        return float(np.mean([
+            _reference_cpc_value(_reference_cpc_scores(critic, xs[k:k + batch_size],
+                                                       ys[k:k + batch_size]))
             for k in range(0, xs.shape[0] - batch_size + 1, batch_size)]))
-        return float(np.mean([_reference_cpc_value(grid) for grid in grids]))
     return _reference_nwj_estimate(critic, xs, ys, xs, ys[perm])
 
 
@@ -483,11 +493,6 @@ def _reference_weights(method, variables, seed):
     m = len(variables)
     return np.array([[0.0 if i == j else _reference_pair_weight(method, variables, seed, i, j)
                       for j in range(m)] for i in range(m)])
-
-
-def _capped_records(caplog):
-    return sum(1 for r in caplog.records
-               if r.name == "usable_info.baselines" and r.getMessage().startswith("capped"))
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
@@ -588,7 +593,7 @@ def test_fit_critic_matches_reference_bitwise(kind, objective, batch_size, n):
     assert got.metadata["decrement"] <= baselines._NEWTON_TOLERANCE
     assert got.metadata["final_grad_norm"] < 1e-4
     assert set(got.metadata) == {"objective", "final_value", "final_grad_norm", "iterations",
-                                 "decrement", "seed", "score_cap"} | (
+                                 "decrement", "seed"} | (
         {"batch_size"} if objective == "cpc" else set())
     if objective == "nwj":
         assert fit_critic(kind, objective, x, y, spec=BatchSpec(seed=n + 1)).metadata == (
@@ -644,7 +649,7 @@ def test_every_batch_holds_distinct_rows(n, size, seed):
 
 @pytest.mark.parametrize("perm", [None, "given"])
 @pytest.mark.parametrize("objective", ["cpc", "nwj"])
-def test_fit_and_estimate_matches_reference_bitwise(objective, perm, caplog):
+def test_fit_and_estimate_matches_reference_bitwise(objective, perm):
     # Despite its id, this compares at the tolerances of the references, as
     # above.  CPC takes no eval permutation, and NWJ has no default one.
     x, y = _pair(0.99, 600, 11)
@@ -657,18 +662,13 @@ def test_fit_and_estimate_matches_reference_bitwise(objective, perm, caplog):
             fit_and_estimate_stack(objective, x[None, :300], y[None, :300], x[None, 300:],
                                    y[None, 300:], [spec.seed], spec)
         return
-    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
-        values, failures = fit_and_estimate_stack(
-            objective, x[None, :300], y[None, :300], x[None, 300:], y[None, 300:], [spec.seed],
-            spec, perms=None if order is None else order[None])
-        assert failures == [None]
-        got = values[0]
-        fast_records = _capped_records(caplog)
-        caplog.clear()
-        critic = _reference_fit_critic("bilinear", objective, x[:300], y[:300], spec)
-        want = _reference_estimate(objective, critic, x[300:], y[300:], order)
-        assert fast_records == _capped_records(caplog)
-    _assert_estimates_close(got, want)
+    values, failures = fit_and_estimate_stack(
+        objective, x[None, :300], y[None, :300], x[None, 300:], y[None, 300:], [spec.seed],
+        spec, perms=None if order is None else order[None])
+    assert failures == [None]
+    critic = _reference_fit_critic("bilinear", objective, x[:300], y[:300], spec)
+    want = _reference_estimate(objective, critic, x[300:], y[300:], order)
+    _assert_estimates_close(values[0], want)
 
 
 @pytest.mark.parametrize("n", [8, 300])
@@ -683,14 +683,12 @@ def test_baseline_edge_weights_match_reference_with_mixed_dims(method, n):
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
-def test_baseline_edge_weights_match_reference_on_sim2(method, caplog):
-    # All 42 pairs, var0's too: it reaches |x| ~ 10, where the ascents used
-    # to pin scores at the cap.  Each pair's fit is scipy's optimum: Theta
-    # and the objective, which is the weight, bit for bit the lone fit's.
+def test_baseline_edge_weights_match_reference_on_sim2(method):
+    # All 42 pairs, var0's too: it reaches |x| ~ 10.  Each pair's fit is
+    # scipy's optimum: Theta and the objective, which is the weight, bit for
+    # bit the lone fit's.
     variables = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300, seed=1))[0].variables
-    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
-        got = baseline_edge_weights(variables, method, seed=1).w
-        assert _capped_records(caplog) == 0
+    got = baseline_edge_weights(variables, method, seed=1).w
     for i in range(7):
         for j in range(7):
             if i != j:
@@ -880,59 +878,25 @@ def test_cpc_fit_that_stops_short_of_the_tolerance_is_a_named_failure(monkeypatc
     assert critic.metadata["decrement"] > baselines._NEWTON_TOLERANCE
 
 
-@pytest.mark.parametrize("objective", ["cpc", "nwj"])
-def test_capped_scores_of_fitted_critics_on_the_benchmark_cells(objective, caplog):
-    # The baselines grid (n=2048, fit on the first half, NWJ on the grid's
-    # permutations) and the sweep's sim2 cells (m=7, d=2) at sizes 30 and
-    # 300, as edge weights.  No fitted critic scores an eval pair beyond the
-    # cap, and an edge weight scores none: it is its fit's value.  The oracle
-    # critic is capped at rho 0.99.
-    rhos, seeds = (0.5, 0.9, 0.99, 0.999), (0, 1, 2)
-    pairs = [_pair(rho, 2048, seed) for rho in rhos for seed in seeds]
-    xs, ys = np.stack([x for x, _ in pairs]), np.stack([y for _, y in pairs])
-    records = {}
-    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
-        perms = np.stack([np.random.default_rng(seed).permutation(1024)
-                          for _ in rhos for seed in seeds])
-        values, failures = fit_and_estimate_stack(
-            objective, xs[:, :1024], ys[:, :1024], xs[:, 1024:], ys[:, 1024:],
-            [seed for _ in rhos for seed in seeds], BatchSpec(), perms=perms)
-        assert failures == [None] * len(pairs)
-        assert _capped_records(caplog) == 0
-        for n in (30, 300):
-            for seed in (0, 1, 1001, 1002):
-                caplog.clear()
-                config = SimulationConfig(scenario="sim2", m=7, d=2, n=n, seed=seed)
-                baseline_edge_weights(simulate(config)[0].variables, objective, seed)
-                records[n, seed] = _capped_records(caplog)
-        caplog.clear()
-        x, y = _pair(0.99, 2048, 0)
-        nwj_estimate(gaussian_oracle_critic(0.99), x, y, x, y[::-1])
-        assert _capped_records(caplog) == 1
-    assert records == {cell: 0 for cell in records}
-
-
-def test_cpc_estimates_log_one_capped_record_per_problem(caplog):
-    # Theta's (x, y) cell at 200 caps scores in several of problem 0's 8
-    # batches of 64 rows.  It logs one record, which counts them all, as an
-    # NWJ problem does; problem 1's zero Theta caps none.
+def test_cpc_estimates_score_uncapped(caplog):
+    # Theta's (x, y) cell at 200 scores pairs in several of problem 0's 8
+    # batches of 64 rows beyond +-50.  The estimate takes the scores as they
+    # are: it is the reference's, and logs nothing.  Problem 1's zero Theta
+    # scores 0.
     rng = np.random.default_rng(0)
     xs, ys = rng.normal(size=(2, 64, 1)), rng.normal(size=(2, 64, 1))
     mat = np.zeros((2, 2, 2))
     mat[0, 0, 0] = 200.0
-    capped = np.abs(200.0 * xs[0].reshape(8, 8, 1) * ys[0].reshape(8, 1, 8)) > 50.0
-    assert np.count_nonzero(capped.any(axis=(1, 2))) > 1
-    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
+    large = np.abs(200.0 * xs[0].reshape(8, 8, 1) * ys[0].reshape(8, 1, 8)) > 50.0
+    assert np.count_nonzero(large.any(axis=(1, 2))) > 1
+    with caplog.at_level(logging.DEBUG):
         values, non_finite = baselines._estimates("cpc", mat, xs, ys, None, 8)
-    assert [r.getMessage() for r in caplog.records] == [
-        f"capped {np.count_nonzero(capped)} critic scores at +-50"]
+    assert caplog.records == []
     assert not non_finite.any()
     critic = Critic("bilinear", 1, 1, theta=mat[0].ravel())
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="usable_info.baselines"):
-        assert values[0] == pytest.approx(_reference_estimate("cpc", critic, xs[0], ys[0], None),
-                                          rel=1e-12)
-    assert _capped_records(caplog) == 1
+    assert values[0] == pytest.approx(_reference_estimate("cpc", critic, xs[0], ys[0], None),
+                                      rel=1e-12)
+    assert values[1] == 0.0
 
 
 @pytest.mark.parametrize("method", ["cpc", "nwj"])
@@ -1044,12 +1008,27 @@ def test_stacked_estimates_do_not_depend_on_chunk_size(objective, monkeypatch):
 def test_stacked_estimates_report_non_finite_scores_per_problem():
     # A finite critic overflows on an eval pair far outside the fit rows.
     xs, ys = _stack_problems(64)
+    perms = np.tile(np.arange(64), (3, 1))
     eval_xs, eval_ys = xs.copy(), ys.copy()
     eval_xs[2, 5] = eval_ys[2, 5] = 1e308
     values, failures = fit_and_estimate_stack("nwj", xs, ys, eval_xs, eval_ys, [1, 2, 3],
-                                              BatchSpec(), perms=np.tile(np.arange(64), (3, 1)))
+                                              BatchSpec(), perms=perms)
     assert failures == [None, None, baselines.NON_FINITE_SCORES]
     assert np.isfinite(values[:2]).all() and math.isnan(values[2])
+    # Problem 0 is positively dependent; one eval row scaled by 1e3 scores
+    # finitely, about 1e6 times the critic's xy weight, but its exp-score
+    # overflows, which would make the estimate -inf.
+    clean, _ = fit_and_estimate_stack("nwj", xs, ys, xs, ys, [1, 2, 3], BatchSpec(),
+                                      perms=perms)
+    eval_xs, eval_ys = xs.copy(), ys.copy()
+    eval_xs[0, 5] *= 1e3
+    eval_ys[0, 5] *= 1e3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, failures = fit_and_estimate_stack("nwj", xs, ys, eval_xs, eval_ys, [1, 2, 3],
+                                                  BatchSpec(), perms=perms)
+    assert failures == [baselines.NON_FINITE_SCORES, None, None]
+    assert math.isnan(values[0]) and values[1:].tobytes() == clean[1:].tobytes()
 
 
 def test_stacked_estimates_validate_their_stacks():

@@ -872,6 +872,11 @@ def test_baselines_non_finite_scores_exit_4_naming_row(tmp_path, capsys, monkeyp
                     ["--rhos", "0.5", "--seeds", "0", "--n", "384", "--batch-size", "4"],
                     f"rho=0.5 seed=0 estimator={objective}: critic produced non-finite scores")
         monkeypatch.undo()
+    # 1e4 in every cell scores 1e4 (x + 1)(y + 1), finite, but some NWJ
+    # exp-scores overflow: the estimate is not a number, so the row fails.
+    _patch_fits(monkeypatch, "nwj", theta=1e4)
+    _failed_row(tmp_path, capsys, ["--rhos", "0.5", "--seeds", "0", "--n", "256"],
+                "rho=0.5 seed=0 estimator=nwj: critic produced non-finite scores")
 
 
 def test_baselines_unconverged_nwj_fit_exits_4_naming_row(tmp_path, capsys, monkeypatch):
