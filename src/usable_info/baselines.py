@@ -80,13 +80,15 @@ __all__ = [
 ]
 
 # _fitted_chunks fits a stack in chunks of as many problems as this many floats
-# (1 MB) hold: every step of a solve costs the same numpy calls however many
-# problems it holds.  A problem holds, per pair, a feature for each moved cell
-# and either five vectors while solved (scores, weights, score moves, a trial
-# and its weights) or psi's gathered entries and y row while its features are
-# built; a solve also holds one problem's weighted features.  Per-row arrays
-# are not counted: an NWJ chunk of 9 sim2 n=300 problems peaks at 1.07 MB.
-_NEWTON_FLOATS = 1 << 17
+# (2 MB) hold: every step of a solve costs the same numpy calls however many
+# problems it holds.  A chunk's floats are those _solve_floats counts, its
+# feature build's included, and for a held-out estimate each problem's eval
+# pairs.  2 MB is the knee of the measured curve: from 1 to 2, 3, 4 and 8 MB,
+# a sweep cell's CPC and NWJ edge weights (sim2, m=7, d=2, n=300) and the
+# baselines command at n=2048 took 115, 88, 84, 86 and 80 ms, and the
+# sweep_fits benchmark's peak RSS read 44.1, 45.1, 46.3 and 46.8 MB to 4 MB
+# (medians on 2 CPUs, numpy 2.4).
+_NEWTON_FLOATS = 1 << 18
 # An NWJ fit's product pairs are its n diagonal pairs and the pairs of this
 # many fixed permutations of its rows.
 _NWJ_PERMUTATIONS = 2
@@ -349,16 +351,29 @@ def _pair_features(kind, xs, ys, rows, y_rows, cells) -> np.ndarray:
     each pass over a problem's features reads them in order.  Problem p's
     pairs are those of :func:`_pair_rows` with ``rows[p]`` and ``y_rows[p]``."""
     n_problems, n_rows = rows.shape
-    # A CPC fit moves no cell of psi's last entry, its constant 1.
-    width = cells.shape[1] - (not cells[:, -1].any())
+    width = _width(cells)
     cells = cells[:, :width]
-    phi = np.take_along_axis(_side(kind, xs).transpose(0, 2, 1), rows[:, None], axis=2)
-    psi = np.take_along_axis(_side(kind, ys)[..., :width].transpose(0, 2, 1), y_rows[:, None],
-                             axis=2)
+    phi = _gathered(_side(kind, xs), rows)
+    psi = _gathered(_side(kind, ys)[..., :width], y_rows)
     feats = np.empty((n_problems, cells.size, y_rows.shape[1]))
     np.multiply(phi[:, :, None, None], psi.reshape(n_problems, 1, width, -1, n_rows),
                 out=feats.reshape(n_problems, cells.shape[0], width, -1, n_rows))
     return feats if cells.all() else feats[:, cells.ravel()]
+
+
+def _width(cells) -> int:
+    """How many of psi's entries a fit moves: all, or for CPC all but its
+    constant last one."""
+    return cells.shape[1] - (not cells[:, -1].any())
+
+
+def _gathered(side, rows) -> np.ndarray:
+    """Each problem's side map (P, n, s) at its ``rows`` (P, N): (P, s, N)."""
+    out = np.empty((len(rows), side.shape[2], rows.shape[1]))
+    for table, index, into in zip(side, rows, out):
+        # Every index is in range; "clip" writes into ``out`` unbuffered.
+        np.take(table.T, index, axis=1, out=into, mode="clip")
+    return out
 
 
 def _cells(objective: str, kind: str, x_dim: int, y_dim: int) -> np.ndarray:
@@ -610,20 +625,39 @@ def fit_and_estimate_stack(objective: str, fit_xs, fit_ys, eval_xs, eval_ys, see
 
 def _fitted_chunks(objective, xs, ys, seeds, batch_size: int, eval_floats: int = 0):
     """Fit a bilinear critic per problem p of a stack (P, n, d), seeded by
-    ``seeds[p]``, in chunks of ``_NEWTON_FLOATS`` floats plus ``eval_floats``
-    per problem (an estimate's eval maps and scores).  Yields, per chunk, its
-    slice, Thetas (p, px, py), values (p,) and each problem's :func:`_failure`."""
+    ``seeds[p]``, in chunks whose :func:`_solve_floats`, with ``eval_floats``
+    more per problem (an estimate's eval maps and scores), fit in
+    ``_NEWTON_FLOATS``.  Yields, per chunk, its slice, Thetas (p, px, py),
+    values (p,) and each problem's :func:`_failure`."""
     n_problems, n, dx = xs.shape
-    # Every seed draws as many pairs, and _pair_rows refuses too few CPC rows.
-    pairs = _pair_rows(objective, 0, n, batch_size)[1].size
-    moved = int(_cells(objective, "bilinear", dx, ys.shape[2]).sum())
-    floats = pairs * (moved + max(5, ys.shape[2] + 2)) + eval_floats
-    size = max(1, (_NEWTON_FLOATS - pairs * moved) // floats)
+    fixed, floats = _solve_floats(objective, n, dx, ys.shape[2], batch_size)
+    size = max(1, (_NEWTON_FLOATS - fixed) // (floats + eval_floats))
     for k in range(0, n_problems, size):
         chunk = slice(k, k + size)
         mat, value, _, _, decrement = _newton(objective, "bilinear", xs[chunk], ys[chunk],
                                               seeds[chunk], batch_size)
         yield chunk, mat, value, list(map(_failure, mat, value, decrement))
+
+
+def _solve_floats(objective, n: int, dx: int, dy: int, batch_size: int):
+    """The floats that :func:`_newton` holds at most for a bilinear critic on
+    n rows of (dx, dy) samples: those it holds whatever its problem count,
+    and those it holds per problem.
+
+    Per pair, a problem holds a feature for each moved cell and either the
+    five vectors of its solve (scores, weights, score moves, a trial and its
+    weights) or, while its features are built, psi's gathered entries and
+    their y row; per fit row, CPC's two row sums, or phi's gathered entries
+    and their row; and per sample, psi's side map.  A solve also holds one
+    problem's weighted features, and the multiply that builds the features
+    two iterator buffers of ``np.getbufsize()`` items."""
+    # Every seed draws as many rows, and _pair_rows refuses too few CPC rows.
+    rows, y_rows = _pair_rows(objective, 0, n, batch_size)
+    cells = _cells(objective, "bilinear", dx, dy)
+    moved, pairs = int(cells.sum()), y_rows.size
+    solve = pairs * 5 + rows.size * 2
+    build = pairs * (_width(cells) + 1) + rows.size * (dx + 2) + n * (dy + 1)
+    return pairs * moved + 2 * np.getbufsize(), pairs * moved + max(solve, build)
 
 
 def _real_stack(stack, name: str) -> np.ndarray:

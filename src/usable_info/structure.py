@@ -14,8 +14,9 @@ no ``clip_b`` and no ``norm_radius`` uses the closed form ``w[i, j] =
 ||P_i Yc_j||_F^2 / n`` (``P_i`` projects onto source i's centred features,
 ``Yc_j`` is the centred target): one thin SVD per source scores every
 target.  ``gaussian_mean`` and ``laplace_mean`` cannot read x, so every
-weight is 0 by definition.  Any other config fits each ordered pair on its
-own, the closed form's oracle.  All check each variable as ``ys`` first.
+weight is 0 by definition, with no fit.  Any other config fits each ordered
+pair on its own, the closed form's oracle.  All check each variable as
+``ys`` first.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
 the correctness oracle for the fast arborescence.  Nothing here assumes the
@@ -159,7 +160,7 @@ def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
 
     ``variables`` holds one aligned sample array per variable, and every
     directed pair is scored with the family ``config``: by the closed form,
-    as 0 for a constant-map kind once every marginal is fitted, or pair by
+    as 0 for a constant-map kind once every variable is checked, or pair by
     pair (see the module docstring).  The result is deterministic given the
     data and config.
     """
@@ -168,6 +169,12 @@ def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
         weights = _projection_weights(variables, config)
         if weights is not None:
             return weights
+    if config.kind in _CONSTANT_KINDS:
+        # A member's conditional is its marginal, so no weight needs a fit.
+        m = _check_aligned(variables)
+        for v in variables:
+            _real_matrix(v, "ys", config.y_spec)
+        return EdgeWeightMatrix(np.zeros((m, m)))
     return _pair_weights(variables, config)
 
 
@@ -182,11 +189,10 @@ def _pair_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
                                      empirical_entropy, config, v)
                 for j, v in enumerate(variables)]
     w = np.zeros((m, m))
-    if config.kind not in _CONSTANT_KINDS:
-        for i, j in permutations(range(m), 2):
-            w[i, j] = marginal[j] - _naming_fit_warnings(
-                f"{config.kind} pair ({i}, {j})", empirical_conditional_entropy, config,
-                variables[i], variables[j])
+    for i, j in permutations(range(m), 2):
+        w[i, j] = marginal[j] - _naming_fit_warnings(
+            f"{config.kind} pair ({i}, {j})", empirical_conditional_entropy, config,
+            variables[i], variables[j])
     return EdgeWeightMatrix(w)
 
 

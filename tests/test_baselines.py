@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import logging
 import math
 import tracemalloc
@@ -910,7 +911,7 @@ def test_baseline_edge_weights_do_not_depend_on_stack_chunks(method, monkeypatch
     assert baseline_edge_weights(variables, method, seed=2).w.tobytes() == whole.tobytes()
 
 
-@pytest.mark.parametrize("objective, solves", [("cpc", 14), ("nwj", 7)])
+@pytest.mark.parametrize("objective, solves", [("cpc", 6), ("nwj", 4)])
 def test_a_stack_fits_within_its_float_budget(objective, solves, monkeypatch):
     # A sweep cell's stack (sim2, m=7, d=2, n=300): its 42 pairs are fitted in
     # chunks of as many problems as _NEWTON_FLOATS holds.  numpy reports its
@@ -938,17 +939,84 @@ def test_a_stack_fits_within_its_float_budget(objective, solves, monkeypatch):
     assert peak <= 8 * baselines._NEWTON_FLOATS
 
 
-@pytest.mark.parametrize("method, solves", [("cpc", 11), ("nwj", 5)])
+@pytest.mark.parametrize("method, solves", [("cpc", 6), ("nwj", 3)])
 def test_edge_weight_chunks_budget_no_eval_pairs(method, solves, monkeypatch):
     # The same sweep cell as edge weights: a weight is its fit's value, so a
-    # chunk holds no eval pairs and fits more problems than the 14 and 7
-    # solves of the estimates above.
+    # chunk holds no eval pairs and fits at least as many problems as the 6
+    # and 4 solves of the estimates above.
     variables = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300, seed=1))[0].variables
     chunks = []
     real = baselines._newton
     monkeypatch.setattr(baselines, "_newton", lambda *args: chunks.append(1) or real(*args))
     baseline_edge_weights(variables, method, 1)
     assert len(chunks) == solves
+
+
+def _chunk_peaks(monkeypatch):
+    """Each ``_newton`` and ``_estimates`` call's name, problem count and its
+    ``tracemalloc`` peak above the memory it started from, in bytes.  numpy
+    reports its arrays to tracemalloc, so a peak counts every array a solve
+    makes, its feature build's included."""
+    peaks = []
+
+    def traced(real):
+        def call(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = real(*args)
+            peaks.append((real.__name__, len(args[2]),
+                          tracemalloc.get_traced_memory()[1] - before))
+            return out
+        return call
+
+    monkeypatch.setattr(baselines, "_newton", traced(baselines._newton))
+    monkeypatch.setattr(baselines, "_estimates", traced(baselines._estimates))
+    return peaks
+
+
+def _baselines_stack():
+    """The fit and eval stacks of the baselines command at n=2048 and four
+    rhos by three seeds: 12 problems of 1024 fit and 1024 eval pairs."""
+    rng = np.random.default_rng(3)
+    xs = rng.normal(size=(12, 2048, 1))
+    ys = 0.9 * xs + rng.normal(size=(12, 2048, 1))
+    perms = np.stack([rng.permutation(1024) for _ in range(12)])
+    return (xs[:, :1024], ys[:, :1024], xs[:, 1024:], ys[:, 1024:]), perms
+
+
+@pytest.mark.parametrize("case", ["edge_cpc", "edge_nwj", "edge_nwj_9", "stack_cpc",
+                                  "stack_nwj"])
+def test_no_critic_chunk_passes_its_float_budget(case, monkeypatch):
+    # A chunk's peak, feature build included, stays within _NEWTON_FLOATS: for
+    # a sweep cell's edge weights (sim2, m=7, d=2, n=300), for the baselines
+    # command's n=2048 stacks, and at a budget of exactly 9 NWJ problems of
+    # the sweep cell.
+    kind, objective = case.split("_")[:2]
+    if case == "edge_nwj_9":
+        fixed, floats = baselines._solve_floats("nwj", 300, 2, 2, BatchSpec().batch_size)
+        monkeypatch.setattr(baselines, "_NEWTON_FLOATS", fixed + 9 * floats)
+    if kind == "edge":
+        variables = simulate(SimulationConfig(scenario="sim2", m=7, d=2, n=300,
+                                              seed=1))[0].variables
+        fit = functools.partial(baseline_edge_weights, variables, objective, 1)
+    else:
+        stacks, perms = _baselines_stack()
+        fit = functools.partial(fit_and_estimate_stack, objective, *stacks, list(range(12)),
+                                BatchSpec(), perms=perms)
+    peaks = _chunk_peaks(monkeypatch)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        fit()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    sizes = [size for name, size, _ in peaks if name == "_newton"]
+    assert len(sizes) > 1 and max(sizes) > 1  # several chunks, of several problems
+    if case == "edge_nwj_9":
+        assert max(sizes) == 9
+    assert max(peak for _, _, peak in peaks) <= 8 * baselines._NEWTON_FLOATS, peaks
 
 
 def _stack_problems(n, dims=(1, 1)):

@@ -433,12 +433,28 @@ def test_only_plain_linear_and_polynomial_configs_skip_the_pair_loop(monkeypatch
 
 
 @pytest.mark.parametrize("kind", ["gaussian_mean", "laplace_mean"])
-def test_constant_map_kinds_fit_each_marginal_once_and_no_conditional(monkeypatch, kind):
+def test_constant_map_kinds_fit_no_marginal_and_no_conditional(monkeypatch, kind):
     variables = _correlated(np.random.default_rng(14), [2, 1, 2, 3], 60)
     marginals = _count_calls(monkeypatch, "empirical_entropy")
     conditionals = _count_calls(monkeypatch)
     assert not edge_weights(variables, FamilyConfig(kind)).w.any()
-    assert (len(marginals), len(conditionals)) == (4, 0)
+    assert (len(marginals), len(conditionals)) == (0, 0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian_mean", "laplace_mean"])
+def test_constant_map_kinds_raise_the_first_bad_variables_ys_error(kind):
+    # A NaN variable and a 3-D one, in either order: the first in index order
+    # raises the error that the per-pair path's marginal fit raises for it.
+    good = np.arange(6.0)
+    nan = np.array([0.0, 1.0, np.nan, 3.0, 4.0, 5.0])
+    cube = np.zeros((6, 1, 1))
+    for variables, message in (([good, nan, cube], "ys contains non-finite"),
+                               ([good, cube, nan], "ys must be a vector or a matrix")):
+        with pytest.raises(ValueError, match=f"^{message}") as fast:
+            edge_weights(variables, FamilyConfig(kind))
+        with pytest.raises(ValueError) as slow:
+            structure._pair_weights(variables, FamilyConfig(kind))
+        assert str(fast.value) == str(slow.value)
 
 
 @pytest.mark.parametrize("n", [30, 300])
@@ -458,17 +474,16 @@ def test_constant_map_weights_equal_the_per_pair_definition_bitwise(n, seed):
         assert edge_weights(v, config).w.tobytes() == expected.tobytes(), kind
 
 
-def test_non_converging_constant_map_marginal_still_warns():
+def test_a_constant_map_config_that_cannot_converge_warns_nothing():
+    # One Weiszfeld step warns on every marginal it fits, and no marginal is fitted.
     variables = _correlated(np.random.default_rng(15), [2, 2, 2], 50)
     config = FamilyConfig("laplace_mean", fit=FitMode(max_iters=1))
+    with pytest.warns(FitWarning, match="geometric median stopped after 1 iterations"):
+        empirical_entropy(config, variables[0])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        edge_weights(variables, config)
-    assert [str(w.message).split(": ")[0] for w in caught] == [
-        f"laplace_mean marginal of variable {j}" for j in range(3)]
-    assert all(issubclass(w.category, FitWarning) for w in caught)
-    assert all(": geometric median stopped after 1 iterations" in str(w.message)
-               for w in caught)
+        assert not edge_weights(variables, config).w.any()
+    assert caught == []
 
 
 def test_a_per_pair_fit_warning_names_the_family_and_the_pair():
