@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InfiniteLogDensityError
-from .families import FamilyConfig, fit_conditional, fit_marginal
+from .families import FamilyConfig, _positive_finite, fit_conditional, fit_marginal
 
 __all__ = [
     "PacConfig",
@@ -71,7 +71,7 @@ class PacConfig:
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 0.5)")
-        if self.b <= 0:
+        if not _positive_finite(self.b):
             raise ValueError("log-density bound b must be positive")
         has_radii = self.k_x is not None or self.k_y is not None
         if has_radii and (self.k_x is None or self.k_y is None):
@@ -80,9 +80,9 @@ class PacConfig:
             raise ValueError(
                 "exactly one of rademacher_bound or (k_x, k_y) must drive the bound"
             )
-        if self.rademacher_bound is not None and self.rademacher_bound < 0:
+        if self.rademacher_bound is not None and not 0 <= self.rademacher_bound < math.inf:
             raise ValueError("rademacher_bound must be non-negative")
-        if has_radii and (self.k_x <= 0 or self.k_y <= 0):
+        if has_radii and not (_positive_finite(self.k_x) and _positive_finite(self.k_y)):
             raise ValueError("norm radii must be positive")
 
 
@@ -179,7 +179,7 @@ def linear_pac_half_width(k_x: float, k_y: float, delta: float, n: int) -> float
 
     Width scales as 1/sqrt(n): quadrupling the sample count halves it.
     """
-    if k_x <= 0 or k_y <= 0:
+    if not (_positive_finite(k_x) and _positive_finite(k_y)):
         raise ValueError("norm radii must be positive")
     if not 0.0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 0.5)")

@@ -165,12 +165,13 @@ class FamilyConfig:
                 raise ValueError("polynomial_gaussian needs order >= 1")
         elif self.order is not None:
             raise ValueError("order is only meaningful for polynomial_gaussian")
-        if self.clip_b is not None and self.clip_b <= 0:
+        # ``not x > 0`` rejects NaN too; +inf means no clip or no constraint.
+        if self.clip_b is not None and not self.clip_b > 0:
             raise ValueError("clip bound B must be positive")
         if self.norm_radius is not None:
             if self.kind not in ("linear_gaussian", "polynomial_gaussian"):
                 raise ValueError("norm_radius applies to linear/polynomial maps only")
-            if self.norm_radius <= 0:
+            if not self.norm_radius > 0:
                 raise ValueError("norm_radius must be positive")
 
 
@@ -237,6 +238,13 @@ def _categorical_symbols(samples, name: str, spec: VariableSpec | None):
 
 def _clipped(vals: np.ndarray, clip: float | None) -> np.ndarray:
     return vals if clip is None else np.clip(vals, -clip, clip)
+
+
+def _gaussian_log_densities(resid: np.ndarray) -> np.ndarray:
+    """Each row r's log-density under covariance I/2, -(d/2) log pi - ||r||^2."""
+    with np.errstate(over="ignore"):  # an infinite square is a zero density
+        sq = np.sum(resid ** 2, axis=1)
+    return -0.5 * resid.shape[1] * LOG_PI - sq
 
 
 # --------------------------------------------------------------------- #
@@ -310,9 +318,7 @@ class GaussianMean(MarginalPredictor):
 
     def _raw_log_densities(self, ys) -> np.ndarray:
         y = _real_matrix(ys, "y", VariableSpec.real(self.mu.shape[0]))
-        with np.errstate(over="ignore"):  # an infinite square is a zero density
-            sq = np.sum((y - self.mu) ** 2, axis=1)
-        return -0.5 * self.mu.shape[0] * LOG_PI - sq
+        return _gaussian_log_densities(y - self.mu)
 
 
 class LaplaceMean(MarginalPredictor):
@@ -357,9 +363,7 @@ class LinearGaussianMap(ConditionalPredictor):
         y = _real_matrix(ys, "y", VariableSpec.real(self.bias.shape[0]))
         if y.shape[0] != mean.shape[0]:
             raise ValueError("xs and ys have different lengths")
-        with np.errstate(over="ignore"):  # an infinite square is a zero density
-            sq = np.sum((y - mean) ** 2, axis=1)
-        return -0.5 * self.bias.shape[0] * LOG_PI - sq
+        return _gaussian_log_densities(y - mean)
 
     def at(self, x) -> GaussianMean:
         mu = self.predict_mean([x])[0]

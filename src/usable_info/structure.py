@@ -10,13 +10,13 @@ tree it finds hang from a single virtual edge.
 
 Edge weights score every ordered pair with one family config, in one of
 three ways.  A ``linear_gaussian`` or ``polynomial_gaussian`` config with
-no ``clip_b`` and no ``norm_radius`` uses the closed form ``w[i, j] =
-||P_i Yc_j||_F^2 / n`` (``P_i`` projects onto source i's centred features,
-``Yc_j`` is the centred target): one thin SVD per source scores every
-target.  ``gaussian_mean`` and ``laplace_mean`` cannot read x, so every
-weight is 0 by definition, with no fit.  Any other config fits each ordered
-pair on its own, the closed form's oracle.  All check each variable as
-``ys`` first.
+no ``norm_radius`` uses a closed form, one thin SVD per source for every
+target: ``w[i, j] = ||P_i Yc_j||_F^2 / n`` (``P_i`` projects onto source
+i's centred features, ``Yc_j`` is the centred target), or under ``clip_b``
+the clipped mean log-density of ``Yc_j - P_i Yc_j`` less that of ``Yc_j``.
+``gaussian_mean`` and ``laplace_mean`` cannot read x, so every weight is 0
+by definition, with no fit.  Any other config fits each ordered pair on its
+own, the closed form's oracle.  All check each variable as ``ys`` first.
 
 ``brute_force_arborescence`` enumerates every rooted spanning tree and is
 the correctness oracle for the fast arborescence.  Nothing here assumes the
@@ -41,8 +41,9 @@ from itertools import permutations
 import numpy as np
 
 from .estimation import empirical_conditional_entropy, empirical_entropy
-from .families import (_CONSTANT_KINDS, FamilyConfig, FitWarning, _expand,
-                       _poly_exponents, _real_matrix)
+from .families import (_CONSTANT_KINDS, FamilyConfig, FitWarning, _clipped, _expand,
+                       _gaussian_log_densities, _poly_exponents, _positive_finite,
+                       _real_matrix)
 
 __all__ = [
     "EdgeWeightMatrix",
@@ -164,8 +165,7 @@ def edge_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix:
     pair (see the module docstring).  The result is deterministic given the
     data and config.
     """
-    if (config.kind in _CLOSED_FORM_KINDS and config.norm_radius is None
-            and config.clip_b is None):
+    if config.kind in _CLOSED_FORM_KINDS and config.norm_radius is None:
         weights = _projection_weights(variables, config)
         if weights is not None:
             return weights
@@ -220,9 +220,11 @@ def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | N
     With the covariance fixed at I/2 the pair information is
     ``(TSS - RSS) / n = ||U_i^T Yc_j||_F^2 / n``, where ``U_i`` spans source
     i's centred features (singular values above ``s_max max(n, p) eps``,
-    the ``lstsq`` rank rule) and ``Yc_j`` is the centred target.  Inputs are
-    checked as the per-pair path checks them, so they raise its errors; a
-    non-finite feature or weight returns None, for that path to raise.
+    the ``lstsq`` rank rule) and ``Yc_j`` is the centred target.  Under
+    ``clip_b`` it is the mean clipped log-density of the residual ``Yc_j -
+    U_i U_i^T Yc_j`` less that of ``Yc_j``.  Inputs are checked as the
+    per-pair path checks them, so they raise its errors; a non-finite
+    feature or weight returns None, for that path to raise.
     """
     m = _check_aligned(variables)
     targets = [_real_matrix(v, "ys", config.y_spec) for v in variables]
@@ -234,6 +236,8 @@ def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | N
     with np.errstate(over="ignore", invalid="ignore"):
         centred = np.hstack(targets)
         centred -= centred.mean(axis=0)
+        if config.clip_b is not None:
+            marginal = _mean_clipped_densities(centred, starts, config.clip_b)
         for i, x in enumerate(sources):
             exponents = (None if config.kind == "linear_gaussian"
                          else _poly_exponents(x.shape[1], config.order))
@@ -243,11 +247,21 @@ def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | N
                 return None
             u, s, _ = np.linalg.svd(feats, full_matrices=False)
             basis = u[:, s > s[0] * max(feats.shape) * np.finfo(float).eps]
-            explained = np.sum((basis.T @ centred) ** 2, axis=0)
-            w[i] = np.add.reduceat(explained, starts) / n
+            if config.clip_b is None:
+                explained = np.sum((basis.T @ centred) ** 2, axis=0)
+                w[i] = np.add.reduceat(explained, starts) / n
+            else:
+                resid = centred - basis @ (basis.T @ centred)
+                w[i] = _mean_clipped_densities(resid, starts, config.clip_b) - marginal
     if not np.all(np.isfinite(w)):
         return None
     return EdgeWeightMatrix(w)
+
+
+def _mean_clipped_densities(resid: np.ndarray, starts, clip: float) -> np.ndarray:
+    """Each target block's mean clipped log-density of its residual rows."""
+    return np.array([_clipped(_gaussian_log_densities(block), clip).mean()
+                     for block in np.split(resid, starts[1:], axis=1)])
 
 
 # --------------------------------------------------------------------- #
@@ -459,9 +473,9 @@ def tree_weight_gap_bound(max_rademacher_terms: float, b: float, delta: float,
     and holds with probability at least ``1 - 2 m (m-1) delta``, which is
     vacuous unless ``delta < 1 / (2 m (m-1))``.
     """
-    if max_rademacher_terms < 0:
+    if not 0 <= max_rademacher_terms < math.inf:
         raise ValueError("max_rademacher_terms must be non-negative")
-    if b <= 0:
+    if not _positive_finite(b):
         raise ValueError("b must be positive")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")

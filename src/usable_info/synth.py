@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .families import VariableSpec
+from .families import VariableSpec, _positive_finite
 from .structure import Arborescence
 
 __all__ = [
@@ -84,11 +84,11 @@ class SimulationConfig:
         if self.scenario == "gaussian_pair":
             if self.rho is None or not -1.0 < self.rho < 1.0:
                 raise ValueError("gaussian_pair needs rho in (-1, 1)")
-            if self.var_y <= 0:
+            if not _positive_finite(self.var_y):
                 raise ValueError("var_y must be positive")
         if self.scenario == "custom_tree" and not self.parents:
             raise ValueError("custom_tree needs a parent map")
-        if self.noise_var <= 0:
+        if not _positive_finite(self.noise_var):
             raise ValueError("noise_var must be positive")
         m = self.node_count()
         if self.scenario in _STAR and m < 2:
@@ -124,7 +124,7 @@ def gaussian_pair_information(rho: float, var_y: float) -> float:
     """
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must lie in (-1, 1)")
-    if var_y <= 0:
+    if not _positive_finite(var_y):
         raise ValueError("var_y must be positive")
     return rho * rho * var_y
 
@@ -166,8 +166,6 @@ def _tree_parents(config: SimulationConfig) -> dict[int, int]:
         for pos, node in enumerate(rest):
             parents[node] = 1 if pos < first_block else 2
         return parents
-    if config.scenario == "gaussian_pair":
-        return {1: 0}
     return {int(c): int(p) for c, p in config.parents.items()}
 
 

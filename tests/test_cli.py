@@ -378,6 +378,14 @@ def test_estimate_nonconvergence_exits_4(tmp_path, capsys, monkeypatch):
     (["--norm-radius", "1", "--tolerance", "nan"], "tolerance must be positive and finite"),
     (["--family", "laplace_mean", "--tolerance", "inf"],
      "tolerance must be positive and finite"),
+    (["--clip-b", "nan"], "clip bound B must be positive"),
+    (["--norm-radius", "nan"], "norm_radius must be positive"),
+    (["--pac", "--delta", "0.1", "--pac-b", "nan", "--rademacher", "0.1", "--clip-b", "1"],
+     "log-density bound b must be positive"),
+    (["--pac", "--delta", "0.1", "--pac-b", "inf", "--rademacher", "0.1", "--clip-b", "1"],
+     "log-density bound b must be positive"),
+    (["--pac", "--delta", "0.1", "--pac-b", "1", "--rademacher", "nan", "--clip-b", "1"],
+     "rademacher_bound must be non-negative"),
 ])
 def test_estimate_non_finite_fit_settings_exit_2(correlated_csv, tmp_path, capsys, flags,
                                                  message):

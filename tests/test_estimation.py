@@ -155,7 +155,8 @@ def test_linear_pac_half_width_monotone_in_delta():
 
 
 def test_linear_pac_half_width_domain():
-    for bad in [(0.0, 1, 0.1, 10), (1, 1, 0.6, 10), (1, 1, 0.1, 0)]:
+    for bad in [(0.0, 1, 0.1, 10), (1, 1, 0.6, 10), (1, 1, 0.1, 0),
+                (math.nan, 1, 0.1, 10), (1, math.inf, 0.1, 10), (1, 1, math.nan, 10)]:
         with pytest.raises(ValueError):
             linear_pac_half_width(*bad)
 
@@ -171,6 +172,17 @@ def test_pac_config_exactly_one_driver():
         PacConfig(delta=0.1, b=5.0, k_x=1.0)
     with pytest.raises(ValueError):
         PacConfig(delta=0.7, b=5.0, rademacher_bound=0.2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta must lie"):
+            PacConfig(delta=bad, b=5.0, rademacher_bound=0.2)
+        with pytest.raises(ValueError, match="log-density bound b must be positive"):
+            PacConfig(delta=0.1, b=bad, rademacher_bound=0.2)
+        with pytest.raises(ValueError, match="rademacher_bound must be non-negative"):
+            PacConfig(delta=0.1, b=5.0, rademacher_bound=bad)
+        with pytest.raises(ValueError, match="norm radii must be positive"):
+            PacConfig(delta=0.1, b=5.0, k_x=bad, k_y=1.0)
+        with pytest.raises(ValueError, match="norm radii must be positive"):
+            PacConfig(delta=0.1, b=5.0, k_x=1.0, k_y=bad)
 
 
 def test_rademacher_width_formula():

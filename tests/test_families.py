@@ -55,6 +55,13 @@ def test_family_config_validation():
         FamilyConfig("gaussian_mean", clip_b=0.0)
     with pytest.raises(ValueError):
         FamilyConfig("tabular", norm_radius=1.0)
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(ValueError, match="clip bound B must be positive"):
+            FamilyConfig("gaussian_mean", clip_b=bad)
+        with pytest.raises(ValueError, match="norm_radius must be positive"):
+            FamilyConfig("linear_gaussian", norm_radius=bad)
+    # +inf means no clip and no constraint.
+    FamilyConfig("linear_gaussian", clip_b=math.inf, norm_radius=math.inf)
 
 
 # ------------------------------------------------------------------ #

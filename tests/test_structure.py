@@ -321,8 +321,10 @@ def test_edge_weights_alignment_checked():
 
 
 # The closed-form path (one SVD per source) against its oracle, the
-# per-pair lstsq fits of structure._pair_weights.
+# per-pair lstsq fits of structure._pair_weights.  At B = 5 the clip bites on
+# 3-97% of each random-data marginal's samples; at B = 1e-3 it bites on all.
 CLOSED_FORM_ATOL = 1e-10
+CLIP_B = 5.0
 
 
 def _correlated(rng, dims, n):
@@ -343,22 +345,28 @@ def _assert_matches_per_pair(variables, config, same_tree=True):
 @pytest.mark.parametrize("d", range(1, 5))
 def test_closed_form_matches_per_pair_on_random_data(m, d):
     rng = np.random.default_rng(10 * m + d)
-    _assert_matches_per_pair(_correlated(rng, [d] * m, 200),
-                             FamilyConfig("linear_gaussian"))
+    variables = _correlated(rng, [d] * m, 200)
+    for clip_b in (None, CLIP_B, 1e-3):
+        _assert_matches_per_pair(variables, FamilyConfig("linear_gaussian", clip_b=clip_b))
+    # Every log-density is below -1e-3, so every sample clips on both sides.
+    assert not edge_weights(variables, FamilyConfig("linear_gaussian", clip_b=1e-3)).w.any()
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_closed_form_matches_per_pair_polynomial(order):
     rng = np.random.default_rng(order)
     variables = _correlated(rng, [1, 2, 2, 3], 300)
-    _assert_matches_per_pair(variables, FamilyConfig("polynomial_gaussian", order=order))
+    for clip_b in (None, CLIP_B):
+        _assert_matches_per_pair(variables, FamilyConfig("polynomial_gaussian", order=order,
+                                                         clip_b=clip_b))
 
 
 def test_closed_form_matches_per_pair_mixed_dims():
     rng = np.random.default_rng(11)
     variables = _correlated(rng, [1, 4, 2, 7, 3], 250)
     variables[0] = variables[0][:, 0]  # a flat vector is one real column
-    _assert_matches_per_pair(variables, FamilyConfig("linear_gaussian"))
+    for clip_b in (None, CLIP_B):
+        _assert_matches_per_pair(variables, FamilyConfig("linear_gaussian", clip_b=clip_b))
 
 
 def test_closed_form_matches_per_pair_on_degenerate_data():
@@ -368,12 +376,16 @@ def test_closed_form_matches_per_pair_on_degenerate_data():
     duplicated = np.hstack([a, a[:, :1]])
     for variables in ([constant, a, b], [duplicated, b, c], [a, a, b]):
         for config in (FamilyConfig("linear_gaussian"),
-                       FamilyConfig("polynomial_gaussian", order=2)):
+                       FamilyConfig("polynomial_gaussian", order=2),
+                       FamilyConfig("linear_gaussian", clip_b=CLIP_B),
+                       FamilyConfig("polynomial_gaussian", order=2, clip_b=CLIP_B)):
             # Exact ties (a constant source scores 0 everywhere) may break
             # either way on last-digit differences, so only weights compare.
             _assert_matches_per_pair(variables, config, same_tree=False)
     wide = _correlated(rng, [8, 9, 6], 5)  # d > n: every fit is exact
-    _assert_matches_per_pair(wide, FamilyConfig("linear_gaussian"), same_tree=False)
+    for clip_b in (None, CLIP_B):
+        _assert_matches_per_pair(wide, FamilyConfig("linear_gaussian", clip_b=clip_b),
+                                 same_tree=False)
     tss = np.sum((wide[1] - wide[1].mean(axis=0)) ** 2) / 5
     assert edge_weights(wide, FamilyConfig("linear_gaussian")).w[0, 1] == pytest.approx(tss)
 
@@ -385,18 +397,22 @@ def test_an_ill_conditioned_affine_map_of_a_source_keeps_its_out_weights(weights
     # The linear family is closed under invertible affine maps of x.  This map
     # has condition number 4e7, so a rank rule that drops a direction the
     # lstsq rule keeps (say s > s[0] * 1e-6) moves the out-weights by about
-    # half; the lstsq rule moves them by below 1e-9.
+    # half; the lstsq rule moves them by below 1e-9.  The map keeps every
+    # residual, so it keeps the clipped weights too.  Their absolute drift is
+    # the plain weights' (about 1e-8 nats here), but they are 15 times
+    # smaller, so they are held to an absolute 1e-7.
     from usable_info.synth import SimulationConfig, simulate
 
     dataset, _ = simulate(SimulationConfig(scenario="sim4", n=400, seed=0, m=6, d=2))
     q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((2, 2)))
     mapped = list(dataset.variables)
     mapped[source] = mapped[source] @ (q @ np.diag([1, 1 / 4e7])).T + [3, -2]
-    config = FamilyConfig("linear_gaussian")
-    before, after = weights(dataset.variables, config).w, weights(mapped, config).w
     others = np.arange(6) != source
-    np.testing.assert_allclose(after[source, others], before[source, others], rtol=1e-8,
-                               atol=0)
+    for config, rtol, atol in ((FamilyConfig("linear_gaussian"), 1e-8, 0),
+                               (FamilyConfig("linear_gaussian", clip_b=CLIP_B), 0, 1e-7)):
+        before, after = weights(dataset.variables, config).w, weights(mapped, config).w
+        np.testing.assert_allclose(after[source, others], before[source, others],
+                                   rtol=rtol, atol=atol)
 
 
 def _count_calls(monkeypatch, name="empirical_conditional_entropy"):
@@ -412,14 +428,15 @@ def _count_calls(monkeypatch, name="empirical_conditional_entropy"):
 
 
 @pytest.mark.filterwarnings("ignore", category=FitWarning)
-def test_only_plain_linear_and_polynomial_configs_skip_the_pair_loop(monkeypatch):
+def test_least_squares_configs_without_norm_radius_skip_the_pair_loop(monkeypatch):
     rng = np.random.default_rng(13)
     real = _correlated(rng, [2, 1, 2], 80)
     symbols = [rng.integers(0, 3, 80) for _ in range(3)]
     cases = [
         (real, FamilyConfig("linear_gaussian"), 0),
         (real, FamilyConfig("polynomial_gaussian", order=2), 0),
-        (real, FamilyConfig("linear_gaussian", clip_b=50.0), 6),
+        (real, FamilyConfig("linear_gaussian", clip_b=50.0), 0),
+        (real, FamilyConfig("polynomial_gaussian", order=2, clip_b=50.0), 0),
         (real, FamilyConfig("linear_gaussian", norm_radius=1.0,
                             fit=FitMode(max_iters=50)), 6),
         (symbols, FamilyConfig("tabular"), 6),
@@ -528,6 +545,11 @@ def test_a_bad_first_variable_fails_as_a_target_on_every_path(config, bad, messa
     # Cubing 1e200 overflows; least squares on it used to hang in LAPACK.
     (FamilyConfig("polynomial_gaussian", order=3), np.array([[1e200], [1.0], [2.0]]),
      "overflow|zero density"),
+    (FamilyConfig("polynomial_gaussian", order=3, clip_b=50.0),
+     np.array([[1e200], [1.0], [2.0]]), "overflow"),
+    # An infinite clip bound clips nothing, so a zero density still raises.
+    (FamilyConfig("linear_gaussian", clip_b=math.inf), np.array([[1e308], [-1e308], [1e308]]),
+     "zero density"),
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_closed_form_failures_raise_the_per_pair_error(config, bad, message):
@@ -620,3 +642,10 @@ def test_gap_bound_domain():
         tree_weight_gap_bound(0.0, 1.0, 0.01, (0, 10), 3)
     with pytest.raises(ValueError):
         tree_weight_gap_bound(-0.1, 1.0, 0.01, (10, 10), 3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="max_rademacher_terms must be non-negative"):
+            tree_weight_gap_bound(bad, 1.0, 0.01, (10, 10), 3)
+        with pytest.raises(ValueError, match="b must be positive"):
+            tree_weight_gap_bound(0.0, bad, 0.01, (10, 10), 3)
+        with pytest.raises(ValueError, match="delta must lie"):
+            tree_weight_gap_bound(0.0, 1.0, bad, (10, 10), 3)

@@ -23,6 +23,13 @@ def test_config_validation():
         SimulationConfig(scenario="custom_tree", n=10, seed=0)  # parents missing
     with pytest.raises(ValueError):
         SimulationConfig(scenario="sim4", n=10, seed=0, m=2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho in"):
+            SimulationConfig(scenario="gaussian_pair", n=10, seed=0, rho=bad)
+        with pytest.raises(ValueError, match="var_y must be positive"):
+            SimulationConfig(scenario="gaussian_pair", n=10, seed=0, rho=0.5, var_y=bad)
+        with pytest.raises(ValueError, match="noise_var must be positive"):
+            SimulationConfig(scenario="sim1", n=10, seed=0, noise_var=bad)
 
 
 def test_default_shapes():
@@ -142,6 +149,9 @@ def test_gaussian_pair_information_values():
         gaussian_pair_information(1.0, 1.0)
     with pytest.raises(ValueError):
         gaussian_pair_information(0.5, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="var_y must be positive"):
+            gaussian_pair_information(0.5, bad)
 
 
 def test_gaussian_pair_closed_form_matches_monte_carlo():
