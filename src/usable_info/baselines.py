@@ -38,14 +38,15 @@ Every fit is one solve over a stack of same-shape problems, and
 :func:`fit_critic` is a stack of one.  :func:`_fitted_chunks` fits a stack
 in chunks; :func:`baseline_edge_weights` stacks the ordered pairs of the
 same dimensions and takes each fit's value as the weight, the in-sample
-optimum, as a family's weight is its in-sample fit.  ``usable-info
-baselines`` stacks the ``(rho, seed)`` rows in
-:func:`fit_and_estimate_stack`, which estimates on held-out pairs, to
-measure each estimator's bias.  Each problem sees the floating-point
-operations of a lone fit, the pairs of its own seed and its own stop, so a
-stacked fit equals a lone fit bit for bit; problems that share a seed draw
-once.  A solve holds each problem's pair features, one contiguous row per
-moved cell of Theta, and builds one problem's Hessian at a time.
+optimum, as a family's weight is its in-sample fit.  The ``baselines``
+table, :func:`gaussian_pair_baselines`, stacks synth's Gaussian pairs, one
+per ``(rho, seed)`` row, in :func:`fit_and_estimate_stack`, which estimates
+on held-out pairs, to measure each estimator's bias.  Each problem sees the
+floating-point operations of a lone fit, the pairs of its own seed and its
+own stop, so a stacked fit equals a lone fit bit for bit; problems that
+share a seed draw once.  A solve holds each problem's pair features, one
+contiguous row per moved cell of Theta, and builds one problem's Hessian at
+a time.
 
 Samples are checked as the families check them (``families._real_matrix``):
 every entry point, and every problem of a stack, raises ``ValueError`` on
@@ -67,6 +68,7 @@ import numpy as np
 from .errors import NumericalError
 from .families import FitWarning, VariableSpec, _real_matrix
 from .structure import EdgeWeightMatrix, _check_aligned
+from .synth import SimulationConfig, _simulate_gaussian_pair, gaussian_pair_mutual_information
 
 __all__ = [
     "Critic",
@@ -77,6 +79,7 @@ __all__ = [
     "fit_and_estimate_stack",
     "baseline_edge_weights",
     "gaussian_oracle_critic",
+    "gaussian_pair_baselines",
 ]
 
 # _fitted_chunks fits a stack in chunks of as many problems as this many floats
@@ -257,7 +260,7 @@ def gaussian_oracle_critic(rho: float) -> Critic:
     var = 1.0 - rho * rho
     square = -rho * rho / (2.0 * var)
     # Theta's free cells in row-major order weigh xy, x, x^2, y, y^2 and 1.
-    theta = [rho / var, 0.0, square, 0.0, square, 1.0 - 0.5 * math.log(var)]
+    theta = [rho / var, 0.0, square, 0.0, square, 1.0 + gaussian_pair_mutual_information(rho)]
     return Critic("quadratic", 1, 1, theta=theta, metadata={"rho": rho, "oracle": True})
 
 
@@ -738,3 +741,43 @@ def baseline_edge_weights(variables, method: str, seed: int) -> EdgeWeightMatrix
             f"{why} for pairs " + ", ".join(map(str, sorted(failed[why])))
             for why in (DIVERGED, NOT_CONVERGED, NON_FINITE_SCORES) if why in failed))
     return EdgeWeightMatrix(w)
+
+
+def gaussian_pair_baselines(rhos, seeds, n: int, spec: BatchSpec) -> list[tuple]:
+    """The ``usable-info baselines`` table: the CPC, NWJ and oracle-critic NWJ
+    (``nwj_oracle``) estimates of each ``(rho, seed)`` row's mutual information.
+
+    A row draws synth's scalar ``gaussian_pair`` of n samples from
+    ``default_rng(seed)``, then its NWJ eval permutation.  The critics fit on
+    the first ``n // 2`` pairs, one stack per objective, and estimate on the
+    rest.  Rows ``(rho, seed, n, batch_size, estimator, value,
+    true_information)`` come sorted by rho, seed and estimator; the first
+    failed row in that order raises :class:`NumericalError`."""
+    half = n // 2
+    grid = [(rho, seed) for rho in rhos for seed in seeds]
+    draws = []
+    for rho, seed in grid:
+        rng = np.random.default_rng(seed)
+        config = SimulationConfig("gaussian_pair", n, seed, rho=rho, d=1)
+        pair = _simulate_gaussian_pair(config, rng)[0].variables
+        draws.append((*pair, rng.permutation(n - half)))
+    xs, ys, perms = map(np.stack, zip(*draws))
+    pairs = (xs[:, :half], ys[:, :half], xs[:, half:], ys[:, half:])
+    row_seeds = [seed for _, seed in grid]
+    fits = {"cpc": fit_and_estimate_stack("cpc", *pairs, row_seeds, spec),
+            "nwj": fit_and_estimate_stack("nwj", *pairs, row_seeds, spec, perms=perms)}
+    rows = []
+    for k, (rho, seed) in enumerate(grid):
+        for estimator, (_, failures) in fits.items():
+            if failures[k] is not None:
+                raise NumericalError(f"baselines rho={rho} seed={seed} "
+                                     f"estimator={estimator}: {failures[k]}")
+        values = {estimator: float(fit[0][k]) for estimator, fit in fits.items()}
+        eval_x, eval_y = xs[k, half:, 0], ys[k, half:, 0]
+        values["nwj_oracle"] = nwj_estimate(gaussian_oracle_critic(rho), eval_x, eval_y,
+                                            eval_x, eval_y[perms[k]])
+        true_info = gaussian_pair_mutual_information(rho)
+        rows += [(rho, seed, n, spec.batch_size, estimator, value, true_info)
+                 for estimator, value in values.items()]
+    rows.sort(key=lambda r: (r[0], r[1], r[4]))
+    return rows

@@ -1,4 +1,4 @@
-"""Command-line interface.
+"""Command-line interface, a thin shell: parse the flags, call the library, write the output.
 
 Subcommands::
 
@@ -48,8 +48,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import __version__
-from .baselines import (BatchSpec, baseline_edge_weights, fit_and_estimate_stack,
-                        gaussian_oracle_critic, nwj_estimate)
+from .baselines import BatchSpec, baseline_edge_weights, gaussian_pair_baselines
 from .data import read_csv_rows, read_dataset_csv, write_dataset_csv, write_rows_csv
 from .errors import DataError, NumericalError
 from .estimation import PacConfig, empirical_information
@@ -503,41 +502,10 @@ def _cmd_baselines(args) -> int:
     for rho in rhos:
         if not -1.0 < rho < 1.0:
             raise ValueError(f"--rhos: {rho} is not in (-1, 1)")
-    half = n // 2
-    if half < spec.batch_size:
-        raise ValueError(f"--n: {n} leaves {half} fit pairs, fewer than "
+    if n // 2 < spec.batch_size:
+        raise ValueError(f"--n: {n} leaves {n // 2} fit pairs, fewer than "
                          f"--batch-size {spec.batch_size}")
-
-    # Every (rho, seed) row is one problem of a stacked fit per objective.
-    grid = [(rho, seed) for rho in rhos for seed in seeds]
-    xs, ys, perms = [], [], []
-    for rho, seed in grid:
-        rng = np.random.default_rng(seed)
-        x = rng.standard_normal(n)
-        xs.append(x)
-        ys.append(rho * x + math.sqrt(1.0 - rho * rho) * rng.standard_normal(n))
-        perms.append(rng.permutation(n - half))
-    xs, ys, perms = np.stack(xs)[..., None], np.stack(ys)[..., None], np.stack(perms)
-    pairs = (xs[:, :half], ys[:, :half], xs[:, half:], ys[:, half:])
-    row_seeds = [seed for _, seed in grid]
-    fits = {"cpc": fit_and_estimate_stack("cpc", *pairs, row_seeds, spec),
-            "nwj": fit_and_estimate_stack("nwj", *pairs, row_seeds, spec, perms=perms)}
-
-    rows = []
-    for k, (rho, seed) in enumerate(grid):
-        values = {}
-        for estimator, (stack_values, failures) in fits.items():
-            if failures[k] is not None:
-                raise NumericalError(f"baselines rho={rho} seed={seed} "
-                                     f"estimator={estimator}: {failures[k]}")
-            values[estimator] = float(stack_values[k])
-        eval_x, eval_y = xs[k, half:, 0], ys[k, half:, 0]
-        values["nwj_oracle"] = nwj_estimate(gaussian_oracle_critic(rho), eval_x, eval_y,
-                                            eval_x, eval_y[perms[k]])
-        true_info = -0.5 * math.log(1.0 - rho * rho)
-        rows += [(rho, seed, n, spec.batch_size, estimator, value, true_info)
-                 for estimator, value in values.items()]
-    rows.sort(key=lambda r: (r[0], r[1], r[4]))
+    rows = gaussian_pair_baselines(rhos, seeds, n, spec)
     effective = {"rhos": rhos, "seeds": seeds, "n": n, "batch_size": spec.batch_size}
     write_rows_csv(args.out, effective,
                    ["rho", "seed", "n", "batch_size", "estimator", "value",

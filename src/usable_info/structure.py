@@ -246,7 +246,7 @@ def _projection_weights(variables, config: FamilyConfig) -> EdgeWeightMatrix | N
             if not np.all(np.isfinite(feats)):
                 return None
             u, s, _ = np.linalg.svd(feats, full_matrices=False)
-            basis = u[:, s > s[0] * max(feats.shape) * np.finfo(float).eps]
+            basis = u[:, s > s[0] * (max(feats.shape) * np.finfo(float).eps)]
             if config.clip_b is None:
                 explained = np.sum((basis.T @ centred) ** 2, axis=0)
                 w[i] = np.add.reduceat(explained, starts) / n

@@ -1,9 +1,9 @@
 """Synthetic tree-structured datasets with known generative structure.
 
 Six canned scenarios cover two tree shapes and three conditional types,
-plus a correlated Gaussian pair whose population information for the
-linear-Gaussian family is available in closed form, and a configurable
-Gaussian tree.
+plus a correlated Gaussian pair, whose linear-Gaussian information and
+Shannon MI have closed forms here (``usable-info baselines`` draws its pairs
+from this module), and a configurable Gaussian tree.
 
 ===========  =======================================================
 ``sim1``     star, Gaussian children: root U(0,10)^d elementwise,
@@ -52,6 +52,7 @@ __all__ = [
     "GroundTruth",
     "simulate",
     "gaussian_pair_information",
+    "gaussian_pair_mutual_information",
 ]
 
 SCENARIOS = ("sim1", "sim2", "sim3", "sim4", "sim5", "sim6",
@@ -127,6 +128,14 @@ def gaussian_pair_information(rho: float, var_y: float) -> float:
     if not _positive_finite(var_y):
         raise ValueError("var_y must be positive")
     return rho * rho * var_y
+
+
+def gaussian_pair_mutual_information(rho: float) -> float:
+    """Shannon mutual information, ``-log(1 - rho^2) / 2`` nats, of a
+    bivariate Gaussian pair with correlation ``rho`` (scenario ``gaussian_pair``, d=1)."""
+    if not -1.0 < rho < 1.0:
+        raise ValueError("rho must lie in (-1, 1)")
+    return -0.5 * math.log(1.0 - rho * rho)
 
 
 def _orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:

@@ -1012,7 +1012,7 @@ def test_baselines_rejects_bad_inputs_before_any_fit(tmp_path, capsys, monkeypat
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted before validating")
 
-    monkeypatch.setattr(cli, "fit_and_estimate_stack", no_fit)
+    monkeypatch.setattr(baselines, "fit_and_estimate_stack", no_fit)
     out = tmp_path / "bench.csv"
     assert main(["baselines", *flags, "--seeds", "0", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -1149,22 +1149,44 @@ def test_auc_nan_score_is_data_error_naming_line(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad_row,cells", [("1,0", 2), ("1,0,0.5,9", 4)],
-                         ids=["short", "long"])
-@pytest.mark.parametrize("bad_file", ["scores", "truth"])
-def test_auc_row_of_the_wrong_width_is_a_data_error(tmp_path, capsys, bad_file, bad_row,
-                                                    cells):
+def _replace_line(k, text):
+    return lambda lines: lines[:k] + [text] + lines[k + 1:]
+
+
+# (id, edit of either file's lines, its error; {path} and {column} are the file's).
+_BAD_PAIR_FILES = [
+    ("short", _replace_line(2, "1,0"), "{path}:3: expected 3 cells, got 2"),
+    ("long", _replace_line(2, "1,0,0.5,9"), "{path}:3: expected 3 cells, got 4"),
+    ("no_pair_rows", lambda lines: lines[:1], "{path}: no pair rows"),
+    ("missing_column", _replace_line(0, "i,j,value"), "{path}:1: missing column {column!r}"),
+    ("unparsable_cell", _replace_line(2, "1,x,0"),
+     "{path}:3: invalid literal for int() with base 10: 'x'"),
+    ("self_pair", _replace_line(2, "1,1,0"), "{path}:3: self-pair (1,1)"),
+    ("duplicate_pair", _replace_line(2, "0,1,0"), "{path}:3: duplicate pair (0,1)"),
+]
+
+
+@pytest.mark.parametrize("bad_file,edit,message", [
+    *(pytest.param(bad_file, edit, message, id=f"{bad_file}-{name}")
+      for bad_file in ("scores", "truth") for name, edit, message in _BAD_PAIR_FILES),
+    pytest.param("truth", _replace_line(2, "1,2,0"),
+                 "truth must label every ordered pair of its nodes", id="truth-unlabelled_pair"),
+    pytest.param("truth", _replace_line(1, "0,1,0.5"), "truth for pair (0, 1) must be 0 or 1",
+                 id="truth-label_not_0_or_1"),
+])
+def test_auc_row_of_the_wrong_width_is_a_data_error(tmp_path, capsys, bad_file, edit, message):
+    # And every other malformed scores or truth file: each exits 3 naming its fault.
     files = {"scores": tmp_path / "s.csv", "truth": tmp_path / "t.csv"}
     _write_pairs(files["scores"], [(0, 1, 1.0), (1, 0, 0.5)], "score")
     _write_pairs(files["truth"], [(0, 1, 1), (1, 0, 0)], "edge")
-    lines = files[bad_file].read_text().splitlines()
-    lines[2] = bad_row
+    lines = edit(files[bad_file].read_text().splitlines())
     files[bad_file].write_text("\n".join(lines) + "\n")
     out = tmp_path / "auc.json"
     assert main(["auc", "--scores", str(files["scores"]), "--truth", str(files["truth"]),
                  "--out", str(out)]) == 3
+    column = "score" if bad_file == "scores" else "edge"
     assert capsys.readouterr().err == (
-        f"data error: {files[bad_file]}:3: expected 3 cells, got {cells}\n")
+        f"data error: {message.format(path=files[bad_file], column=column)}\n")
     assert not out.exists()
 
 

@@ -594,6 +594,36 @@ def test_pooled_read_matches_serial(tmp_path, monkeypatch, pooled, variables, en
     _assert_same(got, _select(ds, variables or range(ds.m)))
 
 
+@pytest.mark.parametrize("variables", [None, [1], [1, 0], {"a": ["var0_1100", "var0_3"]}],
+                         ids=["full", "vars1", "vars1_0", "coords"])
+@pytest.mark.parametrize("pool", [True, False], ids=["pool", "no_pool"])
+def test_rows_wider_than_a_scan_block_with_an_unterminated_last_row(tmp_path, monkeypatch,
+                                                                    pooled, pool, variables):
+    # Each 1200-cell row is wider than _line_start's 4096-byte block, so a
+    # range boundary's scan reads a block with no line end; the last row has
+    # none, so the last boundary's scan runs to the end of the file.
+    rows, width = 40, 1200
+    real = (np.arange(rows * width).reshape(rows, width) % 13) + 0.5
+    symbols = np.arange(rows) % 3
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join([f"var0_{k}" for k in range(width)] + ["var1_0:cat3"]) + "\n"
+                    + "\n".join(",".join([*map(str, r), str(c)]) for r, c in zip(real, symbols)),
+                    encoding="utf-8")
+    assert len(path.read_text().splitlines()[1]) > 4096
+    if not pool:
+        monkeypatch.setattr(data, "_cpu_count", lambda: 1)
+    got = _read_three(path, monkeypatch, variables)
+    assert [(workers, any(declined)) for workers, _, declined in pooled[:1]] == [
+        (2 if pool else 0, False)]
+    full = Dataset(variables=[real, symbols.astype(np.int64)],
+                   specs=[VariableSpec.real(width), VariableSpec.categorical(3)])
+    if isinstance(variables, dict):
+        want = Dataset(variables=[real[:, [1100, 3]]], specs=[VariableSpec.real(2)])
+    else:
+        want = _select(full, variables or range(2))
+    _assert_same(got, want)
+
+
 # (file head, data line ending)
 LONE_CR_FILES = {
     "cr_data": (HEADER, "\r"),

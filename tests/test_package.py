@@ -17,7 +17,7 @@ def test_public_names_are_the_library_modules_all():
     exported = [name for name in usable_info.__all__ if name != "__version__"]
     declared = [name for module in LIBRARY_MODULES
                 for name in importlib.import_module(f"usable_info.{module}").__all__]
-    assert len(exported) == len(set(exported)) == 48
+    assert len(exported) == len(set(exported)) == 50
     assert sorted(exported) == sorted(declared)
     assert isinstance(usable_info.__version__, str)
 

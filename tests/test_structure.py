@@ -562,6 +562,18 @@ def test_closed_form_failures_raise_the_per_pair_error(config, bad, message):
         assert str(fast.value) == str(slow.value)
 
 
+def test_a_source_near_the_float_limit_keeps_its_direction():
+    # The rank threshold s_max * max(n, p) * eps must not overflow when s_max
+    # is near the float limit.  Centred, the source is a multiple of
+    # [1, -2, 1]; the target's residual on it is [-7/4, 0, 7/4] and its
+    # marginal [-4/3, -5/6, 13/6], so the weight is (43/6 - 49/8) / 3 and no
+    # log-density reaches the clip.  The per-pair path is no oracle here:
+    # lstsq's rank rule drops the uncentred design's intercept.
+    variables = [np.array([[0.5], [1.0], [4.0]]), np.array([[1e308], [-1e308], [1e308]])]
+    w = edge_weights(variables, FamilyConfig("linear_gaussian", clip_b=50.0)).w
+    assert w[1, 0] == pytest.approx(25 / 72, rel=0, abs=1e-12)
+
+
 # ------------------------------------------------------------------ #
 # Scoring
 # ------------------------------------------------------------------ #

@@ -8,6 +8,7 @@ from usable_info.families import FamilyConfig
 from usable_info.synth import (
     SimulationConfig,
     gaussian_pair_information,
+    gaussian_pair_mutual_information,
     simulate,
 )
 
@@ -152,6 +153,17 @@ def test_gaussian_pair_information_values():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="var_y must be positive"):
             gaussian_pair_information(0.5, bad)
+
+
+def test_gaussian_pair_mutual_information_values():
+    # H(x) + H(y) - H(x, y) of unit-variance Gaussians is -log det(cov) / 2.
+    for rho in (0.0, 0.5, -0.5, 0.9, 0.999):
+        logdet = np.linalg.slogdet(np.array([[1.0, rho], [rho, 1.0]]))[1]
+        assert gaussian_pair_mutual_information(rho) == pytest.approx(-0.5 * logdet,
+                                                                      rel=1e-12, abs=0)
+    for bad in (1.0, -1.0, 1.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"rho must lie in \(-1, 1\)"):
+            gaussian_pair_mutual_information(bad)
 
 
 def test_gaussian_pair_closed_form_matches_monte_carlo():
